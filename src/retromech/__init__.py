@@ -16,9 +16,11 @@ from .core import (
     Direction,
     Grid,
     GridFunction,
+    Regime,
     ToleranceConfig,
     UnitsConfig,
     UnstableIntegrationError,
+    classify_regime,
 )
 from .fracops import (
     ComposeHalfResult,
@@ -49,10 +51,8 @@ from .lagrangian import (
     render_lagrangian,
 )
 from .oscillator import (
-    DampingRegime,
     OscillatorParams,
     OscillatorTrajectory,
-    classify_damping,
     solve_causal,
     solve_retrocausal,
     time_reverse,
@@ -70,11 +70,8 @@ from .eigensolver import (
     superposition_density,
 )
 from .dampedwave import (
-    DampedRegime,
     DampedWaveParams,
-    classify_damped,
     damped_well_modes,
-    retrocausal_same_form_check,
     solve_damped_free,
     xi_from_params,
 )

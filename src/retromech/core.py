@@ -1,6 +1,10 @@
 """Shared substrate: uniform sample grids, grid functions, operator
-directions, unit systems, and the fixed-step RK4 used by the time- and
-space-domain solvers."""
+directions, unit systems, the damping-regime classifier, and the
+fixed-step RK4 propagator used by the time- and space-domain solvers.
+
+Every ODE the toolkit integrates is linear with constant coefficients,
+y'' = -c1 y' - c0 y, so an RK4 step is one 2x2 matrix and a march is a
+sequence of its powers."""
 
 from __future__ import annotations
 
@@ -17,7 +21,11 @@ __all__ = [
     "NATURAL_UNITS",
     "ToleranceConfig",
     "DEFAULT_TOLERANCES",
+    "Regime",
+    "classify_regime",
     "UnstableIntegrationError",
+    "MARCH_BLOCK",
+    "rk4_propagator",
     "integrate_second_order",
 ]
 
@@ -132,6 +140,30 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
+class Regime(enum.Enum):
+    """Damping regime of y'' + c1 y' + c0 y = 0."""
+
+    UNDAMPED = "undamped"
+    UNDERDAMPED = "underdamped"
+    CRITICAL = "critical"
+    OVERDAMPED = "overdamped"
+
+
+def classify_regime(c1: float, c0: float) -> Regime:
+    """Regime of y'' + c1 y' + c0 y = 0 by the sign of the discriminant
+    c1^2 - 4 c0, with a relative band around zero treated as critical.
+
+    Takes the same coefficient pair as :func:`integrate_second_order`.
+    """
+    if c1 == 0:
+        return Regime.UNDAMPED
+    disc = c1**2 - 4.0 * c0
+    band = DEFAULT_TOLERANCES.critical_band * max(c1**2, 4.0 * c0)
+    if abs(disc) <= band:
+        return Regime.CRITICAL
+    return Regime.UNDERDAMPED if disc < 0 else Regime.OVERDAMPED
+
+
 class UnstableIntegrationError(RuntimeError):
     """The RK4 amplitude guard tripped; carries the offending step."""
 
@@ -142,52 +174,111 @@ class UnstableIntegrationError(RuntimeError):
         self.value = value
 
 
-def integrate_second_order(accel, y0, v0, grid: Grid, *, backward: bool = False,
+#: States per block of the march: P^0 .. P^(MARCH_BLOCK-1) are formed once,
+#: and each block of output is one product of those powers with its start.
+MARCH_BLOCK = 256
+
+
+def rk4_propagator(coeffs, h: float) -> np.ndarray:
+    """One classical RK4 step of y'' = -c1 y' - c0 y as a 2x2 matrix.
+
+    For a linear system RK4 is exactly s_{j+1} = P s_j on the state
+    s = (y, y'), with P = R(hA) the degree-4 stability polynomial of the
+    companion matrix A (Hairer & Wanner, Solving ODEs II).
+    """
+    return np.eye(2) + _rk4_increment(coeffs, h)
+
+
+def _rk4_increment(coeffs, h: float) -> np.ndarray:
+    """P - I, from running the RK4 stage formulas once on the two unit
+    states: its columns are the increments of the steps from (1, 0) and
+    (0, 1). Kept apart from I, the O(h) increment carries full relative
+    precision, which a rounded P = I + O(h) would lose at every power."""
+    c1, c0 = coeffs
+    y = np.array([1.0, 0.0])
+    v = np.array([0.0, 1.0])
+
+    def accel(y, v):
+        return -c1 * v - c0 * y
+
+    a1 = accel(y, v)
+    y2 = y + 0.5 * h * v
+    v2 = v + 0.5 * h * a1
+    a2 = accel(y2, v2)
+    y3 = y + 0.5 * h * v2
+    v3 = v + 0.5 * h * a2
+    a3 = accel(y3, v3)
+    y4 = y + h * v3
+    v4 = v + h * a3
+    a4 = accel(y4, v4)
+    return np.array([h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
+                     h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0])
+
+
+def _increment_powers(d: np.ndarray, count: int) -> np.ndarray:
+    """P^j - I for j = 0 .. count-1, where P = I + d, by doubling:
+    P^(L+j) - I = D_L + D_j + D_L D_j fills each next stretch from the one
+    before, so each power takes O(log j) products."""
+    powers = np.empty((count, 2, 2))
+    powers[0] = 0.0
+    filled, jump = 1, d
+    while filled < count:
+        take = min(filled, count - filled)
+        head = powers[:take]
+        powers[filled:filled + take] = jump + head + jump @ head
+        filled += take
+        jump = 2.0 * jump + jump @ jump
+    return powers
+
+
+def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False,
                            amplitude_limit: float | None = None):
-    """Classical fixed-step RK4 for y'' = accel(y, y') on a uniform grid.
+    """Classical fixed-step RK4 for y'' = -c1 y' - c0 y, ``coeffs = (c1, c0)``,
+    on a uniform grid.
 
     Marches forward from ``grid.a`` (or backward from ``grid.b`` when
     ``backward`` is set) and returns ``(y, v)`` sample arrays in forward
-    grid order. ``amplitude_limit`` aborts with
-    :class:`UnstableIntegrationError` as soon as ``|y|`` exceeds it, so a
-    blow-up fails loudly instead of returning garbage.
+    grid order. Every step is the same matrix P (:func:`rk4_propagator`),
+    so the march is blocked: the states of a block are the powers
+    P^0 .. P^(B-1) applied to the block's start in one product, and the
+    block starts are chained by P^B. Powers are held as P^j - I, so the
+    march keeps the precision of a step-by-step loop.
+
+    ``amplitude_limit`` aborts with :class:`UnstableIntegrationError` at the
+    first step whose ``|y|`` exceeds it or is not finite, so a blow-up
+    fails loudly instead of returning garbage.
     """
     n = grid.n
     h = -grid.h if backward else grid.h
     is_complex = isinstance(y0, complex) or isinstance(v0, complex)
-    dtype = np.complex128 if is_complex else np.float64
-    ys = np.empty(n, dtype=dtype)
-    vs = np.empty(n, dtype=dtype)
-    if is_complex:
-        y, v = complex(y0), complex(v0)
-    else:
-        y, v = float(y0), float(v0)
-    start = n - 1 if backward else 0
-    ys[start] = y
-    vs[start] = v
-    t0 = grid.b if backward else grid.a
-    indices = range(n - 1, 0, -1) if backward else range(n - 1)
-    for step, i in enumerate(indices, start=1):
-        a1 = accel(y, v)
-        y2 = y + 0.5 * h * v
-        v2 = v + 0.5 * h * a1
-        a2 = accel(y2, v2)
-        y3 = y + 0.5 * h * v2
-        v3 = v + 0.5 * h * a2
-        a3 = accel(y3, v3)
-        y4 = y + h * v3
-        v4 = v + h * a3
-        a4 = accel(y4, v4)
-        y = y + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        v = v + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-        target = i - 1 if backward else i + 1
-        ys[target] = y
-        vs[target] = v
-        if amplitude_limit is not None and abs(y) > amplitude_limit:
-            t = t0 + step * h
-            raise UnstableIntegrationError(
-                f"|y| = {abs(y):.3e} exceeded the stability guard "
-                f"{amplitude_limit:.3e} at t = {t:.6g} (step {step})",
-                step=step, t=t, value=float(abs(y)),
-            )
+    scalar = complex if is_complex else float
+    y, v = scalar(y0), scalar(v0)
+    block = min(MARCH_BLOCK, n)
+    starts = np.empty((-(-n // block), 2),
+                      dtype=np.complex128 if is_complex else np.float64)
+    # an unstable march overflows its powers; the guard reports it instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _increment_powers(_rk4_increment(coeffs, h), block + 1)
+        (d00, d01), (d10, d11) = powers[block].tolist()
+        for b in range(len(starts)):
+            starts[b] = y, v
+            y, v = y + (d00 * y + d01 * v), v + (d10 * y + d11 * v)
+        ys = starts @ powers[:block, 0].T
+        ys += starts[:, :1]
+        vs = starts @ powers[:block, 1].T
+        vs += starts[:, 1:]
+        ys, vs = ys.ravel()[:n], vs.ravel()[:n]
+        if amplitude_limit is not None:
+            beyond = ~(np.abs(ys[1:]) <= amplitude_limit)
+            if beyond.any():
+                step = int(np.argmax(beyond)) + 1
+                value = float(abs(ys[step]))
+                t = (grid.b if backward else grid.a) + step * h
+                raise UnstableIntegrationError(
+                    f"|y| = {value:.3e} exceeded the stability guard "
+                    f"{amplitude_limit:.3e} at t = {t:.6g} (step {step})",
+                    step=step, t=t, value=value,
+                )
+    if backward:
+        return ys[::-1], vs[::-1]
     return ys, vs

@@ -5,41 +5,40 @@ damped-oscillator ODE in space, psi'' + 2 xi psi' + k^2 psi = 0 with
 k = sqrt(2 m E)/hbar, and the same equation governs both the forward- and
 backward-phase functions: unlike the classical oscillator pair, neither
 side is unstable. The module solves the free equation twice over
-(characteristic roots and RK4, cross-checked), classifies the damping
-regime, and works out the hard-wall well whose mode energies pick up a
-uniform xi^2 shift.
+(characteristic roots and the shared RK4 propagator with coefficients
+(2 xi, k^2), cross-checked), classifies the damping regime, and works out
+the hard-wall well whose mode energies pick up a uniform xi^2 shift,
+confirmed by RK4 shooting: psi(L) from (psi, psi') = (0, 1) is one entry
+of a matrix power of the RK4 step.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
     NATURAL_UNITS,
     Grid,
     GridFunction,
+    Regime,
     UnitsConfig,
+    classify_regime,
     integrate_second_order,
+    rk4_propagator,
 )
 
 __all__ = [
     "DampedWaveParams",
-    "DampedRegime",
     "DampedFreeSolution",
     "DampedWellModes",
-    "SameFormReport",
     "xi_from_params",
-    "classify_damped",
     "characteristic_roots",
     "solve_damped_free",
     "damped_well_modes",
-    "retrocausal_same_form_check",
     "envelope_decay_rate",
 ]
 
@@ -68,12 +67,11 @@ class DampedWaveParams:
     def k_wave(self) -> float:
         return math.sqrt(2.0 * self.units.mass * self.energy) / self.units.hbar
 
-
-class DampedRegime(enum.Enum):
-    UNDAMPED = "undamped"
-    UNDERDAMPED = "underdamped"
-    CRITICAL = "critical"
-    OVERDAMPED = "overdamped"
+    @property
+    def coeffs(self) -> tuple:
+        """(c1, c0) = (2 xi, k^2) of psi'' = -c1 psi' - c0 psi;
+        ``classify_regime(*params.coeffs)`` gives its damping regime."""
+        return 2.0 * self.xi, self.k_wave**2
 
 
 def xi_from_params(m: float, c_light: float, hbar: float, B: float) -> float:
@@ -86,19 +84,6 @@ def xi_from_params(m: float, c_light: float, hbar: float, B: float) -> float:
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive, got {value}")
     return m * m * c_light / (2.0 * hbar * B)
-
-
-def classify_damped(params: DampedWaveParams) -> DampedRegime:
-    """Regime by the sign of xi^2 - k^2 (the discriminant of the
-    characteristic polynomial)."""
-    if params.xi == 0:
-        return DampedRegime.UNDAMPED
-    k = params.k_wave
-    disc = params.xi**2 - k**2
-    band = DEFAULT_TOLERANCES.critical_band * max(params.xi**2, k**2)
-    if abs(disc) <= band:
-        return DampedRegime.CRITICAL
-    return DampedRegime.UNDERDAMPED if disc < 0 else DampedRegime.OVERDAMPED
 
 
 def characteristic_roots(params: DampedWaveParams) -> tuple:
@@ -119,7 +104,7 @@ class DampedFreeSolution:
 
     params: DampedWaveParams
     grid: Grid
-    regime: DampedRegime
+    regime: Regime
     closed_form: GridFunction
     rk4: GridFunction
     max_discrepancy: float
@@ -130,9 +115,9 @@ class DampedFreeSolution:
 
 
 def _closed_form(params: DampedWaveParams, grid: Grid, psi0: complex,
-                 dpsi0: complex, regime: DampedRegime) -> np.ndarray:
+                 dpsi0: complex, regime: Regime) -> np.ndarray:
     x = grid.points() - grid.a
-    if regime is DampedRegime.CRITICAL:
+    if regime is Regime.CRITICAL:
         lam = -params.xi
         c1 = psi0
         c2 = dpsi0 - lam * psi0
@@ -149,16 +134,10 @@ def solve_damped_free(params: DampedWaveParams, grid: Grid,
     both in closed form and by RK4."""
     psi0 = complex(psi0)
     dpsi0 = complex(dpsi0)
-    regime = classify_damped(params)
+    regime = classify_regime(*params.coeffs)
     closed = _closed_form(params, grid, psi0, dpsi0, regime)
-
-    xi, k2 = params.xi, params.k_wave**2
-
-    def accel(y, v):
-        return -2.0 * xi * v - k2 * y
-
     limit = 1e6 * max(abs(psi0), abs(dpsi0), 1.0)
-    numeric, _ = integrate_second_order(accel, psi0, dpsi0, grid,
+    numeric, _ = integrate_second_order(params.coeffs, psi0, dpsi0, grid,
                                         amplitude_limit=limit)
     disagreement = float(np.max(np.abs(closed - numeric)))
     return DampedFreeSolution(params=params, grid=grid, regime=regime,
@@ -174,8 +153,9 @@ class DampedWellModes:
     The substitution psi = exp(-xi x) u strips the damping term, so the
     Dirichlet modes on [0, L] sit at E_n = (hbar^2 / 2m)(n^2 pi^2 / L^2 +
     xi^2) with shapes exp(-xi x) sin(n pi x / L) (unnormalized). The
-    residuals come from an independent RK4 shooting pass that re-hits
-    psi(L) = 0 at each energy.
+    residuals |psi(L)| come from an independent RK4 shooting pass from
+    (psi, psi') = (0, 1) at each energy, with at least ``shooting_points - 1``
+    steps and more where a high mode or a long well needs them.
     """
 
     xi: float
@@ -186,20 +166,36 @@ class DampedWellModes:
     shooting_residuals: np.ndarray
 
 
+def _shooting_steps(k: float, length: float, minimum: int) -> int:
+    """Fewest RK4 steps N >= ``minimum`` that shoot a mode of wavenumber k
+    across [0, length] to within half of :data:`SHOOTING_BOUND`.
+
+    From psi'(0) = 1 the RK4 phase error leaves |psi(L)| ~ L (k h)^4 / 120
+    at a true node, so N is the smallest count with
+    L (k L / N)^4 / 120 <= SHOOTING_BOUND / 2: k h stays fixed as modes get
+    higher or the well gets longer.
+    """
+    needed = k * length * (length / (60.0 * SHOOTING_BOUND)) ** 0.25
+    return max(minimum, math.ceil(needed))
+
+
 def damped_well_modes(xi: float, length: float,
                       units: UnitsConfig = NATURAL_UNITS, count: int = 5, *,
                       shape_points: int = 513,
                       shooting_points: int = 3001) -> DampedWellModes:
-    if not (np.isfinite(xi) and xi >= 0):
-        raise ValueError(f"xi must be >= 0, got {xi}")
+    # xi * xi overflows to inf where xi**2 would raise
+    if not (xi >= 0 and math.isfinite(xi * xi)):
+        raise ValueError(f"xi must be >= 0 with a finite square, got {xi}")
     if not (np.isfinite(length) and length > 0):
         raise ValueError(f"length must be positive, got {length}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     modes = np.arange(1, count + 1, dtype=np.float64)
-    energies = (units.hbar**2 / (2.0 * units.mass)) * (
-        (modes * math.pi / length) ** 2 + xi**2
-    )
+    with np.errstate(over="ignore"):
+        wavenumbers2 = (modes * math.pi / length) ** 2 + xi**2
+        energies = (units.hbar**2 / (2.0 * units.mass)) * wavenumbers2
+    if not np.all(np.isfinite(energies)):
+        raise ValueError(f"mode energies overflow at length {length} and count {count}")
     energies.setflags(write=False)
     shape_grid = Grid(0.0, length, shape_points)
     x = shape_grid.points()
@@ -207,17 +203,13 @@ def damped_well_modes(xi: float, length: float,
         GridFunction(shape_grid, np.exp(-xi * x) * np.sin(n * math.pi * x / length))
         for n in modes
     )
-    shoot_grid = Grid(0.0, length, shooting_points)
     residuals = np.empty(count)
-    for i, energy in enumerate(energies):
-        k2 = 2.0 * units.mass * energy / units.hbar**2
-
-        def accel(y, v):
-            return -2.0 * xi * v - k2 * y
-
-        psi, _ = integrate_second_order(accel, 0.0, 1.0, shoot_grid)
-        residuals[i] = abs(psi[-1])
-        if residuals[i] > SHOOTING_BOUND:
+    for i, k2 in enumerate(wavenumbers2):
+        steps = _shooting_steps(math.sqrt(k2), length, shooting_points - 1)
+        propagator = rk4_propagator((2.0 * xi, k2), length / steps)
+        # psi(L) from (psi, psi') = (0, 1) is the (0, 1) entry of P^steps
+        residuals[i] = abs(np.linalg.matrix_power(propagator, steps)[0, 1])
+        if not residuals[i] <= SHOOTING_BOUND:
             raise RuntimeError(
                 f"shooting cross-check failed for mode {i + 1}: "
                 f"|psi(L)| = {residuals[i]:.3e}"
@@ -225,40 +217,6 @@ def damped_well_modes(xi: float, length: float,
     residuals.setflags(write=False)
     return DampedWellModes(xi=xi, length=length, units=units, energies=energies,
                            shapes=shapes, shooting_residuals=residuals)
-
-
-@dataclass(frozen=True, eq=False)
-class SameFormReport:
-    """Forward- and backward-phase free solutions side by side.
-
-    The two stationary equations share coefficients, so the deviation is
-    identically zero; the report documents that the backward-phase
-    problem, unlike the classical anti-damped oscillator, is not an
-    unstable mirror but the very same stable equation.
-    """
-
-    params: DampedWaveParams
-    regime: DampedRegime
-    psi_plus: DampedFreeSolution
-    psi_minus: DampedFreeSolution
-    max_abs_deviation: float
-
-
-def retrocausal_same_form_check(params: DampedWaveParams, grid: Grid,
-                                psi0: complex = 1.0,
-                                dpsi0: complex = 0.0) -> SameFormReport:
-    plus = solve_damped_free(params, grid, psi0, dpsi0)
-    minus = solve_damped_free(params, grid, psi0, dpsi0)
-    deviation = float(
-        max(
-            np.max(np.abs(plus.closed_form.samples - minus.closed_form.samples)),
-            np.max(np.abs(plus.rk4.samples - minus.rk4.samples)),
-        )
-    )
-    if deviation > 1e-12:  # pragma: no cover - identical solver path
-        raise RuntimeError(f"same-form check failed: deviation {deviation:.3e}")
-    return SameFormReport(params=params, regime=plus.regime, psi_plus=plus,
-                          psi_minus=minus, max_abs_deviation=deviation)
 
 
 def envelope_decay_rate(f: GridFunction) -> float:

@@ -6,27 +6,24 @@ m q'' - C q' + k q = 0 is posed as a terminal-value problem at the right
 end and marched backward, which is the numerically stable direction for
 it. Reversing a forward solution in time solves the mirror equation, so
 the two trajectories describe one event viewed in opposite directions.
+
+Both are marched by the shared RK4 propagator with the coefficient pairs
+(C/m, k/m) and (-C/m, k/m). The backward step of the mirror is the forward
+step conjugated by (q, v) -> (q, -v), so the discrete pair obeys the
+reflection theorem up to roundoff.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOLERANCES,
-    Grid,
-    GridFunction,
-    integrate_second_order,
-)
+from .core import Grid, GridFunction, integrate_second_order
 
 __all__ = [
     "OscillatorParams",
-    "DampingRegime",
     "OscillatorTrajectory",
-    "classify_damping",
     "solve_causal",
     "solve_retrocausal",
     "time_reverse",
@@ -63,24 +60,11 @@ class OscillatorParams:
         if not (np.isfinite(self.q0) and np.isfinite(self.v0)):
             raise ValueError("boundary state must be finite")
 
-
-class DampingRegime(enum.Enum):
-    UNDAMPED = "undamped"
-    UNDERDAMPED = "underdamped"
-    CRITICAL = "critical"
-    OVERDAMPED = "overdamped"
-
-
-def classify_damping(params: OscillatorParams) -> DampingRegime:
-    """Sign classification of the discriminant C^2 - 4 m k, with a relative
-    tolerance band around zero treated as critical."""
-    if params.C == 0:
-        return DampingRegime.UNDAMPED
-    disc = params.C**2 - 4.0 * params.m * params.k
-    band = DEFAULT_TOLERANCES.critical_band * max(params.C**2, 4.0 * params.m * params.k)
-    if abs(disc) <= band:
-        return DampingRegime.CRITICAL
-    return DampingRegime.UNDERDAMPED if disc < 0 else DampingRegime.OVERDAMPED
+    @property
+    def coeffs(self) -> tuple:
+        """(c1, c0) = (C/m, k/m) of the damped equation q'' = -c1 q' - c0 q;
+        ``classify_regime(*params.coeffs)`` gives its damping regime."""
+        return self.C / self.m, self.k / self.m
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +93,7 @@ def solve_causal(params: OscillatorParams, grid: Grid) -> OscillatorTrajectory:
 
     For C > 0 the energy decays, so the envelope of |q| shrinks toward
     equilibrium after transients."""
-    m, big_c, k = params.m, params.C, params.k
-
-    def accel(q, v):
-        return -(big_c * v + k * q) / m
-
-    q, v = integrate_second_order(accel, params.q0, params.v0, grid,
+    q, v = integrate_second_order(params.coeffs, params.q0, params.v0, grid,
                                   amplitude_limit=_guard_limit(params))
     return OscillatorTrajectory(params, grid, GridFunction(grid, q),
                                 GridFunction(grid, v))
@@ -124,12 +103,8 @@ def solve_retrocausal(params: OscillatorParams, grid: Grid) -> OscillatorTraject
     """RK4 trajectory of m q'' - C q' + k q = 0 with (q0, v0) read at
     grid.b, integrated backward in t (the stable direction for the
     anti-damped equation)."""
-    m, big_c, k = params.m, params.C, params.k
-
-    def accel(q, v):
-        return (big_c * v - k * q) / m
-
-    q, v = integrate_second_order(accel, params.q0, params.v0, grid,
+    c1, c0 = params.coeffs
+    q, v = integrate_second_order((-c1, c0), params.q0, params.v0, grid,
                                   backward=True,
                                   amplitude_limit=_guard_limit(params))
     return OscillatorTrajectory(params, grid, GridFunction(grid, q),

@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from . import dampedwave, eigensolver, fracops, lagrangian, oscillator
-from .core import DEFAULT_TOLERANCES, Direction, Grid, GridFunction
+from .core import (DEFAULT_TOLERANCES, Direction, Grid, GridFunction, Regime,
+                   classify_regime)
 
 __all__ = ["run_all", "CHECKS"]
 
@@ -236,9 +237,9 @@ def check_oscillator_oracles():
     crit = oscillator.OscillatorParams(1.0, 2.0, 1.0, 1.0, -1.0)
     traj = oscillator.solve_causal(crit, grid)
     assert np.max(np.abs(traj.position.samples - np.exp(-t))) <= 1e-6
-    assert oscillator.classify_damping(free) is oscillator.DampingRegime.UNDAMPED
-    assert oscillator.classify_damping(under) is oscillator.DampingRegime.UNDERDAMPED
-    assert oscillator.classify_damping(crit) is oscillator.DampingRegime.CRITICAL
+    assert classify_regime(*free.coeffs) is Regime.UNDAMPED
+    assert classify_regime(*under.coeffs) is Regime.UNDERDAMPED
+    assert classify_regime(*crit.coeffs) is Regime.CRITICAL
 
 
 def check_reflection_theorem():
@@ -396,13 +397,6 @@ def check_envelope():
     assert abs(rate - params.xi) / params.xi <= 0.01, rate
 
 
-def check_same_form():
-    grid = Grid(0.0, 10.0, 2001)
-    params = dampedwave.DampedWaveParams(0.1, 0.5)
-    report = dampedwave.retrocausal_same_form_check(params, grid)
-    assert report.max_abs_deviation == 0.0
-
-
 # --------------------------------------------------------------------------
 # runner
 
@@ -434,7 +428,6 @@ CHECKS = (
     ("dampedwave.undamped-limit", check_undamped_limit),
     ("dampedwave.well-shooting", check_damped_well),
     ("dampedwave.envelope-decay", check_envelope),
-    ("dampedwave.same-form", check_same_form),
 )
 
 

@@ -244,6 +244,19 @@ class TestDampedwaveCommand:
         assert doc["energies"][0] == pytest.approx((math.pi**2 + 1) / 2)
         assert max(doc["shooting_residuals"]) <= 1e-8
 
+    @pytest.mark.parametrize("argv, count", [
+        (["--xi", "0.5", "--well", "1", "--count", "40"], 40),
+        (["--xi", "0", "--well", "5", "--count", "30"], 30),
+    ], ids=["xi0.5-L1-40", "xi0-L5-30"])
+    def test_high_well_modes_pass_shooting(self, tmp_path, argv, count):
+        # both exited 1 when every mode was shot on one 3001-point grid
+        out = tmp_path / "modes.json"
+        assert main(["dampedwave", *argv, "--format", "json",
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["shooting_residuals"]) == count
+        assert max(doc["shooting_residuals"]) <= 1e-8
+
     def test_well_modes_csv(self, tmp_path):
         out = tmp_path / "modes.csv"
         assert main(["dampedwave", "--xi", "0", "--well", "1", "--count", "3",

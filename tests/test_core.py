@@ -1,16 +1,53 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from retromech.core import (
+    MARCH_BLOCK,
     Direction,
     Grid,
     GridFunction,
+    Regime,
     UnitsConfig,
     UnstableIntegrationError,
+    classify_regime,
     integrate_second_order,
 )
+
+
+def reference_march(coeffs, y0, v0, grid, *, backward=False, amplitude_limit=None):
+    """Step-by-step RK4 for y'' = -c1 y' - c0 y: the oracle the blocked
+    propagator must reproduce to roundoff."""
+    c1, c0 = coeffs
+    h = -grid.h if backward else grid.h
+    ys = np.empty(grid.n, dtype=np.result_type(y0, v0, float))
+    vs = np.empty_like(ys)
+    y, v = y0, v0
+    order = range(grid.n - 1, -1, -1) if backward else range(grid.n)
+    for step, i in enumerate(order):
+        if step and amplitude_limit is not None and abs(y) > amplitude_limit:
+            t = (grid.b if backward else grid.a) + step * h
+            raise UnstableIntegrationError("reference guard", step, t, float(abs(y)))
+        ys[i], vs[i] = y, v
+        a1 = -c1 * v - c0 * y
+        y2, v2 = y + 0.5 * h * v, v + 0.5 * h * a1
+        a2 = -c1 * v2 - c0 * y2
+        y3, v3 = y + 0.5 * h * v2, v + 0.5 * h * a2
+        a3 = -c1 * v3 - c0 * y3
+        y4, v4 = y + h * v3, v + h * a3
+        a4 = -c1 * v4 - c0 * y4
+        y, v = (y + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
+                v + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0)
+    return ys, vs
+
+
+def relative_deviation(coeffs, y0, v0, grid, backward):
+    y, v = integrate_second_order(coeffs, y0, v0, grid, backward=backward)
+    ry, rv = reference_march(coeffs, y0, v0, grid, backward=backward)
+    return max(np.max(np.abs(y - ry)) / np.max(np.abs(ry)),
+               np.max(np.abs(v - rv)) / np.max(np.abs(rv)))
 
 
 class TestGrid:
@@ -68,27 +105,108 @@ class TestUnits:
             UnitsConfig(mass=-1.0)
 
 
+# y'' = y is the pair (c1, c0) = (0, -1)
+GROWTH = (0.0, -1.0)
+
+# (coeffs, y0, v0, grid) of the marches behind retromech verify: the
+# oscillator pair and the damped free wave, real and complex data
+VERIFY_CASES = [
+    ((0.0, 1.0), 1.0, 0.0, Grid(0.0, 2.0 * math.pi, 6284)),
+    ((0.3, 4.0), 1.0, 0.0, Grid(0.0, 2.0 * math.pi, 6284)),
+    ((2.0, 1.0), 1.0, -1.0, Grid(0.0, 2.0 * math.pi, 6284)),
+    ((3.0, 1.0), 1.0, 0.5, Grid(0.0, 3.0, 3001)),
+    ((0.5, 4.0), 1.0, 0.0, Grid(0.0, 3.0, 3001)),
+    ((0.3, 4.0), 1.0, 0.0, Grid(0.0, 2.0, 501)),
+    ((0.4, 4.0), 1.0 + 0j, 0j, Grid(0.0, 10.0, 10001)),
+    ((0.6, 1.0), 1.0 + 0.5j, -0.2j, Grid(0.0, 10.0, 5001)),
+]
+
+
 class TestIntegrator:
     def test_matches_exponential(self):
         # y'' = y with y(0) = 1, y'(0) = 1 is exp(t)
         grid = Grid(0.0, 1.0, 1001)
-        y, v = integrate_second_order(lambda q, w: q, 1.0, 1.0, grid)
+        y, v = integrate_second_order(GROWTH, 1.0, 1.0, grid)
         assert np.max(np.abs(y - np.exp(grid.points()))) <= 1e-10
 
     def test_backward_fills_forward_order(self):
         grid = Grid(0.0, 1.0, 1001)
-        y, _ = integrate_second_order(lambda q, w: q, np.e, np.e, grid,
-                                      backward=True)
+        y, _ = integrate_second_order(GROWTH, np.e, np.e, grid, backward=True)
         assert np.max(np.abs(y - np.exp(grid.points()))) <= 1e-9
 
     def test_guard_carries_diagnostics(self):
         grid = Grid(0.0, 50.0, 5001)
         with pytest.raises(UnstableIntegrationError) as err:
-            integrate_second_order(lambda q, w: q, 1.0, 1.0, grid,
-                                   amplitude_limit=10.0)
+            integrate_second_order(GROWTH, 1.0, 1.0, grid, amplitude_limit=10.0)
         assert err.value.value > 10.0
         assert err.value.t == pytest.approx(math.log(10.0), abs=0.1)
 
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("coeffs, y0, v0, grid", VERIFY_CASES)
+    def test_agrees_with_reference_on_verify_cases(self, coeffs, y0, v0, grid,
+                                                   backward):
+        assert relative_deviation(coeffs, y0, v0, grid, backward) <= 1e-13
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("y0, v0", [(1.0, 0.0), (1.0 + 0.5j, -0.2j)],
+                             ids=["real", "complex"])
+    def test_agrees_with_reference_at_large_n(self, y0, v0, backward):
+        grid = Grid(0.0, 10.0, 200001)
+        assert relative_deviation((0.3, 4.0), y0, v0, grid, backward) <= 1e-12
+
+    @pytest.mark.parametrize("n", [7, MARCH_BLOCK, MARCH_BLOCK + 1,
+                                   3 * MARCH_BLOCK - 1])
+    def test_block_edges(self, n):
+        grid = Grid(0.0, 1.0, n)
+        assert relative_deviation((0.3, 4.0), 1.0, 0.5, grid, False) <= 1e-14 * n
+
+    def test_complex_data_stays_complex(self):
+        grid = Grid(0.0, 1.0, 11)
+        y, v = integrate_second_order((0.1, 1.0), 1.0, 1j, grid)
+        assert y.dtype == v.dtype == np.complex128
+
+    @pytest.mark.parametrize("coeffs, y0, v0, grid, limit, backward", [
+        # y'' = y grows like exp(t) and leaves the guard at t = log 10
+        (GROWTH, 1.0, 1.0, Grid(0.0, 50.0, 5001), 10.0, False),
+        (GROWTH, 1.0, -1.0, Grid(0.0, 50.0, 5001), 10.0, True),
+        # far beyond the RK4 stability limit: the step matrix has entries
+        # near 1e10 and its powers overflow within the first block
+        ((0.0, 1e8), 1.0, 0.0, Grid(0.0, 10.0, 101), 1e6, False),
+        ((0.0, 1e8), 1.0 + 1j, 0j, Grid(0.0, 10.0, 101), 1e6, True),
+        # k h just past the RK4 stability limit: trips after many blocks
+        ((0.0, 2.004e4), 1.0, 0.0, Grid(0.0, 100.0, 5001), 1e6, False),
+        # the anti-damped oscillator marched the unstable way
+        ((-3.0, 1.0), 1.0, 0.0, Grid(0.0, 20.0, 20001), 1e6, False),
+    ])
+    def test_guard_trips_where_reference_does(self, coeffs, y0, v0, grid, limit,
+                                              backward):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(UnstableIntegrationError) as ref:
+                reference_march(coeffs, y0, v0, grid, backward=backward,
+                                amplitude_limit=limit)
+            with pytest.raises(UnstableIntegrationError) as err:
+                integrate_second_order(coeffs, y0, v0, grid, backward=backward,
+                                       amplitude_limit=limit)
+        assert err.value.step == ref.value.step
+        assert err.value.t == ref.value.t
+        assert err.value.value == pytest.approx(ref.value.value, rel=1e-10)
+        assert "stability guard" in str(err.value)
+
+
+class TestRegime:
+    def test_mirror_shares_its_partners_regime(self):
+        for c1, c0 in ((0.3, 4.0), (2.0, 1.0), (3.0, 1.0)):
+            assert classify_regime(-c1, c0) is classify_regime(c1, c0)
+
+    def test_critical_band_is_relative(self):
+        assert classify_regime(2.0, 1.0 + 1e-14) is Regime.CRITICAL
+        assert classify_regime(2.0, 1.0 + 1e-9) is Regime.UNDERDAMPED
+        assert classify_regime(2e6, 1e12 * (1.0 - 1e-14)) is Regime.CRITICAL
+
+    def test_values_are_the_report_strings(self):
+        assert [r.value for r in Regime] == ["undamped", "underdamped", "critical",
+                                             "overdamped"]
 
 
 def test_direction_values():

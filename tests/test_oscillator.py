@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from retromech.core import Grid, GridFunction, UnstableIntegrationError
+from retromech.core import (
+    Grid,
+    GridFunction,
+    Regime,
+    UnstableIntegrationError,
+    classify_regime,
+)
 from retromech.oscillator import (
-    DampingRegime,
     OscillatorParams,
-    classify_damping,
     solve_causal,
     solve_retrocausal,
     time_reverse,
@@ -37,10 +41,15 @@ def overdamped_exact(p, t):
 
 class TestClassification:
     def test_examples(self):
-        assert classify_damping(OscillatorParams(1, 0, 1, 1, 0)) is DampingRegime.UNDAMPED
-        assert classify_damping(OscillatorParams(1, 2, 1, 1, 0)) is DampingRegime.CRITICAL
-        assert classify_damping(OscillatorParams(1, 0.3, 4, 1, 0)) is DampingRegime.UNDERDAMPED
-        assert classify_damping(OscillatorParams(1, 3, 1, 1, 0)) is DampingRegime.OVERDAMPED
+        def classify(*args):
+            return classify_regime(*OscillatorParams(*args).coeffs)
+
+        assert classify(1, 0, 1, 1, 0) is Regime.UNDAMPED
+        assert classify(1, 2, 1, 1, 0) is Regime.CRITICAL
+        assert classify(1, 0.3, 4, 1, 0) is Regime.UNDERDAMPED
+        assert classify(1, 3, 1, 1, 0) is Regime.OVERDAMPED
+        # mass scales both coefficients: m q'' + 2m q' + m q is critical
+        assert classify(2.5, 5, 2.5, 1, 0) is Regime.CRITICAL
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
