@@ -304,8 +304,8 @@ def _wrap(origin: str, fn, *args, **kwargs):
     """Run a module call, mapping its errors to a CommandError naming it."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, ParseError, UnstableIntegrationError, SpectrumError,
-            IndexError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, ParseError, UnstableIntegrationError,
+            SpectrumError, IndexError, RuntimeError) as exc:
         raise CommandError(f"{origin}: {exc}") from exc
 
 
@@ -316,7 +316,8 @@ def _build_grid(opts) -> Grid:
 def _cmd_fracdiff(opts) -> str:
     grid = _build_grid(opts)
     order = _wrap("fracops.FracOrder", fracops.FracOrder, opts["alpha"])
-    f = GridFunction(grid, _FN_TABLE[opts["fn"]](grid.points()))
+    with np.errstate(over="ignore", invalid="ignore"):  # fracops rejects inf/nan
+        f = GridFunction(grid, _FN_TABLE[opts["fn"]](grid.points()))
     deriv = (fracops.causal_frac_deriv if opts["direction"] == "causal"
              else fracops.retrocausal_frac_deriv)
     out = _wrap(f"fracops.{opts['direction']}_frac_deriv", deriv, f, order,

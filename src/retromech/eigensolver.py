@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import NATURAL_UNITS, Grid, GridFunction, UnitsConfig
 from .lagrangian import HarmonicPotential, InfiniteWellPotential, Potential
@@ -129,6 +128,17 @@ class EigenSolution:
     @property
     def count(self) -> int:
         return len(self.energies)
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, imported on the first call.
+
+    Importing ``scipy.linalg`` takes about 0.3 s, which every subcommand
+    would otherwise pay at start-up although only this solver needs it.
+    """
+    from scipy.linalg import eigh_tridiagonal as lapack_eigh_tridiagonal
+
+    return lapack_eigh_tridiagonal(d, e, **kwargs)
 
 
 def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolution:

@@ -9,6 +9,13 @@ Two independent discretizations are provided for non-integer orders:
   interpolant against the power-law kernel, followed by integer-order
   finite differencing of the resulting fractional integral.
 
+Both non-integer schemes reduce to one causal convolution of the samples
+with a length-n kernel. It is evaluated directly up to n = 512 and by
+real FFTs on a recursive triangular split above, so a non-integer order
+costs O(n log^2 n) and the rounding of each output stays tied to the
+samples before it (fast convolution quadrature: Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).
+
 Integer orders bypass the fractional kernels entirely and use plain
 central/one-sided finite differences, so orders 0, 1 and 2 behave exactly
 like the identity and the ordinary derivatives.
@@ -152,9 +159,60 @@ def _integer_deriv(y: np.ndarray, h: float, m: int) -> np.ndarray:
     return _fd_second(y, h)
 
 
+#: Longest sample convolved directly, and the size of the direct sums the
+#: split FFT recurses down to. On a 2-core host the split matches the
+#: direct sum at n = 1024 (0.2 ms), is faster above, and costs at most
+#: 0.06 ms more between; base blocks of 768 or 1024 make it slower from
+#: n = 2048 to 16384.
+_DIRECT_MAX = 512
+
+
+def _causal_convolve(y: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """First ``len(y)`` terms of the full convolution of ``y`` with the
+    real ``kernel`` of the same length.
+
+    Above ``_DIRECT_MAX`` samples the lower-triangular Toeplitz product is
+    split as in Hairer, Lubich & Schlichte: the two diagonal triangles
+    recurse, and the square that maps the first half of ``y`` onto the
+    second half of the output is one zero-padded FFT product. An FFT
+    spreads its rounding evenly over its outputs, at a few ulps of the
+    largest input times sum|kernel|; since every square only feeds outputs
+    later than all of its samples, the error at t stays tied to the
+    samples up to t, as in the direct sum. A growing signal such as
+    exp(t) therefore keeps its small early values. Each square's samples
+    are first scaled by a power of two that brings their peak near 1: that
+    changes no rounding, and keeps samples near the top of the float range
+    from overflowing in the transform's sums where the direct sum would
+    not. The cost is O(n log^2 n).
+    """
+    n = len(y)
+    if n <= _DIRECT_MAX:
+        return np.convolve(y, kernel)[:n]
+    half = (n + 1) // 2
+    out = np.concatenate((_causal_convolve(y[:half], kernel[:half]),
+                          _causal_convolve(y[half:], kernel[:n - half])))
+    # output half + q takes sample p < half at lag half + q - p, i.e. entry
+    # half - 1 + q of the linear convolution with lags 1 .. n - 1; a
+    # circular size of n - 1 or more keeps those entries free of wrap-around
+    size = 1 << (n - 2).bit_length()
+    spectrum = np.fft.rfft(kernel[1:], size)
+
+    def square(v):
+        _, shift = np.frexp(np.max(np.abs(v)))
+        product = np.fft.rfft(np.ldexp(v, -shift), size) * spectrum
+        return np.ldexp(np.fft.irfft(product, size)[half - 1:n - 1], shift)
+
+    head = y[:half]
+    if np.iscomplexobj(head):
+        out[half:] += square(head.real) + 1j * square(head.imag)
+    else:
+        out[half:] += square(head)
+    return out
+
+
 def _gl_apply(y: np.ndarray, h: float, alpha: float) -> np.ndarray:
     w = gl_weights(alpha, len(y))
-    return np.convolve(y, w)[: len(y)] * h ** (-alpha)
+    return _causal_convolve(y, w) * h ** (-alpha)
 
 
 def _product_trapezoid_integral(y: np.ndarray, h: float, mu: float) -> np.ndarray:
@@ -165,7 +223,7 @@ def _product_trapezoid_integral(y: np.ndarray, h: float, mu: float) -> np.ndarra
     k = np.arange(1.0, n)
     b = np.zeros(n)
     b[1:] = (k + 1.0) ** (mu + 1.0) - 2.0 * k ** (mu + 1.0) + (k - 1.0) ** (mu + 1.0)
-    conv = np.convolve(y, b)[:n]
+    conv = _causal_convolve(y, b)
     i = np.arange(1.0, n)
     a0 = (i - 1.0) ** (mu + 1.0) - i**mu * (i - mu - 1.0)
     scale = h**mu / gamma_fn(mu + 2.0)
@@ -178,8 +236,8 @@ def _as_order(order) -> FracOrder:
 
 
 def _validate(f: GridFunction, order: FracOrder) -> None:
-    if np.isnan(f.samples).any():
-        raise ValueError("NaN samples rejected")
+    if not np.isfinite(f.samples).all():
+        raise ValueError("non-finite (NaN or inf) samples rejected")
     minimum = order.m + 2
     if f.grid.n < minimum:
         raise ValueError(
@@ -193,18 +251,25 @@ def causal_frac_deriv(f: GridFunction, order,
 
     The convolution sweeps forward from the left endpoint, so the value at
     t only sees samples at earlier abscissae. Integer orders return the
-    plain finite-difference derivative of that order.
+    plain finite-difference derivative of that order. A result that
+    overflows to inf or NaN raises ValueError instead of being returned.
     """
     order = _as_order(order)
     _validate(f, order)
     h = f.grid.h
-    if order.is_integer:
-        return GridFunction(f.grid, _integer_deriv(f.samples, h, order.m))
-    if scheme is Scheme.GRUNWALD_LETNIKOV:
-        return GridFunction(f.grid, _gl_apply(f.samples, h, order.alpha))
-    mu = order.m - order.alpha
-    integral = _product_trapezoid_integral(f.samples, h, mu)
-    return GridFunction(f.grid, _integer_deriv(integral, h, order.m))
+    with np.errstate(all="ignore"):
+        if order.is_integer:
+            out = _integer_deriv(f.samples, h, order.m)
+        elif scheme is Scheme.GRUNWALD_LETNIKOV:
+            out = _gl_apply(f.samples, h, order.alpha)
+        else:
+            mu = order.m - order.alpha
+            integral = _product_trapezoid_integral(f.samples, h, mu)
+            out = _integer_deriv(integral, h, order.m)
+    if not np.isfinite(out).all():
+        raise ValueError(f"order {order.alpha} derivative on step h = {h!r} "
+                         "overflowed to a non-finite value")
+    return GridFunction(f.grid, out)
 
 
 def retrocausal_frac_deriv(f: GridFunction, order,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +111,23 @@ class TestFracdiffCommand:
         assert main(["fracdiff", "--alpha", "0", "--fn", "const", "--n", "16"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("t,deriv")
+
+    @pytest.mark.parametrize("argv", [
+        ["--fn", "exp(t)", "--b", "800", "--n", "16"],
+        ["--fn", "exp(t)", "--b", "800", "--n", "4096"],
+        ["--fn", "t^3", "--b", "1e120", "--n", "600"],
+        ["--fn", "t^3", "--b", "1e102", "--n", "600", "--scheme", "trapezoid"],
+        ["--fn", "exp(t)", "--b", "709", "--n", "100", "--alpha", "1.9",
+         "--scheme", "trapezoid"],
+    ], ids=["exp-n16", "exp-n4096", "cube-n600", "cube-trapezoid", "exp-trapezoid"])
+    def test_non_finite_values_exit_one_without_file(self, tmp_path, capsys, argv):
+        # these printed inf or nan rows with exit 0: the first three have
+        # overflowing samples, the last two overflow in the derivative
+        out = tmp_path / "never.csv"
+        assert main(["fracdiff", "--alpha", "0.5", "--a", "0", *argv,
+                     "--output", str(out)]) == 1
+        assert not out.exists()
+        assert "fracops.causal_frac_deriv" in capsys.readouterr().err
 
     def test_retrocausal_direction_wired(self, tmp_path):
         out = tmp_path / "retro.csv"
@@ -275,6 +295,31 @@ class TestJsonDeterminism:
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         assert read(out1) == read(out2)
+
+
+@pytest.mark.parametrize("argv, origin", [
+    (["fracdiff", "--alpha", "1.5", "--fn", "t", "--a", "0", "--b", "1e-300",
+      "--n", "600"], "fracops.causal_frac_deriv"),
+    (["eigensolve", "--potential", "well,1e-320", "--n", "100"],
+     "eigensolver.build_hamiltonian"),
+    (["dampedwave", "--xi", "1e200", "--n", "11"], "dampedwave.solve_damped_free"),
+], ids=["fracdiff-overflow", "eigensolve-zero-division", "dampedwave-overflow"])
+def test_arithmetic_errors_name_the_module(capsys, argv, origin):
+    # each ended in a Python traceback before ArithmeticError was mapped
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {origin}: ")
+    assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["retromech.cli"].__file__)))
+    code = "import sys, retromech.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 def test_verify_command_passes(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from retromech import fracops
 from retromech.core import Direction, Grid, GridFunction
 from retromech.fracops import (
     ComposeHalfResult,
@@ -153,6 +154,25 @@ class TestCausal:
         with pytest.raises(ValueError, match="NaN"):
             causal_frac_deriv(GridFunction(grid, samples), 0.5)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_infinite(self, value):
+        grid = Grid(0.0, 1.0, 16)
+        samples = np.ones(16)
+        samples[3] = value
+        for deriv in (causal_frac_deriv, retrocausal_frac_deriv):
+            with pytest.raises(ValueError, match="samples rejected"):
+                deriv(GridFunction(grid, samples), 0.5)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("n", [16, 1024])
+    def test_rejects_overflowing_result(self, scheme, n):
+        # finite samples on a step so small that h^-1.5 * 1e10 overflows
+        grid = Grid(0.0, 1e-198, n)
+        f = GridFunction(grid, np.full(n, 1e10))
+        for deriv in (causal_frac_deriv, retrocausal_frac_deriv):
+            with pytest.raises(ValueError, match="overflowed"):
+                deriv(f, 1.5, scheme)
+
     def test_rejects_coarse_grid(self):
         grid = Grid(0.0, 1.0, 3)
         f = GridFunction(grid, np.zeros(3))
@@ -240,6 +260,52 @@ class TestLinearity:
         expected = (causal_frac_deriv(GridFunction(grid, z.real), 0.5).samples
                     + 1j * causal_frac_deriv(GridFunction(grid, z.imag), 0.5).samples)
         assert np.max(np.abs(out.samples - expected)) <= 1e-10
+
+
+class TestCausalConvolve:
+    def test_path_selected_by_size(self, monkeypatch):
+        direct_sizes = []
+        convolve = np.convolve
+
+        def counting_convolve(a, v):
+            direct_sizes.append(len(a))
+            return convolve(a, v)
+
+        monkeypatch.setattr(fracops.np, "convolve", counting_convolve)
+        for n, direct in ((2, [2]), (512, [512]), (513, [257, 256]), (4096, [512] * 8)):
+            direct_sizes.clear()
+            fracops._causal_convolve(np.ones(n), gl_weights(0.5, n))
+            assert direct_sizes == direct
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("deriv", [causal_frac_deriv, retrocausal_frac_deriv])
+    def test_fft_path_keeps_the_small_end_of_a_growing_signal(self, monkeypatch,
+                                                             scheme, deriv):
+        # exp(+-t) on [0, 40] spans 17 decades; one FFT over all samples
+        # would bury the outputs at the small end under the rounding of the
+        # large end. Every output must match the direct sum to rounding.
+        grid = Grid(0.0, 40.0, 4096)
+        t = grid.points()
+        for y in (np.exp(t), np.exp(-t)):
+            f = GridFunction(grid, y)
+            out = deriv(f, 0.5, scheme).samples
+            with monkeypatch.context() as patch:
+                patch.setattr(fracops, "_DIRECT_MAX", grid.n)
+                ref = deriv(f, 0.5, scheme).samples
+            assert np.all(np.abs(out - ref) <= 1e-10 * np.abs(ref))
+
+    def test_fft_path_keeps_the_float_range(self):
+        # at 1e306 the sample sum overflows unless the FFT input is scaled
+        # first, while the direct sum stays below max|y| * sum|w| ~ 2e306;
+        # at 1e-306 the scaling must undo itself without losing digits
+        n = 1024
+        w = gl_weights(0.5, n)
+        for peak in (1e306, 1e-306):
+            y = peak * np.linspace(0.0, 1.0, n)
+            ref = np.convolve(y, w)[:n]
+            out = fracops._causal_convolve(y, w)
+            assert np.all(np.isfinite(out))
+            assert np.max(np.abs(out - ref)) <= 1e-14 * peak * np.sum(np.abs(w))
 
 
 class TestComposeHalf:
