@@ -15,6 +15,7 @@ of a matrix power of the RK4 step.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,8 +163,18 @@ class DampedWellModes:
     length: float
     units: UnitsConfig
     energies: np.ndarray
-    shapes: tuple
     shooting_residuals: np.ndarray
+    shape_points: int
+
+    @functools.cached_property
+    def shapes(self) -> tuple:
+        """Mode shapes on ``shape_points`` samples of [0, L], built on first
+        access since the energy report never reads them."""
+        grid = Grid(0.0, self.length, self.shape_points)
+        x = grid.points()
+        decay = np.exp(-self.xi * x)
+        return tuple(GridFunction(grid, decay * np.sin(n * math.pi * x / self.length))
+                     for n in range(1, len(self.energies) + 1))
 
 
 def _shooting_steps(k: float, length: float, minimum: int) -> int:
@@ -197,12 +208,6 @@ def damped_well_modes(xi: float, length: float,
     if not np.all(np.isfinite(energies)):
         raise ValueError(f"mode energies overflow at length {length} and count {count}")
     energies.setflags(write=False)
-    shape_grid = Grid(0.0, length, shape_points)
-    x = shape_grid.points()
-    shapes = tuple(
-        GridFunction(shape_grid, np.exp(-xi * x) * np.sin(n * math.pi * x / length))
-        for n in modes
-    )
     residuals = np.empty(count)
     for i, k2 in enumerate(wavenumbers2):
         steps = _shooting_steps(math.sqrt(k2), length, shooting_points - 1)
@@ -216,7 +221,7 @@ def damped_well_modes(xi: float, length: float,
             )
     residuals.setflags(write=False)
     return DampedWellModes(xi=xi, length=length, units=units, energies=energies,
-                           shapes=shapes, shooting_residuals=residuals)
+                           shooting_residuals=residuals, shape_points=shape_points)
 
 
 def envelope_decay_rate(f: GridFunction) -> float:

@@ -12,7 +12,12 @@ product is the familiar |psi|^2 density.
 from __future__ import annotations
 
 import cmath
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +103,20 @@ def build_hamiltonian(potential: Potential, grid: Grid,
     if v.shape != x_interior.shape or not np.isfinite(v).all():
         raise ValueError(f"potential {potential.kind!r} is not evaluable on the grid")
     h = grid.h
-    kinetic = units.hbar**2 / (units.mass * h**2)
-    diag = kinetic + v
+    try:
+        kinetic = units.hbar**2 / (units.mass * h**2)
+    except ArithmeticError:  # h**2 overflowed or underflowed to zero
+        kinetic = math.nan
+    if not 0.0 < kinetic < math.inf:
+        raise ValueError(
+            "kinetic term hbar^2/(m h^2) is zero or not finite at grid spacing "
+            f"h = {h!r} (n = {grid.n} on [{grid.a}, {grid.b}])"
+        )
+    with np.errstate(over="ignore"):
+        diag = kinetic + v
+    if not np.isfinite(diag).all():
+        raise ValueError(f"diagonal overflows: kinetic term {kinetic!r} plus "
+                         f"potential {potential.kind!r} is not finite")
     offdiag = np.full(grid.n - 3, -0.5 * kinetic)
     diag.setflags(write=False)
     offdiag.setflags(write=False)
@@ -130,15 +147,59 @@ class EigenSolution:
         return len(self.energies)
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """``scipy.linalg.eigh_tridiagonal``, imported on the first call.
+@functools.cache
+def _load_flapack():
+    """scipy's compiled LAPACK module ``_flapack``, loaded without running
+    ``scipy/linalg/__init__.py``.
 
-    Importing ``scipy.linalg`` takes about 0.3 s, which every subcommand
-    would otherwise pay at start-up although only this solver needs it.
+    Importing ``scipy.linalg`` takes about 0.3 s (most of it in
+    ``scipy._lib._array_api``), while the extension module alone loads in
+    a few milliseconds. Where the module file cannot be found next to
+    scipy's own ``linalg`` package, ``scipy.linalg.lapack`` supplies the
+    same wrappers.
     """
-    from scipy.linalg import eigh_tridiagonal as lapack_eigh_tridiagonal
+    scipy_spec = importlib.util.find_spec("scipy")
+    linalg_dir = os.path.join(os.path.dirname(scipy_spec.origin), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir])
+    if spec is None:
+        from scipy.linalg import lapack
 
-    return lapack_eigh_tridiagonal(d, e, **kwargs)
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # CPython files a single-phase extension in sys.modules under its bare
+    # name; take it out so the loader leaves no top-level "_flapack" behind
+    if sys.modules.get(spec.name) is module:
+        del sys.modules[spec.name]
+    return module
+
+
+def eigh_tridiagonal(d, e, *, select="i", select_range):
+    """Eigenpairs ``select_range = (lo, hi)`` (inclusive, ascending) of the
+    symmetric tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
+
+    Runs what ``scipy.linalg.eigh_tridiagonal(d, e, select="i",
+    select_range=...)`` runs: LAPACK ``dstebz`` bisection in block order,
+    ``dstein`` inverse iteration, then a sort by eigenvalue, so energies
+    and eigenvectors are identical to scipy's bytes. Only index selection
+    is supported. The LAPACK module is loaded on the first call; inputs
+    must be finite, since nothing here checks them. A nonzero LAPACK
+    ``info`` raises :class:`SpectrumError`.
+    """
+    if select != "i":
+        raise ValueError(f"only select='i' is supported, got {select!r}")
+    lapack = _load_flapack()
+    lo, hi = select_range
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1,
+                                               0.0, "B")
+    if info != 0:
+        raise SpectrumError(f"LAPACK dstebz bisection failed (info = {info})")
+    w = w[:m]
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise SpectrumError(f"LAPACK dstein inverse iteration failed (info = {info})")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolution:
@@ -157,13 +218,10 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
         raise ValueError(
             f"count = {count} exceeds matrix dimension {hamiltonian.dimension}"
         )
-    try:
-        energies, vectors = eigh_tridiagonal(
-            hamiltonian.diag, hamiltonian.offdiag,
-            select="i", select_range=(0, count - 1),
-        )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SpectrumError(f"inverse iteration did not converge: {exc}") from exc
+    energies, vectors = eigh_tridiagonal(
+        hamiltonian.diag, hamiltonian.offdiag,
+        select="i", select_range=(0, count - 1),
+    )
     h = hamiltonian.grid.h
     functions = []
     for j in range(count):

@@ -211,8 +211,13 @@ def _causal_convolve(y: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _gl_apply(y: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    try:
+        scale = h ** (-alpha)
+    except OverflowError:
+        raise ValueError(f"step h = {h!r} to the power -alpha = {-alpha} "
+                         "overflows") from None
     w = gl_weights(alpha, len(y))
-    return _causal_convolve(y, w) * h ** (-alpha)
+    return _causal_convolve(y, w) * scale
 
 
 def _product_trapezoid_integral(y: np.ndarray, h: float, mu: float) -> np.ndarray:

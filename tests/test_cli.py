@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from retromech.cli import main, parse_args
+from retromech.cli import _csv, main, parse_args
 
 
 def read(path):
@@ -286,6 +286,32 @@ class TestDampedwaveCommand:
         assert len(lines) == 4
 
 
+def per_value_csv(header, columns):
+    """The row-by-row formatter ``_csv`` replaced, kept as its oracle."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+CSV_EDGE_VALUES = np.array([
+    -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.1, 1.0 / 3.0, 3.0, -2.0, 1e16, 2.0**53 + 2.0, 1e-300, 123.456,
+    np.nan, np.inf, -np.inf,
+])
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097])
+def test_csv_matches_per_value_formatting(width, rows):
+    # row counts on both sides of the 4096-row formatting block
+    rng = np.random.default_rng(rows + width)
+    columns = [np.resize(np.roll(CSV_EDGE_VALUES, 3 * j), rows) for j in range(width)]
+    columns[-1] = columns[-1] * rng.choice([1.0, 1e-7, 0.725], size=rows)
+    header = [f"c{j}" for j in range(width)]
+    assert _csv(header, columns) == per_value_csv(header, columns)
+
+
 class TestJsonDeterminism:
     def test_repeated_json_runs_are_byte_identical(self, tmp_path):
         args = ["eigensolve", "--potential", "harmonic, 1.0", "--count", "3",
@@ -320,6 +346,39 @@ def test_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigensolve", "--potential", "well, 1"],
+    ["verify"],
+], ids=["eigensolve", "verify"])
+def test_eigensolve_leaves_scipy_linalg_unloaded(argv):
+    # the eigensolver loads scipy's compiled LAPACK module on its own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["retromech.cli"].__file__)))
+    code = ("import sys, retromech.cli\n"
+            f"code = retromech.cli.main({argv!r})\n"
+            "print(code, 'scipy.linalg' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stderr.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("argv, origin, detail", [
+    (["--potential", "free", "--a", "0", "--b", "1e-155", "--n", "100"],
+     "eigensolver.build_hamiltonian", "kinetic term"),
+    (["--potential", "poly, 1.79e308", "--a", "0", "--b", "1e-151", "--n", "100"],
+     "eigensolver.build_hamiltonian", "diagonal overflows"),
+    (["--potential", "well,1e-152", "--n", "100"],
+     "eigensolver.solve_spectrum", "dstebz"),
+], ids=["kinetic-inf", "diagonal-overflow", "bisection-failure"])
+def test_unsolvable_hamiltonians_exit_1(capsys, argv, origin, detail):
+    # nothing checks the LAPACK inputs, so build_hamiltonian rejects what
+    # scipy's finiteness check used to, and a LAPACK failure is reported
+    assert main(["eigensolve", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {origin}: ") and detail in err
 
 
 def test_verify_command_passes(capsys):

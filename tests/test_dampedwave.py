@@ -171,6 +171,16 @@ class TestDampedWell:
         expected = np.exp(-0.7 * x) * np.sin(math.pi * x / 2.0)
         assert np.max(np.abs(modes.shapes[0].samples - expected)) <= 1e-12
 
+    def test_shapes_built_on_first_access(self):
+        modes = damped_well_modes(0.7, 2.0, count=3)
+        assert "shapes" not in vars(modes)
+        shapes = modes.shapes
+        assert modes.shapes is shapes
+        assert len(shapes) == 3 and shapes[2].grid.n == 513
+        x = shapes[2].grid.points()
+        expected = np.exp(-0.7 * x) * np.sin(3 * math.pi * x / 2.0)
+        assert np.max(np.abs(shapes[2].samples - expected)) <= 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             damped_well_modes(-0.1, 1.0)

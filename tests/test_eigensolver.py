@@ -1,10 +1,17 @@
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from retromech import eigensolver
 from retromech.core import Grid, GridFunction, UnitsConfig
 from retromech.eigensolver import (
+    SpectrumError,
     build_hamiltonian,
     count_interior_nodes,
     default_grid,
@@ -59,6 +66,21 @@ class TestHamiltonian:
         units = UnitsConfig(hbar=2.0, mass=4.0)
         ham = build_hamiltonian(FreePotential(), grid, units)
         assert np.allclose(ham.diag, 4.0 / (4.0 * grid.h**2))
+
+    @pytest.mark.parametrize("potential, grid, units", [
+        (FreePotential(), Grid(0.0, 1e-155, 100), UnitsConfig()),  # h^-2 is inf
+        (InfiniteWellPotential(1e-320), Grid(0.0, 1e-320, 100), UnitsConfig()),
+        (FreePotential(), Grid(0.0, 1e200, 100), UnitsConfig()),  # h^2 overflows
+        (FreePotential(), Grid(0.0, 1.0, 100), UnitsConfig(hbar=1e-200)),
+    ], ids=["inf", "zero-division", "overflow", "zero"])
+    def test_degenerate_kinetic_term_rejected(self, potential, grid, units):
+        with pytest.raises(ValueError, match=r"kinetic term .* h = .*n = 100 on"):
+            build_hamiltonian(potential, grid, units)
+
+    def test_overflowing_diagonal_rejected(self):
+        pot = PolynomialPotential((1.79e308,))
+        with pytest.raises(ValueError, match="diagonal overflows"):
+            build_hamiltonian(pot, Grid(0.0, 1e-151, 100))
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError, match="too coarse"):
@@ -123,6 +145,103 @@ class TestSpectrum:
     def test_default_grid_requires_known_potential(self):
         with pytest.raises(ValueError, match="default domain"):
             default_grid(FreePotential(), 100)
+
+
+LAPACK_CASES = [
+    (WELL, 2000, 5),
+    (WELL, 3000, 3),
+    (HarmonicPotential(2.3), 20000, 20),
+    (WELL, 2000, 1),
+    (WELL, 16, 14),  # every eigenpair of the 14 interior nodes
+]
+LAPACK_IDS = ["well-2000", "well-3000", "harmonic-20000-count20", "count1", "full-n16"]
+
+
+@pytest.fixture
+def flapack_fallback(monkeypatch):
+    """Hide ``_flapack`` from the direct loader, so it takes
+    ``scipy.linalg.lapack``; the cached module is reloaded afterwards."""
+    find_spec = importlib.machinery.PathFinder.find_spec
+
+    def without_flapack(name, path=None, target=None):
+        return None if name == "_flapack" else find_spec(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", without_flapack)
+    eigensolver._load_flapack.cache_clear()
+    yield
+    eigensolver._load_flapack.cache_clear()
+
+
+class TestLapack:
+    @staticmethod
+    def assert_matches_scipy(potential, n, count):
+        ham = build_hamiltonian(potential, default_grid(potential, n))
+        kwargs = {"select": "i", "select_range": (0, count - 1)}
+        w, v = eigensolver.eigh_tridiagonal(ham.diag, ham.offdiag, **kwargs)
+        w_ref, v_ref = scipy.linalg.eigh_tridiagonal(ham.diag, ham.offdiag, **kwargs)
+        assert w.shape == (count,) and v.shape == (ham.dimension, count)
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+
+    @pytest.mark.parametrize("potential, n, count", LAPACK_CASES, ids=LAPACK_IDS)
+    def test_direct_module_matches_scipy_bytes(self, potential, n, count):
+        self.assert_matches_scipy(potential, n, count)
+        assert eigensolver._load_flapack().__name__ == "_flapack"
+        assert "_flapack" not in sys.modules
+
+    @pytest.mark.parametrize("potential, n, count", LAPACK_CASES, ids=LAPACK_IDS)
+    def test_fallback_matches_scipy_bytes(self, flapack_fallback, potential, n, count):
+        self.assert_matches_scipy(potential, n, count)
+        assert eigensolver._load_flapack() is scipy.linalg.lapack
+
+    def test_split_matrix_sorted_like_scipy(self):
+        # a zero off-diagonal splits the matrix; dstebz returns the
+        # eigenvalues block by block, and the higher block comes first here
+        d = np.array([9.0, 8.0, 7.0, 6.0, 1.0, 2.0, 3.0, 4.0])
+        e = np.array([-1.0, -1.0, -1.0, 0.0, -1.0, -1.0, -1.0])
+        w, v = eigensolver.eigh_tridiagonal(d, e, select="i", select_range=(0, 7))
+        w_ref, v_ref = scipy.linalg.eigh_tridiagonal(d, e, select="i",
+                                                     select_range=(0, 7))
+        assert np.all(np.diff(w) > 0)
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+    def test_only_index_selection(self):
+        ham = build_hamiltonian(WELL, default_grid(WELL, 100))
+        with pytest.raises(ValueError, match="select='i'"):
+            eigensolver.eigh_tridiagonal(ham.diag, ham.offdiag, select="v",
+                                         select_range=(0.0, 1.0))
+
+    def test_bisection_failure_is_spectrum_error(self):
+        # LAPACK dstebz returns info = 4 on this 1e-152-wide well
+        well = InfiniteWellPotential(1e-152)
+        ham = build_hamiltonian(well, default_grid(well, 100))
+        with pytest.raises(SpectrumError, match="dstebz"):
+            solve_spectrum(ham, 3)
+
+    def test_direct_module_coexists_with_scipy_linalg(self):
+        # the direct module is loaded first; scipy's own import of the same
+        # extension afterwards must not disturb either
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from retromech import eigensolver\n"
+            "d = 2.0 + np.arange(60.0) / 7.0\n"
+            "e = -np.ones(59)\n"
+            "kw = dict(select='i', select_range=(0, 9))\n"
+            "w1, v1 = eigensolver.eigh_tridiagonal(d, e, **kw)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg\n"
+            "w2, v2 = scipy.linalg.eigh_tridiagonal(d, e, **kw)\n"
+            "w3, v3 = eigensolver.eigh_tridiagonal(d, e, **kw)\n"
+            "same = [a.tobytes() == b.tobytes() for a, b in\n"
+            "        ((w1, w2), (w1, w3), (v1, v2), (v1, v3))]\n"
+            "print(all(same))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eigensolver.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        assert done.stdout.strip() == "True"
 
 
 class TestWaveFunctionPair:

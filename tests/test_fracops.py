@@ -173,6 +173,14 @@ class TestCausal:
             with pytest.raises(ValueError, match="overflowed"):
                 deriv(f, 1.5, scheme)
 
+    def test_overflowing_gl_step_power_names_h(self):
+        # h ** -1.5 itself overflows here; the OverflowError named nothing
+        grid = Grid(0.0, 1e-300, 600)
+        f = GridFunction(grid, grid.points())
+        for deriv in (causal_frac_deriv, retrocausal_frac_deriv):
+            with pytest.raises(ValueError, match=r"step h = .* -alpha = -1.5"):
+                deriv(f, 1.5)
+
     def test_rejects_coarse_grid(self):
         grid = Grid(0.0, 1.0, 3)
         f = GridFunction(grid, np.zeros(3))
