@@ -11,8 +11,10 @@ Subcommands map one-to-one onto the library modules:
 
 Outputs are deterministic: identical configurations yield byte-identical
 files (CSV floats use 17 significant digits, JSON uses shortest
-round-trip floats, random checks are seeded). Files are written to a
-temporary sibling and renamed on success, so failures leave no partial
+round-trip floats, random checks are seeded). CSV is streamed in blocks
+of rows, each formatted with array operations to exactly the bytes of
+``%.17g``, so the whole text is never held at once. Files are written to
+a temporary sibling and renamed on success, so failures leave no partial
 output. Exit codes: 0 success, 1 computation failure, 2 usage error.
 
 A JSON config file mirroring the flag names (plus ``command``) can seed
@@ -22,6 +24,7 @@ any run; explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -55,35 +58,149 @@ class RunConfig:
 # deterministic formatting and output
 
 
-#: Rows formatted by one %-operation. Each block's values are held as
-#: Python floats at once, so the block bounds that temporary.
+#: Rows formatted per block; only one block's text and temporaries are
+#: held at a time.
 _CSV_BLOCK_ROWS = 4096
 
+#: Bytes of a value's slot in :func:`_format_rows`. As ``uint32`` words:
+#: 0 the separator before the value and ``"-0."``, 1 the leading digit as
+#: ``"000d"``, 2-5 digits 1-16, 6 ``"   ."``, 7-10 digits 1-16 again. A
+#: value's text is the slot's kept bytes: the separator, the sign, ``"0."``
+#: and up to three zeros when |x| < 1, then the integer digits from the
+#: first copy, and the point and the fraction's digits from the second.
+_SLOT = 44
+#: Mask row of an empty text from a %-operation, after the 2 * 21 * 17
+#: fixed-notation rows; a text of length L takes the row L further on.
+_PERCENT_MASKS = 2 * 21 * 17
 
-def _csv(header: list, columns: list) -> str:
-    """Header line plus one row per sample, every value as ``%.17g``."""
+
+def _csv(header: list, columns: list):
+    """Header line plus one row per sample, every value as ``%.17g``;
+    yields the text as bytes, one block of rows at a time."""
     table = np.column_stack(columns).astype(np.float64, copy=False)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    parts = [",".join(header) + "\n"]
+    yield (",".join(header) + "\n").encode()
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS]
-        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        yield _format_rows(table[start:start + _CSV_BLOCK_ROWS])
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+@functools.cache
+def _csv_tables():
+    """Powers of ten split for the exact product, the 4-digit text and
+    trailing-zero count of 0..9999, the slot's constant words, and the
+    keep-mask of every text layout."""
+    powers = np.array([float(10**k) for k in range(23)])
+    split = powers * 134217729.0  # Veltkamp: 27 high bits
+    high = split - (split - powers)
+    i = np.arange(10000)
+    chunk = (i[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
+    digits = chunk.astype(np.uint8).view(np.uint32).ravel()
+    zeros = ((i % 10 == 0).astype(np.int64) + (i % 100 == 0) + (i % 1000 == 0)
+             + (i == 0))
+    words = np.frombuffer(b",-0.\n-0.   .", np.uint32)
+    # fixed-notation layouts by sign, exponent of the leading digit (-4..16)
+    # and significant digits (1..17), then text of 0..24 bytes from a
+    # %-operation; b is the byte's place in the slot
+    neg = np.arange(2)[:, None, None, None]
+    exp10 = np.arange(-4, 17)[None, :, None, None]
+    count = np.arange(1, 18)[None, None, :, None]
+    b = np.arange(_SLOT)
+    small = exp10 < 0
+    first = (b >= 7) & (b <= 23) & np.where(small, b - 7 < count, b - 7 <= exp10)
+    second = (b >= 28) & (b <= 43) & (b - 27 > exp10) & (b - 27 < count)
+    fixed = ((b == 0) | (b == 1) & (neg == 1)
+             | small & ((b == 2) | (b == 3) | (b >= exp10 + 8) & (b <= 6))
+             | first
+             | ~small & ((b == 27) & (count - 1 > exp10) | second))
+    percent = b <= np.arange(25)[:, None]
+    masks = np.concatenate((fixed.reshape(-1, _SLOT), percent))
+    return powers, high, powers - high, digits, zeros, words, masks
 
 
-def _emit(text: str, path: str | None) -> None:
+def _times_power_of_ten(a, k, powers, high, low):
+    """hi + lo == a * 10**k exactly (Dekker's two-product)."""
+    p = a * powers[k]
+    split = a * 134217729.0
+    ah = split - (split - a)
+    al = a - ah
+    bh, bl = high[k], low[k]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """``%.17g`` text of a 2-D float64 block as comma-separated lines.
+
+    Values that ``%.17g`` prints in fixed notation are formatted with
+    array operations. Zeros, non-finite values and values printed in
+    exponent notation go through one %-operation for the block.
+    """
+    powers, high, low, digits, zeros, words, masks = _csv_tables()
+    x = block.ravel()
+    # %.17g prints 1e-4 <= |x| < 1e17 in fixed notation: no double from
+    # 1e-5 to 1e17 lies within half a unit of the 17th digit below a power
+    # of ten, so none rounds up across a bound or to 18 digits. There
+    # |x| = d * 10**-k with 17 digits d, rounded half-even as dtoa does:
+    # the two-product hi + lo is |x| * 10**k exactly (10**k is exact for
+    # k <= 22), and hi >= 1e16 > 2**53 is an even integer, so rounding lo
+    # half-even rounds the sum half-even.
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a[~fixed] = 1.0
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    np.maximum(k, 0, out=k)
+    hi, lo = _times_power_of_ten(a, k, powers, high, low)
+    # log10 may miss by one next to a power of ten
+    small = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    off = np.flatnonzero(small | (hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
+    if len(off):
+        k[off] += np.where(small[off], 1, -1)
+        hi[off], lo[off] = _times_power_of_ten(a[off], k[off], powers, high, low)
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    exp10 = 16 - k  # exponent of the leading digit
+    upper, lower = np.divmod(d, 10**8)
+    lead, upper = np.divmod(upper, 10**8)
+    chunks = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
+    trailing = zeros[chunks[3]]
+    run = np.flatnonzero(chunks[3] == 0)
+    for chunk in chunks[2::-1]:
+        trailing[run] += zeros[chunk[run]]
+        run = run[chunk[run] == 0]
+
+    slots = np.empty((len(x), _SLOT // 4), np.uint32)
+    by_row = slots.reshape(*block.shape, -1)
+    by_row[:, 1:, 0] = words[0]
+    by_row[:, 0, 0] = words[1]
+    slots[:, 1] = digits[lead]
+    for j, chunk in enumerate(chunks):
+        slots[:, 2 + j] = slots[:, 7 + j] = digits[chunk]
+    slots[:, 6] = words[2]
+    layout = np.signbit(x) * (21 * 17) + (exp10 + 4) * 17 + (16 - trailing)
+    text = slots.view(np.uint8)
+    other = np.flatnonzero(~fixed)
+    if len(other):
+        printed = (("%-24.17g" * len(other)) % tuple(x[other].tolist())).encode()
+        printed = np.frombuffer(printed, np.uint8).reshape(-1, 24)
+        text[other, 1:25] = printed
+        layout[other] = _PERCENT_MASKS + np.count_nonzero(printed != ord(" "), axis=1)
+    # every value's text starts with the separator before it
+    return text[masks.take(layout, axis=0)][1:].tobytes() + b"\n"
+
+
+def _json(doc) -> tuple:
+    return ((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(),)
+
+
+def _emit(chunks, path: str | None) -> None:
+    """Write byte chunks to stdout, or to ``path`` through a temporary
+    sibling that replaces it once every chunk is written."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.buffer.writelines(chunks)
+        sys.stdout.buffer.flush()
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".retromech-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -318,7 +435,7 @@ def _build_grid(opts) -> Grid:
     return _wrap("core.Grid", Grid, opts["a"], opts["b"], opts["n"])
 
 
-def _cmd_fracdiff(opts) -> str:
+def _cmd_fracdiff(opts):
     grid = _build_grid(opts)
     order = _wrap("fracops.FracOrder", fracops.FracOrder, opts["alpha"])
     with np.errstate(over="ignore", invalid="ignore"):  # fracops rejects inf/nan
@@ -330,18 +447,18 @@ def _cmd_fracdiff(opts) -> str:
     t = grid.points()
     if opts["format"] == "csv":
         return _csv(["t", "deriv"], [t, out.samples.real])
-    return _json_text({
+    return _json({
         "alpha": opts["alpha"],
         "fn": opts["fn"],
         "direction": opts["direction"],
         "scheme": opts["scheme"],
         "grid": {"a": grid.a, "b": grid.b, "n": grid.n},
-        "t": [float(v) for v in t],
-        "deriv": [float(v) for v in out.samples.real],
+        "t": t.tolist(),
+        "deriv": out.samples.real.tolist(),
     })
 
 
-def _cmd_derive_eom(opts) -> str:
+def _cmd_derive_eom(opts):
     text = opts["lagrangian"]
     if opts["alpha"] is not None:
         # CLI convenience: a bare 'a' (or 'alpha') order placeholder gets the
@@ -376,10 +493,10 @@ def _cmd_derive_eom(opts) -> str:
         }
     print("\n".join(lines))
     # the human-readable form already went to stdout; JSON only goes to a file
-    return _json_text(doc) if opts.get("output") else ""
+    return _json(doc) if opts.get("output") else ()
 
 
-def _cmd_oscillate(opts) -> str:
+def _cmd_oscillate(opts):
     grid = _build_grid(opts)
     params = _wrap("oscillator.OscillatorParams", oscillator.OscillatorParams,
                    opts["m"], opts["c"], opts["k"], opts["q0"], opts["v0"])
@@ -391,18 +508,18 @@ def _cmd_oscillate(opts) -> str:
         return _csv(["t", "q", "qdot", "energy"],
                     [t, traj.position.samples, traj.velocity.samples,
                      traj.energy()])
-    return _json_text({
+    return _json({
         "params": {"m": params.m, "C": params.C, "k": params.k,
                    "q0": params.q0, "v0": params.v0},
         "direction": opts["direction"],
-        "t": [float(v) for v in t],
-        "q": [float(v) for v in traj.position.samples],
-        "qdot": [float(v) for v in traj.velocity.samples],
-        "energy": [float(v) for v in traj.energy()],
+        "t": t.tolist(),
+        "q": traj.position.samples.tolist(),
+        "qdot": traj.velocity.samples.tolist(),
+        "energy": traj.energy().tolist(),
     })
 
 
-def _cmd_eigensolve(opts) -> str:
+def _cmd_eigensolve(opts):
     potential = _wrap("lagrangian.parse_potential", lagrangian.parse_potential,
                       opts["potential"])
     units = _wrap("core.UnitsConfig", UnitsConfig, opts["hbar"], opts["mass"])
@@ -419,16 +536,16 @@ def _cmd_eigensolve(opts) -> str:
         header = ["x"] + [f"psi_{n}" for n in range(sol.count)]
         columns = [grid.points()] + [psi.samples for psi in sol.eigenfunctions]
         return _csv(header, columns)
-    return _json_text({
+    return _json({
         "potential": potential.to_json_dict(),
-        "energies": [float(e) for e in sol.energies],
+        "energies": sol.energies.tolist(),
         "units": {"hbar": units.hbar, "mass": units.mass,
                   "c_light": units.c_light},
         "grid": {"a": grid.a, "b": grid.b, "n": grid.n},
     })
 
 
-def _cmd_dampedwave(opts) -> str:
+def _cmd_dampedwave(opts):
     units = _wrap("core.UnitsConfig", UnitsConfig,
                   opts["hbar"], opts["m"], opts["c_light"])
     if opts["B"] is not None:
@@ -442,11 +559,11 @@ def _cmd_dampedwave(opts) -> str:
         if opts["format"] == "csv":
             n = np.arange(1, len(modes.energies) + 1, dtype=np.float64)
             return _csv(["n", "energy"], [n, modes.energies])
-        return _json_text({
+        return _json({
             "xi": xi,
             "L": opts["well"],
-            "energies": [float(e) for e in modes.energies],
-            "shooting_residuals": [float(r) for r in modes.shooting_residuals],
+            "energies": modes.energies.tolist(),
+            "shooting_residuals": modes.shooting_residuals.tolist(),
         })
     params = _wrap("dampedwave.DampedWaveParams", dampedwave.DampedWaveParams,
                    xi, opts["energy"], units)
@@ -459,7 +576,7 @@ def _cmd_dampedwave(opts) -> str:
         return _csv(["x", "Re(psi)", "Im(psi)", "abs(psi)"],
                     [x, psi.real, psi.imag, np.abs(psi)])
     roots = dampedwave.characteristic_roots(params)
-    return _json_text({
+    return _json({
         "xi": params.xi,
         "k": params.k_wave,
         "regime": sol.regime.value,
@@ -468,13 +585,15 @@ def _cmd_dampedwave(opts) -> str:
     })
 
 
-def _cmd_verify(_opts) -> str:
+def _cmd_verify(_opts):
     failures = verify.run_all()
     if failures:
         raise CommandError(f"verify: {failures} check(s) failed")
-    return ""
+    return ()
 
 
+#: Each handler returns its output as byte chunks; an empty sequence writes
+#: nothing.
 _HANDLERS = {
     "fracdiff": _cmd_fracdiff,
     "derive-eom": _cmd_derive_eom,
@@ -489,9 +608,9 @@ def run(config: RunConfig) -> int:
     """Execute a validated configuration. Returns the exit code."""
     handler = _HANDLERS[config.command]
     try:
-        payload = handler(config.options)
-        if payload:
-            _emit(payload, config.options.get("output"))
+        chunks = handler(config.options)
+        if chunks:
+            _emit(chunks, config.options.get("output"))
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -263,14 +263,18 @@ def causal_frac_deriv(f: GridFunction, order,
     _validate(f, order)
     h = f.grid.h
     with np.errstate(all="ignore"):
-        if order.is_integer:
-            out = _integer_deriv(f.samples, h, order.m)
-        elif scheme is Scheme.GRUNWALD_LETNIKOV:
-            out = _gl_apply(f.samples, h, order.alpha)
-        else:
-            mu = order.m - order.alpha
-            integral = _product_trapezoid_integral(f.samples, h, mu)
-            out = _integer_deriv(integral, h, order.m)
+        try:
+            if order.is_integer:
+                out = _integer_deriv(f.samples, h, order.m)
+            elif scheme is Scheme.GRUNWALD_LETNIKOV:
+                out = _gl_apply(f.samples, h, order.alpha)
+            else:
+                mu = order.m - order.alpha
+                integral = _product_trapezoid_integral(f.samples, h, mu)
+                out = _integer_deriv(integral, h, order.m)
+        except OverflowError:  # h**2 of the second difference
+            raise ValueError(f"step h = {h!r} squared overflows in the order "
+                             f"{order.alpha} derivative") from None
     if not np.isfinite(out).all():
         raise ValueError(f"order {order.alpha} derivative on step h = {h!r} "
                          "overflowed to a non-finite value")

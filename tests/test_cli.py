@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import os
@@ -294,11 +295,36 @@ def per_value_csv(header, columns):
     return "\n".join(lines) + "\n"
 
 
+def _neighbours(values, steps=3):
+    out = []
+    for value in values:
+        below = above = value
+        for _ in range(steps):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            out += [below, above]
+    return out
+
+
+# the powers of ten bound the fixed notation (1e-4, 1e17) and the 17-digit
+# exponent of every value; their neighbours below are the only doubles that
+# could round up to the next power at 17 digits
+_POWERS = [float(f"1e{j}") for j in range(-7, 19)]
+# exactly halfway between two 17-digit decimals: rounded half-even
+_TIES = [1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375, 409600001 / 2**12,
+         131073 / 2**17, 131075 / 2**17, 211 / 2**21]
 CSV_EDGE_VALUES = np.array([
     -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
     0.1, 1.0 / 3.0, 3.0, -2.0, 1e16, 2.0**53 + 2.0, 1e-300, 123.456,
     np.nan, np.inf, -np.inf,
-])
+    2.2250738585072009e-308, 2.2250738585072014e-308, 0.5, 1.5, 2.0**54 + 4.0,
+] + _POWERS + _neighbours(_POWERS) + _TIES + _neighbours(_TIES, 1))
+CSV_EDGE_VALUES = np.concatenate((CSV_EDGE_VALUES, -CSV_EDGE_VALUES))
+
+
+def test_ties_are_halfway():
+    for tie in _TIES:
+        digits = decimal.Decimal(tie).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
 
 
 @pytest.mark.parametrize("width", [1, 2, 4])
@@ -309,7 +335,14 @@ def test_csv_matches_per_value_formatting(width, rows):
     columns = [np.resize(np.roll(CSV_EDGE_VALUES, 3 * j), rows) for j in range(width)]
     columns[-1] = columns[-1] * rng.choice([1.0, 1e-7, 0.725], size=rows)
     header = [f"c{j}" for j in range(width)]
-    assert _csv(header, columns) == per_value_csv(header, columns)
+    assert b"".join(_csv(header, columns)) == per_value_csv(header, columns).encode()
+
+
+def test_csv_streams_blocks_of_rows():
+    columns = [np.arange(2 * 4096 + 1.0), np.full(2 * 4096 + 1, 0.25)]
+    chunks = list(_csv(["a", "b"], columns))
+    assert [chunk.count(b"\n") for chunk in chunks] == [1, 4096, 4096, 1]
+    assert all(isinstance(chunk, bytes) for chunk in chunks)
 
 
 class TestJsonDeterminism:
@@ -336,6 +369,20 @@ def test_arithmetic_errors_name_the_module(capsys, argv, origin):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {origin}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha, scheme, direction", [
+    ("1.5", "trapezoid", "causal"),
+    ("2", "gl", "causal"),
+    ("2", "trapezoid", "retrocausal"),
+])
+def test_step_square_overflow_names_h_and_alpha(capsys, alpha, scheme, direction):
+    # h ** 2 overflows on this step; the message named neither h nor alpha
+    assert main(["fracdiff", "--alpha", alpha, "--fn", "t", "--a", "0", "--b", "1e300",
+                 "--n", "600", "--scheme", scheme, "--direction", direction]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fracops.{direction}_frac_deriv: step h = ")
+    assert f"squared overflows in the order {float(alpha)} derivative" in err
 
 
 def test_import_leaves_scipy_unloaded():

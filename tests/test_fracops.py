@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,20 @@ class TestCausal:
         for deriv in (causal_frac_deriv, retrocausal_frac_deriv):
             with pytest.raises(ValueError, match=r"step h = .* -alpha = -1.5"):
                 deriv(f, 1.5)
+
+    @pytest.mark.parametrize("alpha, scheme", [
+        (1.5, Scheme.PRODUCT_TRAPEZOID),
+        (2.0, Scheme.GRUNWALD_LETNIKOV),
+        (2.0, Scheme.PRODUCT_TRAPEZOID),
+    ])
+    def test_overflowing_step_square_names_h_and_alpha(self, alpha, scheme):
+        # the second difference divides by h ** 2, which overflows here
+        grid = Grid(0.0, 1e300, 600)
+        f = GridFunction(grid, grid.points())
+        message = re.escape(f"step h = {grid.h!r} squared overflows in the order {alpha} ")
+        for deriv in (causal_frac_deriv, retrocausal_frac_deriv):
+            with pytest.raises(ValueError, match=message):
+                deriv(f, alpha, scheme)
 
     def test_rejects_coarse_grid(self):
         grid = Grid(0.0, 1.0, 3)

@@ -1,5 +1,10 @@
-"""Property tests over random inputs; derandomized, so every run draws
-the same examples."""
+"""Property tests over random inputs; derandomized by the profile in
+``conftest.py``, so every run draws the same examples."""
+
+import contextlib
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,8 +12,30 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from retromech.core import Grid  # noqa: E402
-from retromech.fracops import _DIRECT_MAX, _causal_convolve, gl_weights  # noqa: E402
+from retromech.cli import _FN_TABLE, _SCHEMES, _csv, main  # noqa: E402
+from retromech.core import Grid, GridFunction  # noqa: E402
+from retromech.dampedwave import (  # noqa: E402
+    DampedWaveParams,
+    damped_well_modes,
+    solve_damped_free,
+)
+from retromech.fracops import (  # noqa: E402
+    _DIRECT_MAX,
+    _causal_convolve,
+    causal_frac_deriv,
+    gl_weights,
+    retrocausal_frac_deriv,
+)
+from retromech.lagrangian import (  # noqa: E402
+    FreePotential,
+    HarmonicPotential,
+    InfiniteWellPotential,
+    LagrangianSpec,
+    PolynomialPotential,
+    ProductTerm,
+    parse_lagrangian,
+    render_lagrangian,
+)
 from retromech.oscillator import (  # noqa: E402
     OscillatorParams,
     solve_causal,
@@ -17,7 +44,7 @@ from retromech.oscillator import (  # noqa: E402
 )
 
 
-@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.settings(max_examples=40)
 @hypothesis.given(m=st.floats(0.1, 10.0), big_c=st.floats(0.0, 10.0),
                   k=st.floats(0.0, 100.0), q0=st.floats(-2.0, 2.0),
                   v0=st.floats(-2.0, 2.0))
@@ -39,7 +66,7 @@ def trapezoid_kernel(mu, n):
     return b
 
 
-@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.settings(max_examples=60)
 @hypothesis.given(n=st.one_of(st.integers(2, _DIRECT_MAX),  # both sides of the crossover
                               st.integers(_DIRECT_MAX + 1, 4 * _DIRECT_MAX)),
                   alpha=st.floats(0.01, 1.99),
@@ -62,3 +89,162 @@ def test_causal_convolve_matches_direct_sum(n, alpha, gl, complex_samples, growt
     # samples up to it; not pointwise relative: values near t = a tend to 0
     bound = 1e-14 * np.maximum.accumulate(np.abs(y)) * np.sum(np.abs(kernel))
     assert np.all(np.abs(out - ref) <= bound)
+
+
+# --------------------------------------------------------------------------
+# CSV text: every value exactly as format(x, ".17g")
+
+
+def _csv_bytes(values, width):
+    values = np.resize(values, -(-len(values) // width) * width).reshape(-1, width)
+    header = [f"c{j}" for j in range(width)]
+    expected = "".join(",".join(format(float(v), ".17g") for v in row) + "\n"
+                       for row in values)
+    got = b"".join(_csv(header, list(values.T)))
+    return got, (",".join(header) + "\n" + expected).encode()
+
+
+_FIXED_RANGE_BITS = st.builds(  # sign, an exponent from 2**-17 to 2**57, mantissa
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1), st.integers(1023 - 17, 1023 + 57), st.integers(0, 2**52 - 1))
+_DECIMALS = st.builds(  # short decimals: trailing zeros in the 17 digits
+    lambda digits, scale: np.float64(digits / 10**scale).view(np.uint64).item(),
+    st.integers(-10**17, 10**17), st.integers(0, 22))
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(bits=st.lists(st.one_of(st.integers(0, 2**64 - 1), _FIXED_RANGE_BITS,
+                                          _DECIMALS), min_size=1, max_size=300),
+                  width=st.integers(1, 4))
+def test_csv_matches_format_on_bit_patterns(bits, width):
+    got, expected = _csv_bytes(np.array(bits, dtype=np.uint64).view(np.float64), width)
+    assert got == expected
+
+
+# --------------------------------------------------------------------------
+# CLI output: deterministic, the same on stdout and in a file, and exact
+
+
+def _grid_argv(rows, step, minimum):
+    n = max(rows, minimum)
+    return n, step * (n - 1), ["--a=0", f"--b={step * (n - 1)!r}", f"--n={n}"]
+
+
+@st.composite
+def _oscillate(draw, rows):
+    m, c, k = draw(st.floats(0.5, 5.0)), draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 20.0))
+    q0, v0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    direction = draw(st.sampled_from(["causal", "retrocausal"]))
+    n, b, grid_argv = _grid_argv(rows, draw(st.floats(1e-4, 0.01)), 2)
+    argv = ["oscillate", f"--m={m!r}", f"--c={c!r}", f"--k={k!r}", f"--q0={q0!r}",
+            f"--v0={v0!r}", "--direction", direction] + grid_argv
+
+    def columns():
+        grid = Grid(0.0, b, n)
+        solve = solve_causal if direction == "causal" else solve_retrocausal
+        traj = solve(OscillatorParams(m, c, k, q0, v0), grid)
+        return [grid.points(), traj.position.samples, traj.velocity.samples,
+                traj.energy()]
+    return argv, columns
+
+
+@st.composite
+def _fracdiff(draw, rows):
+    alpha = draw(st.floats(0.05, 1.95))
+    fn = draw(st.sampled_from(sorted(_FN_TABLE)))
+    scheme = draw(st.sampled_from(sorted(_SCHEMES)))
+    direction = draw(st.sampled_from(["causal", "retrocausal"]))
+    n, b, grid_argv = _grid_argv(rows, draw(st.floats(1e-4, 0.01)), 4)
+    argv = ["fracdiff", f"--alpha={alpha!r}", "--fn", fn, "--scheme", scheme,
+            "--direction", direction] + grid_argv
+
+    def columns():
+        grid = Grid(0.0, b, n)
+        f = GridFunction(grid, _FN_TABLE[fn](grid.points()))
+        deriv = causal_frac_deriv if direction == "causal" else retrocausal_frac_deriv
+        return [grid.points(), deriv(f, alpha, _SCHEMES[scheme]).samples.real]
+    return argv, columns
+
+
+@st.composite
+def _dampedwave(draw, rows):
+    xi, energy = draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        count = rows if rows <= 30 else draw(st.integers(1, 30))
+        argv = ["dampedwave", f"--xi={xi!r}", "--well", "1", "--count", str(count)]
+        return argv, lambda: [np.arange(1.0, count + 1),
+                              damped_well_modes(xi, 1.0, count=count).energies]
+    psi0, dpsi0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    n, b, grid_argv = _grid_argv(rows, draw(st.floats(1e-4, 0.01)), 2)
+    argv = ["dampedwave", f"--xi={xi!r}", f"--energy={energy!r}", f"--psi0={psi0!r}",
+            f"--dpsi0={dpsi0!r}"] + grid_argv
+
+    def columns():
+        grid = Grid(0.0, b, n)
+        sol = solve_damped_free(DampedWaveParams(xi, energy), grid, psi0, dpsi0)
+        psi = sol.closed_form.samples
+        return [grid.points(), psi.real, psi.imag, np.abs(psi)]
+    return argv, columns
+
+
+def _run_cli(argv):
+    """Exit code and stdout bytes of one in-process CLI run."""
+    buffer = io.BytesIO()
+    stream = io.TextIOWrapper(buffer, encoding="utf-8")
+    with contextlib.redirect_stdout(stream):
+        code = main(argv)
+        stream.flush()
+    return code, buffer.getvalue()
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, None],
+                         ids=["1", "4095", "4096", "4097", "drawn"])
+@pytest.mark.parametrize("command", [_oscillate, _fracdiff, _dampedwave],
+                         ids=["oscillate", "fracdiff", "dampedwave"])
+@hypothesis.settings(max_examples=3)
+@hypothesis.given(data=st.data())
+def test_cli_csv_is_deterministic_and_exact(command, rows, data):
+    # rows on both sides of the 4096-row formatting block; the grid
+    # commands take at least 2 (fracdiff 4) rows, the well modes at most 30
+    if rows is None:
+        rows = data.draw(st.integers(1, 9000))
+    argv, columns = data.draw(command(rows))
+    first, second = _run_cli(argv), _run_cli(argv)
+    assert first == second
+    code, stdout = first
+    assert code == 0
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "out.csv")
+        assert _run_cli(argv + ["--output", path]) == (0, b"")
+        with open(path, "rb") as handle:
+            assert handle.read() == stdout
+    body = stdout.decode().splitlines()[1:]
+    parsed = np.array([[float(v) for v in line.split(",")] for line in body])
+    expected = np.column_stack(columns()).astype(np.float64)
+    assert parsed.shape == expected.shape
+    assert np.array_equal(parsed.view(np.uint64), expected.view(np.uint64))
+
+
+# --------------------------------------------------------------------------
+# lagrangian DSL
+
+_POTENTIALS = st.one_of(
+    st.just(FreePotential()),
+    st.builds(HarmonicPotential, st.floats(0.0, 1e300)),
+    st.builds(PolynomialPotential,
+              st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=4).map(tuple)),
+    st.builds(InfiniteWellPotential, st.floats(1e-300, 1e300)),
+)
+_TERMS = st.lists(
+    st.builds(ProductTerm,
+              st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+              st.floats(0.0, 1e6)),
+    max_size=5, unique_by=lambda term: term.order)
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(terms=_TERMS, potential=_POTENTIALS)
+def test_render_parse_round_trip(terms, potential):
+    spec = LagrangianSpec(tuple(terms), potential)
+    assert parse_lagrangian(render_lagrangian(spec)) == spec
