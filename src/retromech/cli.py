@@ -19,6 +19,9 @@ output. Exit codes: 0 success, 1 computation failure, 2 usage error.
 
 A JSON config file mirroring the flag names (plus ``command``) can seed
 any run; explicit flags override file values.
+
+Each handler imports the modules it uses, so parsing, ``--version``,
+usage errors and ``derive-eom`` load no numpy.
 """
 
 from __future__ import annotations
@@ -31,13 +34,8 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import __version__, dampedwave, eigensolver, lagrangian, oscillator, verify
-from . import fracops
-from .core import Grid, GridFunction, UnitsConfig, UnstableIntegrationError
-from .eigensolver import SpectrumError
-from .lagrangian import ParseError
+from . import __version__
+from .enums import Scheme
 
 __all__ = ["RunConfig", "parse_args", "run", "main", "console_entry"]
 
@@ -77,6 +75,7 @@ _PERCENT_MASKS = 2 * 21 * 17
 def _csv(header: list, columns: list):
     """Header line plus one row per sample, every value as ``%.17g``;
     yields the text as bytes, one block of rows at a time."""
+    import numpy as np
     table = np.column_stack(columns).astype(np.float64, copy=False)
     yield (",".join(header) + "\n").encode()
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
@@ -88,6 +87,7 @@ def _csv_tables():
     """Powers of ten split for the exact product, the 4-digit text and
     trailing-zero count of 0..9999, the slot's constant words, and the
     keep-mask of every text layout."""
+    import numpy as np
     powers = np.array([float(10**k) for k in range(23)])
     split = powers * 134217729.0  # Veltkamp: 27 high bits
     high = split - (split - powers)
@@ -126,13 +126,14 @@ def _times_power_of_ten(a, k, powers, high, low):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _format_rows(block: np.ndarray) -> bytes:
+def _format_rows(block) -> bytes:
     """``%.17g`` text of a 2-D float64 block as comma-separated lines.
 
     Values that ``%.17g`` prints in fixed notation are formatted with
     array operations. Zeros, non-finite values and values printed in
     exponent notation go through one %-operation for the block.
     """
+    import numpy as np
     powers, high, low, digits, zeros, words, masks = _csv_tables()
     x = block.ravel()
     # %.17g prints 1e-4 <= |x| < 1e17 in fixed notation: no double from
@@ -211,19 +212,27 @@ def _emit(chunks, path: str | None) -> None:
 # --------------------------------------------------------------------------
 # argument parsing
 
+def _numpy(name):
+    """numpy's ``name`` applied to an array; numpy loads at the first call."""
+    def apply(t):
+        import numpy as np
+        return getattr(np, name)(t)
+    return apply
+
+
 _FN_TABLE = {
     "t": lambda t: t,
     "t^2": lambda t: t**2,
     "t^3": lambda t: t**3,
-    "sin(t)": np.sin,
-    "cos(t)": np.cos,
-    "exp(t)": np.exp,
-    "const": lambda t: np.ones_like(t),
+    "sin(t)": _numpy("sin"),
+    "cos(t)": _numpy("cos"),
+    "exp(t)": _numpy("exp"),
+    "const": _numpy("ones_like"),
 }
 
 _SCHEMES = {
-    "gl": fracops.Scheme.GRUNWALD_LETNIKOV,
-    "trapezoid": fracops.Scheme.PRODUCT_TRAPEZOID,
+    "gl": Scheme.GRUNWALD_LETNIKOV,
+    "trapezoid": Scheme.PRODUCT_TRAPEZOID,
 }
 
 
@@ -423,19 +432,26 @@ def _load_config(parser, path):
 
 
 def _wrap(origin: str, fn, *args, **kwargs):
-    """Run a module call, mapping its errors to a CommandError naming it."""
+    """Run a module call, mapping its errors to a CommandError naming it.
+    The library's own errors subclass these: ``ParseError`` is a
+    ValueError, ``UnstableIntegrationError`` and ``SpectrumError`` are
+    RuntimeErrors."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, ArithmeticError, ParseError, UnstableIntegrationError,
-            SpectrumError, IndexError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, IndexError, RuntimeError) as exc:
         raise CommandError(f"{origin}: {exc}") from exc
 
 
-def _build_grid(opts) -> Grid:
+def _build_grid(opts):
+    from .core import Grid
     return _wrap("core.Grid", Grid, opts["a"], opts["b"], opts["n"])
 
 
 def _cmd_fracdiff(opts):
+    import numpy as np
+
+    from . import fracops
+    from .core import GridFunction
     grid = _build_grid(opts)
     order = _wrap("fracops.FracOrder", fracops.FracOrder, opts["alpha"])
     with np.errstate(over="ignore", invalid="ignore"):  # fracops rejects inf/nan
@@ -459,6 +475,7 @@ def _cmd_fracdiff(opts):
 
 
 def _cmd_derive_eom(opts):
+    from . import lagrangian
     text = opts["lagrangian"]
     if opts["alpha"] is not None:
         # CLI convenience: a bare 'a' (or 'alpha') order placeholder gets the
@@ -497,6 +514,7 @@ def _cmd_derive_eom(opts):
 
 
 def _cmd_oscillate(opts):
+    from . import oscillator
     grid = _build_grid(opts)
     params = _wrap("oscillator.OscillatorParams", oscillator.OscillatorParams,
                    opts["m"], opts["c"], opts["k"], opts["q0"], opts["v0"])
@@ -520,6 +538,8 @@ def _cmd_oscillate(opts):
 
 
 def _cmd_eigensolve(opts):
+    from . import eigensolver, lagrangian
+    from .core import UnitsConfig
     potential = _wrap("lagrangian.parse_potential", lagrangian.parse_potential,
                       opts["potential"])
     units = _wrap("core.UnitsConfig", UnitsConfig, opts["hbar"], opts["mass"])
@@ -546,6 +566,10 @@ def _cmd_eigensolve(opts):
 
 
 def _cmd_dampedwave(opts):
+    import numpy as np
+
+    from . import dampedwave
+    from .core import UnitsConfig
     units = _wrap("core.UnitsConfig", UnitsConfig,
                   opts["hbar"], opts["m"], opts["c_light"])
     if opts["B"] is not None:
@@ -586,6 +610,7 @@ def _cmd_dampedwave(opts):
 
 
 def _cmd_verify(_opts):
+    from . import verify
     failures = verify.run_all()
     if failures:
         raise CommandError(f"verify: {failures} check(s) failed")

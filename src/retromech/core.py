@@ -8,10 +8,13 @@ sequence of its powers."""
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 
 import numpy as np
+
+from .enums import Direction
 
 __all__ = [
     "Direction",
@@ -28,14 +31,6 @@ __all__ = [
     "rk4_propagator",
     "integrate_second_order",
 ]
-
-
-class Direction(enum.Enum):
-    """Orientation of a one-sided operator: sweeping forward from the left
-    endpoint (causal) or backward from the right endpoint (retrocausal)."""
-
-    CAUSAL = "causal"
-    RETROCAUSAL = "retrocausal"
 
 
 @dataclass(frozen=True)
@@ -165,7 +160,8 @@ def classify_regime(c1: float, c0: float) -> Regime:
 
 
 class UnstableIntegrationError(RuntimeError):
-    """The RK4 amplitude guard tripped; carries the offending step."""
+    """The RK4 amplitude guard tripped, or the step grows a solution that
+    does not grow; carries the offending step."""
 
     def __init__(self, message: str, step: int, t: float, value: float):
         super().__init__(message)
@@ -246,7 +242,9 @@ def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False
 
     ``amplitude_limit`` aborts with :class:`UnstableIntegrationError` at the
     first step whose ``|y|`` exceeds it or is not finite, so a blow-up
-    fails loudly instead of returning garbage.
+    fails loudly instead of returning garbage. A march the guard lets
+    through still raises it when h lies outside RK4's stability region
+    where the exact solution does not grow (:func:`_check_step_growth`).
     """
     n = grid.n
     h = -grid.h if backward else grid.h
@@ -258,7 +256,8 @@ def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False
                       dtype=np.complex128 if is_complex else np.float64)
     # an unstable march overflows its powers; the guard reports it instead
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = _increment_powers(_rk4_increment(coeffs, h), block + 1)
+        increment = _rk4_increment(coeffs, h)
+        powers = _increment_powers(increment, block + 1)
         (d00, d01), (d10, d11) = powers[block].tolist()
         for b in range(len(starts)):
             starts[b] = y, v
@@ -279,6 +278,39 @@ def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False
                     f"{amplitude_limit:.3e} at t = {t:.6g} (step {step})",
                     step=step, t=t, value=value,
                 )
+    _check_step_growth(coeffs, h, increment.tolist(), grid, backward, ys[-1])
     if backward:
         return ys[::-1], vs[::-1]
     return ys, vs
+
+
+def _check_step_growth(coeffs, h: float, d, grid: Grid, backward: bool, y_end) -> None:
+    """Raise :class:`UnstableIntegrationError` when the RK4 step P = I + d
+    has spectral radius above 1 beyond roundoff while the exact flow over
+    a step does not grow, max Re(h lambda) <= 0 over the roots of
+    lambda^2 + c1 lambda + c0 (Hairer & Wanner, Solving ODEs II, IV.2).
+    With h signed this covers backward marches too. The march then grows
+    where the equation decays or oscillates: h is too large, not the
+    problem unstable."""
+    c1, c0 = coeffs
+    root = cmath.sqrt(c1 * c1 - 4.0 * c0)
+    if max((h * (-c1 + root)).real, (h * (-c1 - root)).real) > 0:
+        return  # the exact solution grows too; only the amplitude guard applies
+    (d00, d01), (d10, d11) = d
+    half = 0.5 * (d00 + d11)
+    spread = cmath.sqrt(half * half - (d00 * d11 - d01 * d10))
+    # |1 + mu|^2 - 1 = 2 Re mu + |mu|^2 for each eigenvalue mu of d; the
+    # entries of d carry a few units of roundoff each, hence the bound
+    excess = max(2.0 * mu.real + abs(mu) * abs(mu) for mu in (half + spread,
+                                                             half - spread))
+    scale = 1.0 + max(abs(d00), abs(d01), abs(d10), abs(d11))
+    if not excess > 16.0 * np.finfo(np.float64).eps * scale * scale:
+        return
+    step = grid.n - 1
+    raise UnstableIntegrationError(
+        f"RK4 step h = {h:.6g} (n = {grid.n}) is outside the stability region "
+        f"for (c1, c0) = ({c1!r}, {c0!r}): the step grows the solution by "
+        f"{(1.0 + excess) ** 0.5:.6g} per step where the exact one does not grow",
+        step=step, t=(grid.b if backward else grid.a) + step * h,
+        value=float(abs(y_end)),
+    )

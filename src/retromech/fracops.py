@@ -29,13 +29,13 @@ integer orders n reduce to (-1)^n d^n/dt^n.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Direction, GridFunction, ToleranceConfig
+from .core import DEFAULT_TOLERANCES, GridFunction, ToleranceConfig
+from .enums import Direction, Scheme
 
 __all__ = [
     "Scheme",
@@ -53,11 +53,6 @@ __all__ = [
 #: out of scope; the integer order 2 itself is kept because the classical
 #: reductions need a plain second derivative.
 MAX_ORDER = 2.0
-
-
-class Scheme(enum.Enum):
-    GRUNWALD_LETNIKOV = "grunwald-letnikov"
-    PRODUCT_TRAPEZOID = "product-trapezoid"
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,13 @@ drift.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-import numpy as np
-
-from .core import Direction
+from .enums import Direction
 
 __all__ = [
     "Potential",
@@ -47,12 +46,14 @@ __all__ = [
     "render_eom",
     "render_lagrangian",
     "eom_to_json_dict",
-    "potential_from_json_dict",
 ]
 
 
 # --------------------------------------------------------------------------
 # potentials
+#
+# Parsing and deriving need no arrays, so numpy is imported only inside
+# ``evaluate``.
 
 
 class Potential:
@@ -60,7 +61,8 @@ class Potential:
 
     kind = "abstract"
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def evaluate(self, x):
+        """V at the positions ``x`` as a float64 array."""
         raise NotImplementedError
 
     def render_dsl(self) -> str:
@@ -75,6 +77,7 @@ class FreePotential(Potential):
     kind = "free"
 
     def evaluate(self, x):
+        import numpy as np
         return np.zeros_like(np.asarray(x, dtype=np.float64))
 
     def render_dsl(self):
@@ -92,10 +95,11 @@ class HarmonicPotential(Potential):
     kind = "harmonic"
 
     def __post_init__(self):
-        if not (np.isfinite(self.k) and self.k >= 0):
+        if not (math.isfinite(self.k) and self.k >= 0):
             raise ValueError(f"harmonic potential needs k >= 0, got {self.k}")
 
     def evaluate(self, x):
+        import numpy as np
         return 0.5 * self.k * np.asarray(x, dtype=np.float64) ** 2
 
     def render_dsl(self):
@@ -116,11 +120,12 @@ class PolynomialPotential(Potential):
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("polynomial potential needs at least one coefficient")
-        if not all(np.isfinite(c) for c in coeffs):
+        if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self, x):
+        import numpy as np
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
         for power, c in enumerate(self.coeffs):
@@ -143,10 +148,11 @@ class InfiniteWellPotential(Potential):
     kind = "well"
 
     def __post_init__(self):
-        if not (np.isfinite(self.length) and self.length > 0):
+        if not (math.isfinite(self.length) and self.length > 0):
             raise ValueError(f"well length must be positive, got {self.length}")
 
     def evaluate(self, x):
+        import numpy as np
         return np.zeros_like(np.asarray(x, dtype=np.float64))
 
     def render_dsl(self):
@@ -154,19 +160,6 @@ class InfiniteWellPotential(Potential):
 
     def to_json_dict(self):
         return {"kind": "well", "L": self.length}
-
-
-def potential_from_json_dict(doc: dict) -> Potential:
-    kind = doc.get("kind")
-    if kind == "free":
-        return FreePotential()
-    if kind == "harmonic":
-        return HarmonicPotential(float(doc["k"]))
-    if kind == "poly":
-        return PolynomialPotential(tuple(float(c) for c in doc["coeffs"]))
-    if kind == "well":
-        return InfiniteWellPotential(float(doc["L"]))
-    raise ValueError(f"unknown potential kind {kind!r}")
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +184,7 @@ class ProductTerm:
     order: Fraction
 
     def __post_init__(self):
-        if not np.isfinite(self.coeff) or self.coeff == 0:
+        if not math.isfinite(self.coeff) or self.coeff == 0:
             raise ValueError(f"coefficient must be finite and nonzero, got {self.coeff}")
         order = _coerce_order(self.order)
         if order < 0:
@@ -310,7 +303,7 @@ class _Scanner:
     def real(self) -> tuple:
         token, start = self.real_token()
         value = float(token)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ParseError(f"non-finite number {token!r}", start)
         return value, start
 

@@ -192,6 +192,43 @@ class TestOscillateCommand:
         assert not out.exists()
         assert "oscillator.solve_causal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, h, radius", [
+        (["--n", "2"], "10", "399.654"),
+        (["--n", "3"], "5", "21.4978"),
+        (["--n", "4"], "3.33333", "2.89984"),
+        (["--n", "3", "--direction", "retrocausal", "--c", "0.5"], "-5", "17.9093"),
+    ], ids=["n2", "n3", "n4", "retrocausal-n3"])
+    def test_step_outside_stability_region_exits_1(self, capsys, argv, h, radius):
+        # h * omega = 10, 5 and 3.3 lie past RK4's limit 2 sqrt(2) on the
+        # imaginary axis: the march grew the energy from 0.5 to 79861,
+        # 106793 and 297 without reaching the amplitude guard
+        assert main(["oscillate", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: oscillator.solve_")
+        assert f"RK4 step h = {h} (n = {argv[1]}) is outside the stability region" \
+            in captured.err
+        assert f"the step grows the solution by {radius}" in captured.err
+        assert "(c1, c0) = (" in captured.err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--n", "5"],
+         "t,q,qdot,energy\n0,1,0,0.5\n"
+         "2.5,-0.49739583333333326,0.10416666666666667,0.12912665473090273\n"
+         "5,0.23655192057291652,-0.10362413194444445,0.033347385923987519\n"
+         "7.5,-0.10686575924908692,0.076183036521629041,0.0086120727767698361\n"
+         "10,0.045218850405495781,-0.049024974858319276,0.0022240962959267216\n"),
+        # k = 0: every step matrix eigenvalue is exactly 1
+        (["--k", "0", "--n", "2"], "t,q,qdot,energy\n0,1,0,0\n10,1,0,0\n"),
+        (["--k", "0", "--n", "3", "--direction", "retrocausal", "--v0", "0.5"],
+         "t,q,qdot,energy\n0,-4,0.5,0.125\n5,-1.5,0.5,0.125\n10,1,0.5,0.125\n"),
+    ], ids=["n5", "k0", "k0-retrocausal"])
+    def test_stable_coarse_steps_keep_their_output(self, capsys, argv, expected):
+        # n = 5 is inside the stability region (h * omega = 2.5); it damps
+        # the oscillation, which the exact flow does not, but never grows it
+        assert main(["oscillate", *argv]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestEigensolveCommand:
     def test_well_spectrum_json(self, tmp_path):
@@ -393,6 +430,39 @@ def test_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (None, None),
+    (["derive-eom", "--lagrangian", "1*q[1] + 0.5*q[0.5] - V(harmonic, 2)"], 0),
+    (["derive-eom", "--lagrangian", "1*q[1] - V(poly, 1, 0, 3)", "--output", "{out}"],
+     0),
+    (["derive-eom", "--lagrangian", "1*q[1] +"], 1),
+    (["--version"], 0),
+    (["--help"], 0),
+    (["oscillate", "--bogus", "1"], 2),
+    (["--config", "{missing}"], 2),
+], ids=["import", "derive-eom", "derive-eom-output", "derive-eom-parse-error",
+        "version", "help", "usage-error", "bad-config"])
+def test_commands_without_arrays_leave_numpy_unloaded(tmp_path, argv, exit_code):
+    # none of these computes an array, so none pays numpy's import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["retromech.cli"].__file__)))
+    code = "import sys, retromech.cli\n"
+    if argv is not None:
+        argv = [arg.format(out=tmp_path / "eom.json", missing=tmp_path / "none.json")
+                for arg in argv]
+        code += f"print(retromech.cli.main({argv!r}), file=sys.stderr)\n"
+    code += "print('numpy' in sys.modules, file=sys.stderr)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    lines = done.stderr.splitlines()
+    assert lines[-1] == "False"
+    if argv is not None:
+        assert lines[-2] == str(exit_code)
+    if argv and "--output" in argv:
+        assert json.loads(read(tmp_path / "eom.json"))["reduced"]["causal"]["mass"] == 1
 
 
 @pytest.mark.parametrize("argv", [

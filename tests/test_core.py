@@ -193,6 +193,53 @@ class TestIntegrator:
         assert err.value.value == pytest.approx(ref.value.value, rel=1e-10)
         assert "stability guard" in str(err.value)
 
+    @pytest.mark.parametrize("coeffs, grid, backward", [
+        # pure rotation: RK4's limit on the imaginary axis is h omega = 2 sqrt(2)
+        ((0.0, 1.0), Grid(0.0, 2.83, 2), False),
+        ((0.0, 1.0), Grid(0.0, 2.83, 2), True),
+        # pure decay, lambda = 0 and -3: the limit on the real axis is 2.785
+        ((3.0, 0.0), Grid(0.0, 1.0, 2), False),
+        # the anti-damped equation marched backward, its stable direction
+        ((-3.0, 0.0), Grid(0.0, 1.0, 2), True),
+        ((-0.6, 25.0), Grid(0.0, 6.0, 11), True),
+        # 1.004 per step grows 1.5-fold in 100 steps, far below the guard
+        ((0.0, 1.0), Grid(0.0, 283.0, 101), False),
+    ])
+    def test_step_outside_stability_region_raises(self, coeffs, grid, backward):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(UnstableIntegrationError) as err:
+                integrate_second_order(coeffs, 1.0, 0.0, grid, backward=backward,
+                                       amplitude_limit=1e6)
+        h = -grid.h if backward else grid.h
+        assert f"RK4 step h = {h:.6g} (n = {grid.n})" in str(err.value)
+        assert f"(c1, c0) = ({coeffs[0]!r}, {coeffs[1]!r})" in str(err.value)
+        assert err.value.step == grid.n - 1
+        assert err.value.t == (grid.a if backward else grid.b)
+        y, _ = reference_march(coeffs, 1.0, 0.0, grid, backward=backward)
+        assert err.value.value == pytest.approx(abs(y[0] if backward else y[-1]),
+                                                rel=1e-12)
+
+    @pytest.mark.parametrize("coeffs, grid, backward", [
+        ((0.0, 1.0), Grid(0.0, 2.82, 2), False),
+        ((0.0, 1.0), Grid(0.0, 2.82, 2), True),
+        ((3.0, 0.0), Grid(0.0, 0.9, 2), False),
+        # the exact solution grows: only the amplitude guard applies
+        (GROWTH, Grid(0.0, 10.0, 2), False),
+        ((3.0, 0.0), Grid(0.0, 1.0, 2), True),
+        # rho(P) = 1 exactly, and rounding-level growth over a long march
+        ((0.0, 0.0), Grid(0.0, 1e6, 2), False),
+        ((0.0, 1.0), Grid(0.0, 1e4, 10**6 + 1), False),
+        # the exact rho(P)^2 - 1 = -(h omega)^6 / 72 = -1e-23 is below the
+        # rounding of the increment: it computes as +1.3e-23
+        ((0.0, 1.0), Grid(0.0, 3.0, 10001), False),
+        ((0.0, 1.0), Grid(0.0, 3.0, 10001), True),
+    ])
+    def test_step_inside_stability_region_marches(self, coeffs, grid, backward):
+        y, v = integrate_second_order(coeffs, 1.0, 0.0, grid, backward=backward)
+        ry, rv = reference_march(coeffs, 1.0, 0.0, grid, backward=backward)
+        assert np.allclose(y, ry, rtol=1e-9) and np.allclose(v, rv, rtol=1e-9)
+
 
 class TestRegime:
     def test_mirror_shares_its_partners_regime(self):

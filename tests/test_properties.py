@@ -4,6 +4,7 @@
 import contextlib
 import io
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -26,6 +27,7 @@ from retromech.fracops import (  # noqa: E402
     gl_weights,
     retrocausal_frac_deriv,
 )
+from retromech.enums import Direction  # noqa: E402
 from retromech.lagrangian import (  # noqa: E402
     FreePotential,
     HarmonicPotential,
@@ -33,7 +35,10 @@ from retromech.lagrangian import (  # noqa: E402
     LagrangianSpec,
     PolynomialPotential,
     ProductTerm,
+    derive_causal_eom,
+    derive_retrocausal_eom,
     parse_lagrangian,
+    reduce_integer_orders,
     render_lagrangian,
 )
 from retromech.oscillator import (  # noqa: E402
@@ -248,3 +253,47 @@ _TERMS = st.lists(
 def test_render_parse_round_trip(terms, potential):
     spec = LagrangianSpec(tuple(terms), potential)
     assert parse_lagrangian(render_lagrangian(spec)) == spec
+
+
+# orders 0, 1/2 and 1 double to the classical orders 0, 1 and 2
+_CLASSICAL_TERMS = st.lists(
+    st.builds(ProductTerm,
+              st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+              st.sampled_from([0.0, 0.5, 1.0])),
+    max_size=3, unique_by=lambda term: term.order)
+
+
+def _terms_of(eom):
+    return sorted((term.coeff, term.total_order) for term in eom.terms)
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(terms=st.one_of(_TERMS, _CLASSICAL_TERMS), potential=_POTENTIALS)
+def test_direction_symmetry(terms, potential):
+    # the variational rule treats both directions alike: the same doubled
+    # orders and coefficients, each side tagged with its own direction
+    spec = LagrangianSpec(tuple(terms), potential)
+    if isinstance(potential, InfiniteWellPotential):
+        for derive in (derive_causal_eom, derive_retrocausal_eom):
+            with pytest.raises(ValueError, match="infinite-well"):
+                derive(spec)
+        return
+    causal, retro = derive_causal_eom(spec), derive_retrocausal_eom(spec)
+    assert _terms_of(causal) == _terms_of(retro)
+    assert _terms_of(causal) == sorted((t.coeff, 2 * t.order) for t in spec.terms)
+    for eom, direction in ((causal, Direction.CAUSAL), (retro, Direction.RETROCAUSAL)):
+        assert eom.direction is direction
+        assert all(term.direction is direction for term in eom.terms)
+        assert eom.potential == potential
+    try:
+        ode_c = reduce_integer_orders(causal)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            reduce_integer_orders(retro)
+        return
+    # a retrocausal derivative of order n carries (-1)^n: only the odd
+    # order, the damping, changes sign
+    ode_r = reduce_integer_orders(retro)
+    assert ode_r.mass_coeff == ode_c.mass_coeff
+    assert ode_r.damping_coeff == -ode_c.damping_coeff
+    assert ode_r.stiffness_coeff == ode_c.stiffness_coeff
