@@ -11,10 +11,10 @@ Two independent discretizations are provided for non-integer orders:
 
 Both non-integer schemes reduce to one causal convolution of the samples
 with a length-n kernel. It is evaluated directly up to n = 512 and by
-real FFTs on a recursive triangular split above, so a non-integer order
-costs O(n log^2 n) and the rounding of each output stays tied to the
-samples before it (fast convolution quadrature: Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).
+real FFTs on a triangular split above, batched by depth, so a
+non-integer order costs O(n log^2 n) and the rounding of each output
+stays tied to the samples before it (fast convolution quadrature:
+Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).
 
 Integer orders bypass the fractional kernels entirely and use plain
 central/one-sided finite differences, so orders 0, 1 and 2 behave exactly
@@ -155,10 +155,12 @@ def _integer_deriv(y: np.ndarray, h: float, m: int) -> np.ndarray:
 
 
 #: Longest sample convolved directly, and the size of the direct sums the
-#: split FFT recurses down to. On a 2-core host the split matches the
-#: direct sum at n = 1024 (0.2 ms), is faster above, and costs at most
-#: 0.06 ms more between; base blocks of 768 or 1024 make it slower from
-#: n = 2048 to 16384.
+#: split FFT splits down to. On a 2-core host the split costs at most
+#: 0.05 ms more than the direct sum up to n = 1024, where both take
+#: 0.16 ms, 0.08 ms more at 1280, and less from n = 1792 on (0.50 against
+#: 0.59 ms at 2048). Base blocks of 768 run even with 512 from n = 2048
+#: to 16384, and 1024 runs 15-25 % slower. Any other value changes the
+#: rounding of every output above it.
 _DIRECT_MAX = 512
 
 
@@ -167,41 +169,59 @@ def _causal_convolve(y: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     real ``kernel`` of the same length.
 
     Above ``_DIRECT_MAX`` samples the lower-triangular Toeplitz product is
-    split as in Hairer, Lubich & Schlichte: the two diagonal triangles
-    recurse, and the square that maps the first half of ``y`` onto the
-    second half of the output is one zero-padded FFT product. An FFT
-    spreads its rounding evenly over its outputs, at a few ulps of the
-    largest input times sum|kernel|; since every square only feeds outputs
-    later than all of its samples, the error at t stays tied to the
-    samples up to t, as in the direct sum. A growing signal such as
-    exp(t) therefore keeps its small early values. Each square's samples
-    are first scaled by a power of two that brings their peak near 1: that
-    changes no rounding, and keeps samples near the top of the float range
-    from overflowing in the transform's sums where the direct sum would
-    not. The cost is O(n log^2 n).
+    split as in Hairer, Lubich & Schlichte: a block of m samples splits
+    into diagonal triangles of (m + 1) // 2 and m // 2 samples, down to
+    direct sums of at most ``_DIRECT_MAX``, and the square that maps the
+    block's first half onto its second half is one zero-padded FFT
+    product. The squares are batched by depth: the blocks of one depth
+    have at most two sizes, and each size takes one kernel transform and
+    one row-wise transform pair for all of its blocks, so the O(n log^2 n)
+    cost comes in a few FFT calls per depth. Depths are added deepest
+    first, so each output sums its terms in the order of a recursion over
+    the same split. An FFT spreads its rounding evenly over its outputs,
+    at a few ulps of the largest input times sum|kernel|; since every
+    square only feeds outputs later than all of its samples, the error at
+    t stays tied to the samples up to t, as in the direct sum. A growing
+    signal such as exp(t) therefore keeps its small early values. Each
+    square's samples are first scaled by a power of two that brings their
+    peak near 1: that changes no rounding, and keeps samples near the top
+    of the float range from overflowing in the transform's sums where the
+    direct sum would not.
     """
     n = len(y)
     if n <= _DIRECT_MAX:
         return np.convolve(y, kernel)[:n]
-    half = (n + 1) // 2
-    out = np.concatenate((_causal_convolve(y[:half], kernel[:half]),
-                          _causal_convolve(y[half:], kernel[:n - half])))
-    # output half + q takes sample p < half at lag half + q - p, i.e. entry
-    # half - 1 + q of the linear convolution with lags 1 .. n - 1; a
-    # circular size of n - 1 or more keeps those entries free of wrap-around
-    size = 1 << (n - 2).bit_length()
-    spectrum = np.fft.rfft(kernel[1:], size)
-
-    def square(v):
-        _, shift = np.frexp(np.max(np.abs(v)))
-        product = np.fft.rfft(np.ldexp(v, -shift), size) * spectrum
-        return np.ldexp(np.fft.irfft(product, size)[half - 1:n - 1], shift)
-
-    head = y[:half]
-    if np.iscomplexobj(head):
-        out[half:] += square(head.real) + 1j * square(head.imag)
-    else:
-        out[half:] += square(head)
+    levels, leaves, blocks = [], [], [(0, n)]
+    while blocks:  # each level maps a block size to the starts of its blocks
+        level = {}
+        for s, m in blocks:
+            if m > _DIRECT_MAX:
+                level.setdefault(m, []).append(s)
+            else:
+                leaves.append((s, m))
+        levels.append(level)
+        blocks = [b for m, starts in level.items() for s in starts
+                  for b in ((s, (m + 1) // 2), (s + (m + 1) // 2, m // 2))]
+    out = np.concatenate([np.convolve(y[s:s + m], kernel[:m])[:m]
+                          for s, m in sorted(leaves)])
+    # complex samples put their real and imaginary parts in one batch
+    parts = (y.real, y.imag) if np.iscomplexobj(y) else (y,)
+    for level in reversed(levels):
+        for m, starts in level.items():
+            half = (m + 1) // 2
+            # output half + q takes sample p < half at lag half + q - p, i.e.
+            # entry half - 1 + q of the linear convolution with lags 1 .. m - 1;
+            # a circular size of m - 1 or more keeps those free of wrap-around
+            size = 1 << (m - 2).bit_length()
+            heads = np.array([p[s:s + half] for p in parts for s in starts])
+            _, shift = np.frexp(np.abs(heads).max(1, keepdims=True))
+            product = np.fft.rfft(np.ldexp(heads, -shift), size)
+            product *= np.fft.rfft(kernel[1:m], size)
+            rows = np.ldexp(np.fft.irfft(product, size)[:, half - 1:m - 1], shift)
+            if len(parts) == 2:
+                rows = rows[:len(starts)] + 1j * rows[len(starts):]
+            for s, row in zip(starts, rows):
+                out[s + half:s + m] += row
     return out
 
 
@@ -220,12 +240,12 @@ def _product_trapezoid_integral(y: np.ndarray, h: float, mu: float) -> np.ndarra
     power-law kernel against the piecewise-linear interpolant of y."""
     n = len(y)
     out = np.zeros(n, dtype=np.result_type(y.dtype, np.float64))
-    k = np.arange(1.0, n)
+    p = np.arange(n + 1.0) ** (mu + 1.0)
     b = np.zeros(n)
-    b[1:] = (k + 1.0) ** (mu + 1.0) - 2.0 * k ** (mu + 1.0) + (k - 1.0) ** (mu + 1.0)
+    b[1:] = p[2:] - 2.0 * p[1:-1] + p[:-2]
     conv = _causal_convolve(y, b)
     i = np.arange(1.0, n)
-    a0 = (i - 1.0) ** (mu + 1.0) - i**mu * (i - mu - 1.0)
+    a0 = p[:-2] - i**mu * (i - mu - 1.0)
     scale = h**mu / gamma_fn(mu + 2.0)
     out[1:] = scale * (a0 * y[0] + conv[1:] - b[1:] * y[0] + y[1:])
     return out
@@ -286,8 +306,6 @@ def retrocausal_frac_deriv(f: GridFunction, order,
     conjugation is already the full operator (order 1 gives -f', order 2
     gives +f'').
     """
-    order = _as_order(order)
-    _validate(f, order)
     reflected = GridFunction(f.grid, f.samples[::-1])
     out = causal_frac_deriv(reflected, order, scheme)
     return GridFunction(f.grid, out.samples[::-1])

@@ -393,6 +393,25 @@ class TestJsonDeterminism:
         assert read(out1) == read(out2)
 
 
+@pytest.mark.parametrize("direction", ["causal", "retrocausal"])
+@pytest.mark.parametrize("scheme", ["gl", "trapezoid"])
+@pytest.mark.parametrize("alpha, smallest", [("0.5", 3), ("1.5", 4)])
+def test_fracdiff_across_its_size_range(tmp_path, capsys, alpha, smallest, scheme,
+                                        direction):
+    argv = ["fracdiff", "--alpha", alpha, "--fn", "sin(t)", "--scheme", scheme,
+            "--direction", direction]
+    out = tmp_path / "deriv.csv"
+    for n in (smallest, 65537):
+        assert main([*argv, "--n", str(n), "--output", str(out)]) == 0
+        data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",", ndmin=2)
+        assert data.shape == (n, 2) and np.all(np.isfinite(data))
+    capsys.readouterr()
+    assert main([*argv, "--n", str(smallest - 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: fracops.{direction}_frac_deriv: grid too coarse")
+
+
 @pytest.mark.parametrize("argv, origin", [
     (["fracdiff", "--alpha", "1.5", "--fn", "t", "--a", "0", "--b", "1e-300",
       "--n", "600"], "fracops.causal_frac_deriv"),

@@ -202,6 +202,25 @@ class TestCausal:
         with pytest.raises(ValueError, match="too coarse"):
             causal_frac_deriv(f, 1.5)
 
+    @pytest.mark.parametrize("a, b, n, alpha, scheme, samples", [
+        (0.0, 1.0, 16, 0.5, Scheme.GRUNWALD_LETNIKOV,
+         np.where(np.arange(16) == 3, np.nan, 1.0)),
+        (0.0, 1.0, 3, 1.5, Scheme.GRUNWALD_LETNIKOV, np.zeros(3)),
+        (0.0, 1e-300, 600, 1.5, Scheme.GRUNWALD_LETNIKOV, np.linspace(0.0, 1e-300, 600)),
+        (0.0, 1e300, 600, 1.5, Scheme.PRODUCT_TRAPEZOID, np.linspace(0.0, 1e300, 600)),
+    ], ids=["nan", "coarse", "step-power", "step-square"])
+    def test_both_directions_reject_with_the_same_message(self, a, b, n, alpha, scheme,
+                                                          samples):
+        # the retrocausal operator leaves every check to the causal one it
+        # calls on the reflected samples
+        f = GridFunction(Grid(a, b, n), samples)
+        messages = []
+        for deriv in (causal_frac_deriv, retrocausal_frac_deriv):
+            with pytest.raises(ValueError) as err:
+                deriv(f, alpha, scheme)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
 
 def right_rl_oracle(fn, u, b, alpha, delta=1e-4):
     """Direct quadrature of the right-sided definition: weakly singular
@@ -285,6 +304,41 @@ class TestLinearity:
         assert np.max(np.abs(out.samples - expected)) <= 1e-10
 
 
+def recursive_causal_convolve(y, kernel):
+    """Frozen reference: the triangular split as a plain recursion, one FFT
+    product per square. The batched split must give the same bits."""
+    n = len(y)
+    if n <= fracops._DIRECT_MAX:
+        return np.convolve(y, kernel)[:n]
+    half = (n + 1) // 2
+    out = np.concatenate((recursive_causal_convolve(y[:half], kernel[:half]),
+                          recursive_causal_convolve(y[half:], kernel[:n - half])))
+    size = 1 << (n - 2).bit_length()
+    spectrum = np.fft.rfft(kernel[1:], size)
+
+    def square(v):
+        _, shift = np.frexp(np.max(np.abs(v)))
+        product = np.fft.rfft(np.ldexp(v, -shift), size) * spectrum
+        return np.ldexp(np.fft.irfft(product, size)[half - 1:n - 1], shift)
+
+    head = y[:half]
+    if np.iscomplexobj(head):
+        out[half:] += square(head.real) + 1j * square(head.imag)
+    else:
+        out[half:] += square(head)
+    return out
+
+
+_ENVELOPES = {
+    "flat": lambda t: 1.0,
+    "exp(+t)": lambda t: np.exp(40.0 * t),
+    "exp(-t)": lambda t: np.exp(-40.0 * t),
+    "peak-1e306": lambda t: 1e306 / np.sqrt(2.0),
+    "peak-1e-306": lambda t: 1e-306,
+    "1e-300-to-1e300": lambda t: 10.0 ** (600.0 * t - 300.0),
+}
+
+
 class TestCausalConvolve:
     def test_path_selected_by_size(self, monkeypatch):
         direct_sizes = []
@@ -299,6 +353,40 @@ class TestCausalConvolve:
             direct_sizes.clear()
             fracops._causal_convolve(np.ones(n), gl_weights(0.5, n))
             assert direct_sizes == direct
+
+    @pytest.mark.parametrize("envelope", sorted(_ENVELOPES))
+    @pytest.mark.parametrize("complex_samples", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [513, 1025, 1500, 3001, 4097, 10001, 65536, 65537])
+    def test_batched_split_matches_recursion_bit_for_bit(self, n, complex_samples,
+                                                         envelope):
+        rng = np.random.default_rng(n)
+        t = np.linspace(0.0, 1.0, n)
+        y = rng.uniform(-1.0, 1.0, n)
+        if complex_samples:
+            y = y + 1j * rng.uniform(-1.0, 1.0, n)
+        y = y * _ENVELOPES[envelope](t)
+        kernel = gl_weights(1.3 if complex_samples else 0.7, n)
+        out = fracops._causal_convolve(y, kernel)
+        ref = recursive_causal_convolve(y, kernel)
+        assert out.dtype == ref.dtype
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("n, calls", [(65536, 21), (65537, 42)])
+    def test_one_transform_batch_per_shape_and_depth(self, monkeypatch, n, calls):
+        # a kernel rfft, a row rfft and an irfft per block size and depth:
+        # 65536 splits at 7 depths with one size each, 65537 at 8 depths
+        # with 14 sizes. The recursion made 3 calls per block, 381 at 65536.
+        counts = {"rfft": 0, "irfft": 0}
+        for name in counts:
+            def counting(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(fracops.np.fft, name, counting)
+        y = np.random.default_rng(3).standard_normal(n)
+        for samples in (y, y + 1j * y[::-1]):
+            counts.update(rfft=0, irfft=0)
+            fracops._causal_convolve(samples, gl_weights(0.5, n))
+            assert counts == {"rfft": 2 * calls // 3, "irfft": calls // 3}
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("deriv", [causal_frac_deriv, retrocausal_frac_deriv])

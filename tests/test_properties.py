@@ -47,6 +47,7 @@ from retromech.oscillator import (  # noqa: E402
     solve_retrocausal,
     time_reverse,
 )
+from test_fracops import recursive_causal_convolve  # noqa: E402
 
 
 @hypothesis.settings(max_examples=40)
@@ -73,7 +74,8 @@ def trapezoid_kernel(mu, n):
 
 @hypothesis.settings(max_examples=60)
 @hypothesis.given(n=st.one_of(st.integers(2, _DIRECT_MAX),  # both sides of the crossover
-                              st.integers(_DIRECT_MAX + 1, 4 * _DIRECT_MAX)),
+                              st.integers(_DIRECT_MAX + 1, 4 * _DIRECT_MAX),
+                              st.integers(4 * _DIRECT_MAX + 1, 64 * _DIRECT_MAX)),
                   alpha=st.floats(0.01, 1.99),
                   gl=st.booleans(), complex_samples=st.booleans(),
                   growth=st.floats(-80.0, 80.0),
@@ -86,8 +88,11 @@ def test_causal_convolve_matches_direct_sum(n, alpha, gl, complex_samples, growt
     if complex_samples:
         y = y + 1j * rng.standard_normal(n)
     y = y * np.exp(growth * np.linspace(0.0, 1.0, n))
-    ref = np.convolve(y, kernel)[:n]
     out = _causal_convolve(y, kernel)
+    if n > 4 * _DIRECT_MAX:  # the O(n^2) sum is too slow here; the frozen recursion is exact
+        assert np.array_equal(out, recursive_causal_convolve(y, kernel))
+        return
+    ref = np.convolve(y, kernel)[:n]
     if n <= _DIRECT_MAX:
         assert np.array_equal(out, ref)
     # each output against the size of its own sum, which only holds the
