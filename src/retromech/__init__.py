@@ -21,9 +21,8 @@ __version__ = "0.1.0"
 
 #: module -> the names the package exports from it
 _EXPORTS = {
-    "core": ("DEFAULT_TOLERANCES", "NATURAL_UNITS", "Grid", "GridFunction", "Regime",
-             "ToleranceConfig", "UnitsConfig", "UnstableIntegrationError",
-             "classify_regime"),
+    "core": ("NATURAL_UNITS", "Grid", "GridFunction", "Regime", "UnitsConfig",
+             "UnstableIntegrationError", "classify_regime"),
     "enums": ("Direction", "Scheme"),
     "fracops": ("ComposeHalfResult", "FracOrder", "causal_frac_deriv", "compose_half",
                 "gamma_fn", "gl_weights", "retrocausal_frac_deriv"),

@@ -30,6 +30,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -481,8 +482,7 @@ def _cmd_derive_eom(opts):
         # CLI convenience: a bare 'a' (or 'alpha') order placeholder gets the
         # numeric value; the core grammar itself stays purely numeric
         value = repr(float(opts["alpha"]))
-        for token in ("q[alpha]", "q[ alpha ]", "q[a]", "q[ a ]"):
-            text = text.replace(token, f"q[{value}]")
+        text = re.sub(r"q\[\s*(?:alpha|a)\s*\]", f"q[{value}]", text)
     spec = _wrap("lagrangian.parse_lagrangian", lagrangian.parse_lagrangian, text)
     causal = _wrap("lagrangian.derive_causal_eom",
                    lagrangian.derive_causal_eom, spec)

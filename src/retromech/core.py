@@ -22,8 +22,7 @@ __all__ = [
     "GridFunction",
     "UnitsConfig",
     "NATURAL_UNITS",
-    "ToleranceConfig",
-    "DEFAULT_TOLERANCES",
+    "CRITICAL_BAND",
     "Regime",
     "classify_regime",
     "UnstableIntegrationError",
@@ -112,27 +111,9 @@ class UnitsConfig:
 NATURAL_UNITS = UnitsConfig()
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Default numeric tolerances shared by the operators and the built-in
-    verification checks."""
-
-    linearity_abs: float = 1e-10
-    power_law_rel: float = 1e-2
-    # fraction of the interval to skip next to the singular endpoint when
-    # asserting pointwise accuracy
-    interior_margin: float = 0.1
-    gl_min_order: float = 0.9
-    reflection_rel: float = 1e-2
-    semigroup_rel: float = 2e-2
-    gamma_rel: float = 1e-10
-    # start-value check for the half-order composition
-    boundary_rtol: float = 1e-8
-    # relative band around zero discriminant treated as critical damping
-    critical_band: float = 1e-12
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+#: Relative band around a zero discriminant that :func:`classify_regime`
+#: treats as critical damping.
+CRITICAL_BAND = 1e-12
 
 
 class Regime(enum.Enum):
@@ -153,7 +134,7 @@ def classify_regime(c1: float, c0: float) -> Regime:
     if c1 == 0:
         return Regime.UNDAMPED
     disc = c1**2 - 4.0 * c0
-    band = DEFAULT_TOLERANCES.critical_band * max(c1**2, 4.0 * c0)
+    band = CRITICAL_BAND * max(c1**2, 4.0 * c0)
     if abs(disc) <= band:
         return Regime.CRITICAL
     return Regime.UNDERDAMPED if disc < 0 else Regime.OVERDAMPED

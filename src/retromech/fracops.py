@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, GridFunction, ToleranceConfig
+from .core import GridFunction
 from .enums import Direction, Scheme
 
 __all__ = [
@@ -47,12 +47,17 @@ __all__ = [
     "retrocausal_frac_deriv",
     "compose_half",
     "MAX_ORDER",
+    "BOUNDARY_RTOL",
 ]
 
 #: Largest accepted differentiation order. Non-integer orders above 2 are
 #: out of scope; the integer order 2 itself is kept because the classical
 #: reductions need a plain second derivative.
 MAX_ORDER = 2.0
+
+#: :func:`compose_half` flags a start value above this fraction of the
+#: samples' peak (or of 1, if the peak is smaller).
+BOUNDARY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -320,8 +325,7 @@ class ComposeHalfResult:
 
 
 def compose_half(f: GridFunction, direction: Direction = Direction.CAUSAL,
-                 scheme: Scheme = Scheme.GRUNWALD_LETNIKOV,
-                 tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> ComposeHalfResult:
+                 scheme: Scheme = Scheme.GRUNWALD_LETNIKOV) -> ComposeHalfResult:
     """Apply the order-1/2 derivative twice along ``direction``.
 
     Approximates d/dt for the causal sweep and -d/dt for the retrocausal
@@ -331,7 +335,7 @@ def compose_half(f: GridFunction, direction: Direction = Direction.CAUSAL,
     half = FracOrder(0.5)
     start = f.samples[0] if direction is Direction.CAUSAL else f.samples[-1]
     scale = float(np.max(np.abs(f.samples)))
-    boundary_ok = bool(abs(start) <= tolerances.boundary_rtol * max(1.0, scale))
+    boundary_ok = bool(abs(start) <= BOUNDARY_RTOL * max(1.0, scale))
     deriv = causal_frac_deriv if direction is Direction.CAUSAL else retrocausal_frac_deriv
     once = deriv(f, half, scheme)
     twice = deriv(once, half, scheme)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from retromech import verify
 from retromech.cli import _csv, main, parse_args
 
 
@@ -149,11 +150,25 @@ class TestDeriveEomCommand:
         assert "1·q'' + 0.3·q' + 4·q = 0" in out
         assert "1·q'' - 0.3·q' + 4·q = 0" in out
 
-    def test_alpha_placeholder_substitution(self, capsys):
-        argv = ["derive-eom", "--lagrangian",
-                "1.0*q[1] + 0.3*q[a] + 4.0*q[0]", "--alpha", "0.5"]
-        assert main(argv) == 0
-        assert "0.3·D^1[q]" in capsys.readouterr().out
+    @pytest.mark.parametrize("placeholder", [
+        "q[a]", "q[ a]", "q[a ]", "q[ a ]", "q[\ta]", "q[alpha]", "q[ alpha]",
+        "q[alpha ]", "q[ alpha ]", "q[\talpha\t]"])
+    def test_alpha_placeholder_substitution(self, capsys, placeholder):
+        # the grammar ignores whitespace, so the placeholder does too
+        def run(order):
+            argv = ["derive-eom", "--lagrangian",
+                    f"1.0*q[1] + 0.3*{order} + 4.0*q[0]", "--alpha", "0.5"]
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        out = run(placeholder)
+        assert "0.3·D^1[q]" in out
+        assert out == run("q[0.5]")
+
+    def test_alpha_placeholder_is_a_whole_token(self, capsys):
+        argv = ["derive-eom", "--lagrangian", "1.0*q[1] + 0.3*q[ab]", "--alpha", "0.5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: lagrangian.parse_lagrangian: ")
 
     def test_json_export(self, tmp_path, capsys):
         out = tmp_path / "eom.json"
@@ -518,7 +533,28 @@ def test_unsolvable_hamiltonians_exit_1(capsys, argv, origin, detail):
 
 
 def test_verify_command_passes(capsys):
+    # one line per registry entry, in order, then the summary the bench parses
+    names = [name for name, _ in verify.CHECKS]
+    assert len(set(names)) == len(names)
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "checks passed" in out
-    assert "[FAIL]" not in out
+    n = len(names)
+    assert capsys.readouterr().out == "".join(
+        f"[ok]   {name}\n" for name in names) + f"{n}/{n} checks passed\n"
+
+
+def test_verify_reports_a_failing_check(monkeypatch, capsys):
+    def broken():
+        raise AssertionError("deliberate")
+
+    checks = list(verify.CHECKS)
+    name = checks[3][0]
+    checks[3] = (name, broken)
+    monkeypatch.setattr(verify, "CHECKS", tuple(checks))
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    n = len(checks)
+    assert lines[3] == f"[FAIL] {name}: deliberate"
+    assert lines[-1] == f"{n - 1}/{n} checks passed"
+    assert len(lines) == n + 1
+    assert captured.err == "error: verify: 1 check(s) failed\n"

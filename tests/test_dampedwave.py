@@ -107,10 +107,11 @@ class TestFreeSolution:
         exact = (1.0 + x) * np.exp(-x)
         assert np.max(np.abs(sol.closed_form.samples - exact)) <= 1e-10
 
-    def test_rk4_agrees_across_random_regimes(self):
-        rng = np.random.default_rng(23)
+    @pytest.mark.parametrize("seed, draws", [(23, 8), (41, 20)])
+    def test_rk4_agrees_across_random_regimes(self, seed, draws):
+        rng = np.random.default_rng(seed)
         grid = Grid(0.0, 10.0, 10001)
-        for _ in range(8):
+        for _ in range(draws):
             params = DampedWaveParams(float(rng.uniform(0.0, 2.5)),
                                       float(rng.uniform(0.1, 2.0)))
             sol = solve_damped_free(params, grid)
@@ -132,7 +133,7 @@ class TestFreeSolution:
             assert np.max(np.abs(samples[-200:])) < np.max(np.abs(samples[:200]))
 
     def test_tiny_xi_recovers_free_wave(self):
-        grid = Grid(0.0, 10.0, 5001)
+        grid = Grid(0.0, 10.0, 10001)
         sol = solve_damped_free(DampedWaveParams(1e-8, 0.5), grid)
         x = grid.points()
         assert np.max(np.abs(sol.closed_form.samples - np.cos(x))) <= 1e-6
@@ -154,6 +155,8 @@ class TestDampedWell:
     def test_shooting_confirms_wall_hit(self, xi):
         modes = damped_well_modes(xi, 1.0, count=5)
         assert np.max(modes.shooting_residuals) <= 1e-8
+        exact = ((np.arange(1, 6) * math.pi) ** 2 + xi**2) / 2.0
+        assert np.max(np.abs(modes.energies - exact)) <= 1e-12
 
     @pytest.mark.parametrize("xi", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("length", [1.0, 5.0])
