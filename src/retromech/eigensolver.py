@@ -302,6 +302,16 @@ def superposition_density(solution: EigenSolution, coeffs, t: float) -> GridFunc
     return GridFunction(solution.grid, (psi * np.conj(psi)).real)
 
 
+def _functional(u, w, v, energy, h, units: UnitsConfig):
+    """hbar^2/(2m) sum diff(u) diff(w) / h + trapezoid((V - E) u w, dx=h),
+    taken along the last axis: one value for each row of ``u`` and ``w``,
+    with ``v`` the potential sampled on the grid."""
+    kinetic = units.hbar**2 / (2.0 * units.mass) * np.sum(
+        np.diff(u) * np.diff(w), axis=-1) / h
+    pot = np.trapezoid((v - energy) * u * w, dx=h, axis=-1)
+    return (kinetic + pot).real
+
+
 def energy_functional(psi_plus: GridFunction, psi_minus: GridFunction,
                       potential: Potential, energy: float,
                       units: UnitsConfig = NATURAL_UNITS) -> float:
@@ -316,13 +326,9 @@ def energy_functional(psi_plus: GridFunction, psi_minus: GridFunction,
     if psi_plus.grid != psi_minus.grid:
         raise ValueError("grid mismatch between psi_plus and psi_minus")
     grid = psi_plus.grid
-    h = grid.h
-    u = psi_plus.samples
-    w = psi_minus.samples
-    kinetic = units.hbar**2 / (2.0 * units.mass) * np.sum(np.diff(u) * np.diff(w)) / h
     v = np.asarray(potential.evaluate(grid.points()), dtype=np.float64)
-    pot = np.trapezoid((v - energy) * u * w, dx=h)
-    return float((kinetic + pot).real)
+    return float(_functional(psi_plus.samples, psi_minus.samples, v, energy, grid.h,
+                             units))
 
 
 @dataclass(frozen=True)
@@ -343,7 +349,7 @@ def stationarity_check(solution: EigenSolution, index: int,
                        energy_override: float | None = None) -> StationarityReport:
     """Measure how the functional responds to perturbed eigenfunctions.
 
-    Each perturbation eta is a random smooth combination of the first few
+    Each perturbation eta is a random smooth combination of the first six
     Dirichlet sine modes (zero at the walls, unit norm); smoothness keeps
     its operator energy moderate so the first variation is not buried
     under the quadratic term. The functional change between scales eps and
@@ -351,37 +357,44 @@ def stationarity_check(solution: EigenSolution, index: int,
     eigenpair, linear (about 1) when the supplied energy is not the
     eigenvalue. ``stationary`` is set when the smallest measured exponent
     reaches 1.9.
+
+    ``trials`` (an integer >= 1) perturbations are drawn as one block of
+    ``trials`` x 6 normal weights from ``seed``, and all of them are
+    evaluated in one array pass per scale. Each row is summed mode by mode
+    and normalized on its own, so every exponent has the bits it would
+    have if the trials were evaluated one at a time with the same draws.
     """
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not 0 < perturbation_scale <= 0.1:
         raise ValueError(f"perturbation scale must be in (0, 0.1], "
                          f"got {perturbation_scale}")
     if not 0 <= index < solution.count:
         raise IndexError(f"eigenstate index {index} out of range")
-    psi = solution.eigenfunctions[index]
+    psi = solution.eigenfunctions[index].samples
     energy = solution.energies[index] if energy_override is None else energy_override
-    base = energy_functional(psi, psi, solution.potential, energy, solution.units)
-    rng = np.random.default_rng(seed)
     grid = solution.grid
-    span = grid.b - grid.a
-    phase = math.pi * (grid.points() - grid.a) / span
-    exponents = []
-    for _ in range(trials):
-        eta = np.zeros(grid.n)
-        for mode, weight in enumerate(rng.standard_normal(6), start=1):
-            eta += weight * np.sin(mode * phase)
-        eta[0] = eta[-1] = 0.0
-        eta /= np.linalg.norm(eta)
-        deltas = []
-        for eps in (perturbation_scale, perturbation_scale / 10.0):
-            perturbed = GridFunction(grid, psi.samples + eps * eta)
-            value = energy_functional(perturbed, perturbed, solution.potential,
-                                      energy, solution.units)
-            deltas.append(max(abs(value - base), 1e-300))
-        exponents.append(math.log10(deltas[0] / deltas[1]))
+    x = grid.points()
+    v = np.asarray(solution.potential.evaluate(x), dtype=np.float64)
+    base = float(_functional(psi, psi, v, energy, grid.h, solution.units))
+    weights = np.random.default_rng(seed).standard_normal((trials, 6))
+    phase = math.pi * (x - grid.a) / (grid.b - grid.a)
+    eta = np.zeros((trials, grid.n))
+    for j, mode in enumerate(np.sin(np.arange(1, 7)[:, None] * phase)):
+        eta += weights[:, j:j + 1] * mode
+    eta[:, 0] = eta[:, -1] = 0.0
+    # one norm per row: a batched norm sums in another order
+    eta /= np.array([np.linalg.norm(row) for row in eta])[:, None]
+    deltas = []
+    for eps in (perturbation_scale, perturbation_scale / 10.0):
+        perturbed = psi + eps * eta
+        values = _functional(perturbed, perturbed, v, energy, grid.h, solution.units)
+        deltas.append(np.maximum(np.abs(values - base), 1e-300))
+    exponents = tuple(math.log10(r) for r in (deltas[0] / deltas[1]).tolist())
     min_exponent = min(exponents)
     return StationarityReport(index=index, energy=float(energy),
                               epsilon=perturbation_scale,
-                              exponents=tuple(exponents),
+                              exponents=exponents,
                               min_exponent=min_exponent,
                               stationary=min_exponent >= 1.9)
 

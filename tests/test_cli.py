@@ -427,6 +427,48 @@ def test_fracdiff_across_its_size_range(tmp_path, capsys, alpha, smallest, schem
     assert captured.err.startswith(f"error: fracops.{direction}_frac_deriv: grid too coarse")
 
 
+def test_eigensolve_across_its_size_range(capsys):
+    def run(*argv):
+        code = main(["eigensolve", *argv])
+        return code, capsys.readouterr()
+
+    def failure(captured, origin, detail):
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {origin}: ") and detail in captured.err
+
+    # n = 16 leaves 14 interior nodes: every eigenpair of the matrix
+    code, captured = run("--potential", "well,1", "--n", "16", "--count", "14")
+    assert code == 0
+    energies = np.array(json.loads(captured.out)["energies"])
+    assert energies.shape == (14,) and np.all(np.isfinite(energies))
+    assert np.all(np.diff(energies) > 0)
+    code, captured = run("--potential", "well,1", "--n", "16", "--count", "15")
+    assert code == 1
+    failure(captured, "eigensolver.solve_spectrum",
+            "count = 15 exceeds matrix dimension 14")
+    code, captured = run("--potential", "well,1", "--n", "15")
+    assert code == 1
+    failure(captured, "eigensolver.build_hamiltonian", "grid too coarse: n = 15 < 16")
+    code, captured = run("--potential", "harmonic,1", "--n", "16", "--format", "csv")
+    assert code == 0
+    data = np.loadtxt(captured.out.splitlines()[1:], delimiter=",")
+    assert data.shape == (16, 4) and np.all(np.isfinite(data))
+    code, captured = run("--potential", "harmonic,1", "--n", "20000", "--count", "20")
+    assert code == 0
+    energies = np.array(json.loads(captured.out)["energies"])
+    exact = np.arange(20) + 0.5
+    assert np.max(np.abs(energies - exact) / exact) <= 1e-3
+    # the residual bound is absolute while ||H|| grows like h^-2, so the
+    # well misses it at n = 8000; the contract is to fail, naming the bound
+    code, captured = run("--potential", "well,1", "--n", "8000")
+    assert code == 1
+    failure(captured, "eigensolver.solve_spectrum", "residual")
+    for direction, solver in (("causal", "solve_causal"),
+                              ("retrocausal", "solve_retrocausal")):
+        assert main(["oscillate", "--n", "2", "--direction", direction]) == 1
+        failure(capsys.readouterr(), f"oscillator.{solver}", "stability region")
+
+
 @pytest.mark.parametrize("argv, origin", [
     (["fracdiff", "--alpha", "1.5", "--fn", "t", "--a", "0", "--b", "1e-300",
       "--n", "600"], "fracops.causal_frac_deriv"),

@@ -1,4 +1,5 @@
 import importlib.machinery
+import itertools
 import math
 import os
 import subprocess
@@ -353,6 +354,39 @@ class TestEnergyFunctional:
             energy_functional(well_solution.eigenfunctions[0], other, WELL, 1.0)
 
 
+def per_trial_stationarity(solution, index, perturbation_scale, *, trials, seed,
+                           energy_override):
+    """Frozen reference: the stationarity probe as a loop over trials, six
+    sine calls per perturbation and one functional evaluation (potential
+    included) per value. The batched probe must give the same bits."""
+    grid, units = solution.grid, solution.units
+    h = grid.h
+
+    def functional(u, energy):
+        kinetic = units.hbar**2 / (2.0 * units.mass) * np.sum(np.diff(u) * np.diff(u)) / h
+        v = np.asarray(solution.potential.evaluate(grid.points()), dtype=np.float64)
+        pot = np.trapezoid((v - energy) * u * u, dx=h)
+        return float((kinetic + pot).real)
+
+    psi = solution.eigenfunctions[index].samples
+    energy = solution.energies[index] if energy_override is None else energy_override
+    base = functional(psi, energy)
+    rng = np.random.default_rng(seed)
+    phase = math.pi * (grid.points() - grid.a) / (grid.b - grid.a)
+    exponents = []
+    for _ in range(trials):
+        eta = np.zeros(grid.n)
+        for mode, weight in enumerate(rng.standard_normal(6), start=1):
+            eta += weight * np.sin(mode * phase)
+        eta[0] = eta[-1] = 0.0
+        eta /= np.linalg.norm(eta)
+        deltas = [max(abs(functional(psi + eps * eta, energy) - base), 1e-300)
+                  for eps in (perturbation_scale, perturbation_scale / 10.0)]
+        exponents.append(math.log10(deltas[0] / deltas[1]))
+    return {"exponents": tuple(exponents), "min_exponent": min(exponents),
+            "stationary": min(exponents) >= 1.9, "energy": float(energy)}
+
+
 class TestStationarity:
     def test_quadratic_response_at_eigenpair(self, well_solution):
         report = stationarity_check(well_solution, 0, 1e-2)
@@ -361,11 +395,30 @@ class TestStationarity:
         # exponent about 2 means |dF| shrinks about 100x from eps to eps/10
         assert all(1.9 <= e <= 2.1 for e in report.exponents)
 
-    def test_zero_perturbation_changes_nothing(self, well_solution):
-        psi = well_solution.eigenfunctions[0]
-        e0 = float(well_solution.energies[0])
-        assert energy_functional(psi, psi, WELL, e0) == \
-            energy_functional(psi, psi, WELL, e0)
+    @pytest.mark.parametrize("n", [16, 100, 2000, 3000])
+    @pytest.mark.parametrize("potential", [WELL, HarmonicPotential(1.0),
+                                           HarmonicPotential(2.3)],
+                             ids=["well", "harmonic-1", "harmonic-2.3"])
+    def test_batched_probe_matches_per_trial_loop_bit_for_bit(self, potential, n):
+        solution = solve_spectrum(build_hamiltonian(potential,
+                                                    default_grid(potential, n)), 3)
+        for index, scale, shift, seed, trials in itertools.product(
+                range(3), (1e-3, 1e-2, 0.1), (None, 0.5), (2024, 7), (1, 10)):
+            override = None if shift is None else float(solution.energies[index]) + shift
+            report = stationarity_check(solution, index, scale, trials=trials, seed=seed,
+                                        energy_override=override)
+            ref = per_trial_stationarity(solution, index, scale, trials=trials,
+                                         seed=seed, energy_override=override)
+            case = (index, scale, shift, seed, trials)
+            assert report.exponents == ref["exponents"], case
+            assert report.min_exponent == ref["min_exponent"], case
+            assert report.stationary == ref["stationary"], case
+            assert report.energy == ref["energy"], case
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.5])
+    def test_trials_must_be_a_positive_integer(self, well_solution, trials):
+        with pytest.raises(ValueError, match="trials"):
+            stationarity_check(well_solution, 0, 1e-2, trials=trials)
 
     def test_wrong_energy_reported_non_stationary(self, well_solution):
         report = stationarity_check(well_solution, 0, 1e-2,
