@@ -27,7 +27,6 @@ __all__ = [
     "classify_regime",
     "UnstableIntegrationError",
     "MARCH_BLOCK",
-    "rk4_propagator",
     "integrate_second_order",
 ]
 
@@ -156,24 +155,25 @@ class UnstableIntegrationError(RuntimeError):
 MARCH_BLOCK = 256
 
 
-def rk4_propagator(coeffs, h: float) -> np.ndarray:
-    """One classical RK4 step of y'' = -c1 y' - c0 y as a 2x2 matrix.
+def _rk4_increment(coeffs, h) -> np.ndarray:
+    """P - I for one classical RK4 step of y'' = -c1 y' - c0 y.
 
     For a linear system RK4 is exactly s_{j+1} = P s_j on the state
     s = (y, y'), with P = R(hA) the degree-4 stability polynomial of the
-    companion matrix A (Hairer & Wanner, Solving ODEs II).
+    companion matrix A (Hairer & Wanner, Solving ODEs II). Running the RK4
+    stage formulas once on the two unit states gives P - I: its columns
+    are the increments of the steps from (1, 0) and (0, 1). Kept apart from
+    I, the O(h) increment carries full relative precision, which a rounded
+    P = I + O(h) would lose at every power.
+
+    ``c0`` and ``h`` may be arrays of one shape S: the result then has shape
+    (2, 2) + S, each entry's increment with the bits of the scalar call.
     """
-    return np.eye(2) + _rk4_increment(coeffs, h)
-
-
-def _rk4_increment(coeffs, h: float) -> np.ndarray:
-    """P - I, from running the RK4 stage formulas once on the two unit
-    states: its columns are the increments of the steps from (1, 0) and
-    (0, 1). Kept apart from I, the O(h) increment carries full relative
-    precision, which a rounded P = I + O(h) would lose at every power."""
     c1, c0 = coeffs
-    y = np.array([1.0, 0.0])
-    v = np.array([0.0, 1.0])
+    # the unit states run along the first axis, ahead of the axes of h
+    shape = (2,) + (1,) * np.ndim(h)
+    y = np.array([1.0, 0.0]).reshape(shape)
+    v = np.array([0.0, 1.0]).reshape(shape)
 
     def accel(y, v):
         return -c1 * v - c0 * y
@@ -215,7 +215,7 @@ def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False
 
     Marches forward from ``grid.a`` (or backward from ``grid.b`` when
     ``backward`` is set) and returns ``(y, v)`` sample arrays in forward
-    grid order. Every step is the same matrix P (:func:`rk4_propagator`),
+    grid order. Every step is the same matrix P (:func:`_rk4_increment`),
     so the march is blocked: the states of a block are the powers
     P^0 .. P^(B-1) applied to the block's start in one product, and the
     block starts are chained by P^B. Powers are held as P^j - I, so the

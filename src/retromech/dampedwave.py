@@ -9,7 +9,8 @@ side is unstable. The module solves the free equation twice over
 (2 xi, k^2), cross-checked), classifies the damping regime, and works out
 the hard-wall well whose mode energies pick up a uniform xi^2 shift,
 confirmed by RK4 shooting: psi(L) from (psi, psi') = (0, 1) is one entry
-of a matrix power of the RK4 step.
+of a matrix power of the RK4 step, and every mode's step and power are
+one stacked array pass.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +29,9 @@ from .core import (
     GridFunction,
     Regime,
     UnitsConfig,
+    _rk4_increment,
     classify_regime,
     integrate_second_order,
-    rk4_propagator,
 )
 
 __all__ = [
@@ -46,6 +48,10 @@ __all__ = [
 #: RK4 vs closed-form disagreement is recorded on the solution; the
 #: shooting cross-check inside the well-mode computation is enforced.
 SHOOTING_BOUND = 1e-8
+
+#: Modes shot per stacked pass, which bounds the pass's working arrays at
+#: any count the caller asks for.
+SHOOTING_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -109,10 +115,6 @@ class DampedFreeSolution:
     closed_form: GridFunction
     rk4: GridFunction
     max_discrepancy: float
-
-    @property
-    def psi(self) -> GridFunction:
-        return self.closed_form
 
 
 def _closed_form(params: DampedWaveParams, grid: Grid, psi0: complex,
@@ -190,17 +192,67 @@ def _shooting_steps(k: float, length: float, minimum: int) -> int:
     return max(minimum, math.ceil(needed))
 
 
+def _stacked_power(a: np.ndarray, exponents: list) -> np.ndarray:
+    """``a[i]`` to the power ``exponents[i]`` (Python ints >= 1, of any
+    size) for a (m, 2, 2) stack, with the same products
+    :func:`numpy.linalg.matrix_power` forms for each matrix.
+
+    That is the right-to-left binary method (Knuth, TAOCP vol. 2, 4.6.3):
+    z runs through a^(2^j) by squaring, the lowest set bit j starts
+    ``result = z`` and each higher one sets ``result = result @ z``;
+    exponent 3 is the shortcut ``(a @ a) @ a``. Each square and product is one stacked
+    ``matmul`` over every matrix, whose bits equal a 2x2 ``matmul``'s.
+    """
+    exponents = [operator.index(e) for e in exponents]
+    width = max((e.bit_length() for e in exponents), default=0)
+    nbytes = -(-width // 8)
+    packed = np.frombuffer(b"".join(e.to_bytes(nbytes, "little") for e in exponents),
+                           dtype=np.uint8).reshape(len(exponents), nbytes)
+    bits = np.unpackbits(packed, axis=1, count=width, bitorder="little").astype(bool)
+    z = a
+    result = a.copy()
+    started = np.zeros(len(exponents), dtype=bool)
+    for j, bit in enumerate(bits.T):
+        if j:
+            z = z @ z
+            product = np.where(started[:, None, None], result @ z, z)
+            np.copyto(result, product, where=bit[:, None, None])
+        started |= bit
+    cubes = np.array([e == 3 for e in exponents], dtype=bool)
+    if cubes.any():
+        cube = a[cubes]
+        result[cubes] = (cube @ cube) @ cube
+    return result
+
+
 def damped_well_modes(xi: float, length: float,
                       units: UnitsConfig = NATURAL_UNITS, count: int = 5, *,
                       shape_points: int = 513,
                       shooting_points: int = 3001) -> DampedWellModes:
+    """The lowest ``count`` hard-wall modes of the damped well [0, length].
+
+    Energies are closed form, E_n = (hbar^2 / 2m)(n^2 pi^2 / L^2 + xi^2).
+    Each is cross-checked by RK4 shooting from (psi, psi') = (0, 1):
+    psi(L) is the (0, 1) entry of P^N for the mode's RK4 step P, with N
+    from :func:`_shooting_steps` (at least ``shooting_points - 1``), and
+    every residual |psi(L)| must be at most :data:`SHOOTING_BOUND`. Modes
+    are shot :data:`SHOOTING_BLOCK` at a time, each block as one
+    (modes, 2, 2) stack of steps and one stacked binary power
+    (:func:`_stacked_power`), bit for bit the per-mode ``matrix_power``.
+
+    ``count`` is an ``int`` or ``np.integer`` >= 0 (not a ``bool``).
+    Raises ``ValueError`` for a bad ``xi``, ``length`` or ``count`` or for
+    energies that overflow, and ``RuntimeError`` naming the lowest mode
+    whose residual misses the bound.
+    """
     # xi * xi overflows to inf where xi**2 would raise
     if not (xi >= 0 and math.isfinite(xi * xi)):
         raise ValueError(f"xi must be >= 0 with a finite square, got {xi}")
     if not (np.isfinite(length) and length > 0):
         raise ValueError(f"length must be positive, got {length}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+            or count < 0):
+        raise ValueError(f"count must be an integer >= 0, got {count!r}")
     modes = np.arange(1, count + 1, dtype=np.float64)
     with np.errstate(over="ignore"):
         wavenumbers2 = (modes * math.pi / length) ** 2 + xi**2
@@ -209,12 +261,21 @@ def damped_well_modes(xi: float, length: float,
         raise ValueError(f"mode energies overflow at length {length} and count {count}")
     energies.setflags(write=False)
     residuals = np.empty(count)
-    for i, k2 in enumerate(wavenumbers2):
-        steps = _shooting_steps(math.sqrt(k2), length, shooting_points - 1)
-        propagator = rk4_propagator((2.0 * xi, k2), length / steps)
-        # psi(L) from (psi, psi') = (0, 1) is the (0, 1) entry of P^steps
-        residuals[i] = abs(np.linalg.matrix_power(propagator, steps)[0, 1])
-        if not residuals[i] <= SHOOTING_BOUND:
+    for start in range(0, count, SHOOTING_BLOCK):
+        block = wavenumbers2[start:start + SHOOTING_BLOCK]
+        steps = [_shooting_steps(math.sqrt(k2), length, shooting_points - 1)
+                 for k2 in block.tolist()]
+        h = np.array([length / n for n in steps], dtype=np.float64)
+        # a shot that misses overflows its power; the bound below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            increments = _rk4_increment((2.0 * xi, block), h).transpose(2, 0, 1)
+            propagators = np.eye(2) + increments
+            # psi(L) from (psi, psi') = (0, 1) is the (0, 1) entry of P^steps
+            shots = np.abs(_stacked_power(propagators, steps)[:, 0, 1])
+        residuals[start:start + len(shots)] = shots
+        missed = np.flatnonzero(~(shots <= SHOOTING_BOUND))
+        if missed.size:
+            i = start + missed[0]
             raise RuntimeError(
                 f"shooting cross-check failed for mode {i + 1}: "
                 f"|psi(L)| = {residuals[i]:.3e}"

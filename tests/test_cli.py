@@ -469,6 +469,43 @@ def test_eigensolve_across_its_size_range(capsys):
         failure(capsys.readouterr(), f"oscillator.{solver}", "stability region")
 
 
+def test_dampedwave_across_its_size_range(capsys):
+    def run(*argv):
+        code = main(["dampedwave", *argv])
+        return code, capsys.readouterr()
+
+    code, captured = run("--xi", "0.3", "--n", "2")
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: dampedwave.solve_damped_free: ")
+    assert "stability region" in captured.err
+    for n in (5, 200001):
+        code, captured = run("--xi", "0", "--n", str(n))
+        assert code == 0
+        data = np.loadtxt(captured.out.splitlines()[1:], delimiter=",")
+        assert data.shape == (n, 4) and np.all(np.isfinite(data))
+    code, captured = run("--xi", "0", "--well", "1", "--count", "20000",
+                         "--format", "json")
+    assert code == 0
+    doc = json.loads(captured.out)
+    energies = np.array(doc["energies"])
+    assert energies.shape == (20000,) and np.all(np.diff(energies) > 0)
+    assert max(doc["shooting_residuals"]) <= 1e-8
+
+
+def test_failed_shot_prints_only_the_error_line():
+    # the per-mode power printed numpy's overflow and invalid-value
+    # RuntimeWarnings ahead of the error line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["retromech.cli"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "retromech", "dampedwave", "--xi", "1",
+                           "--well", "1e100", "--count", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == ("error: dampedwave.damped_well_modes: shooting cross-check "
+                           "failed for mode 1: |psi(L)| = nan\n")
+
+
 @pytest.mark.parametrize("argv, origin", [
     (["fracdiff", "--alpha", "1.5", "--fn", "t", "--a", "0", "--b", "1e-300",
       "--n", "600"], "fracops.causal_frac_deriv"),

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from retromech.core import Grid, Regime, UnitsConfig, classify_regime
+from retromech import dampedwave
+from retromech.core import NATURAL_UNITS, Grid, Regime, UnitsConfig, classify_regime
 from retromech.dampedwave import (
     SHOOTING_BOUND,
     DampedWaveParams,
+    _shooting_steps,
+    _stacked_power,
     characteristic_roots,
     damped_well_modes,
     envelope_decay_rate,
@@ -17,6 +20,51 @@ from retromech.dampedwave import (
 
 def classify(params):
     return classify_regime(*params.coeffs)
+
+
+def per_mode_rk4_increment(coeffs, h):
+    """The scalar RK4 stage pass the stacked shooting replaced."""
+    c1, c0 = coeffs
+    y = np.array([1.0, 0.0])
+    v = np.array([0.0, 1.0])
+
+    def accel(y, v):
+        return -c1 * v - c0 * y
+
+    a1 = accel(y, v)
+    y2 = y + 0.5 * h * v
+    v2 = v + 0.5 * h * a1
+    a2 = accel(y2, v2)
+    y3 = y + 0.5 * h * v2
+    v3 = v + 0.5 * h * a2
+    a3 = accel(y3, v3)
+    y4 = y + h * v3
+    v4 = v + h * a3
+    a4 = accel(y4, v4)
+    return np.array([h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
+                     h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0])
+
+
+def per_mode_well_modes(xi, length, count, shooting_points):
+    """The per-mode shooting loop ``damped_well_modes`` replaced, kept as
+    its oracle: (energies, residuals), or the RuntimeError it raised."""
+    units = NATURAL_UNITS
+    modes = np.arange(1, count + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        wavenumbers2 = (modes * math.pi / length) ** 2 + xi**2
+        energies = (units.hbar**2 / (2.0 * units.mass)) * wavenumbers2
+    residuals = np.empty(count)
+    for i, k2 in enumerate(wavenumbers2):
+        steps = _shooting_steps(math.sqrt(k2), length, shooting_points - 1)
+        propagator = np.eye(2) + per_mode_rk4_increment((2.0 * xi, k2), length / steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals[i] = abs(np.linalg.matrix_power(propagator, steps)[0, 1])
+        if not residuals[i] <= SHOOTING_BOUND:
+            raise RuntimeError(
+                f"shooting cross-check failed for mode {i + 1}: "
+                f"|psi(L)| = {residuals[i]:.3e}"
+            )
+    return energies, residuals
 
 
 class TestXiFromParams:
@@ -189,6 +237,83 @@ class TestDampedWell:
             damped_well_modes(-0.1, 1.0)
         with pytest.raises(ValueError):
             damped_well_modes(0.1, 0.0)
+
+    @pytest.mark.parametrize("count", [2.5, True, -1])
+    def test_count_must_be_a_non_negative_integer(self, count):
+        # 2.5 and True failed inside numpy with a TypeError naming no parameter
+        with pytest.raises(ValueError, match="count must be an integer >= 0"):
+            damped_well_modes(0.5, 1.0, count=count)
+
+    def test_numpy_integer_count(self):
+        modes = damped_well_modes(0.5, 1.0, count=np.int64(3))
+        assert modes.energies.shape == modes.shooting_residuals.shape == (3,)
+        expected = damped_well_modes(0.5, 1.0, count=3)
+        assert np.array_equal(modes.energies, expected.energies)
+        assert np.array_equal(modes.shooting_residuals, expected.shooting_residuals)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.1, 0.5, 2.0, 1e3, 1e100])
+    def test_stacked_shooting_matches_per_mode_loop_bit_for_bit(self, xi):
+        for length in (1e-7, 0.3, 1.0, 7.0):
+            for count in (0, 1, 5, 30, 200):
+                for points in (2, 3, 4, 5, 3001):
+                    energies, residuals = per_mode_well_modes(xi, length, count, points)
+                    modes = damped_well_modes(xi, length, count=count,
+                                              shooting_points=points)
+                    assert np.array_equal(modes.energies, energies)
+                    assert np.array_equal(modes.shooting_residuals, residuals)
+
+    @pytest.mark.parametrize("xi, length, count", [
+        (0.0, 1e8, 1),     # roundoff leaves |psi(L)| = 3.1e-8
+        (0.0, 1e10, 3),
+        (1.0, 1e100, 2),   # the power overflows to nan
+    ])
+    def test_failed_shot_matches_per_mode_loop(self, xi, length, count):
+        with pytest.raises(RuntimeError) as frozen:
+            per_mode_well_modes(xi, length, count, 3001)
+        with pytest.raises(RuntimeError) as stacked:
+            damped_well_modes(xi, length, count=count)
+        assert str(stacked.value) == str(frozen.value)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_shooting_in_blocks_matches_per_mode_loop(self, monkeypatch, block):
+        # the block edges fall inside every case; mode 3 of the 1e-9 well
+        # takes 2 steps with k h = 4.7, outside RK4's stability interval
+        monkeypatch.setattr(dampedwave, "SHOOTING_BLOCK", block)
+        for xi, length, count in [(0.5, 1.0, 30), (0.0, 5.0, 200)]:
+            energies, residuals = per_mode_well_modes(xi, length, count, 3001)
+            modes = damped_well_modes(xi, length, count=count)
+            assert np.array_equal(modes.energies, energies)
+            assert np.array_equal(modes.shooting_residuals, residuals)
+        with pytest.raises(RuntimeError) as frozen:
+            per_mode_well_modes(0.0, 1e-9, 4, 2)
+        with pytest.raises(RuntimeError) as stacked:
+            damped_well_modes(0.0, 1e-9, count=4, shooting_points=2)
+        assert str(stacked.value) == str(frozen.value)
+        assert "mode 3:" in str(stacked.value)
+
+    def test_short_wells_shoot_in_one_to_three_steps(self):
+        # mode n of a 3e-9 well needs 0.84 n steps, so the exponents are
+        # 1 to 4 and numpy's shortcuts decide the products of 1, 2 and 3
+        steps = [_shooting_steps(n * math.pi / 3e-9, 3e-9, 1) for n in (1, 2, 3, 4)]
+        assert steps == [1, 2, 3, 4]
+        energies, residuals = per_mode_well_modes(0.0, 3e-9, 4, 2)
+        modes = damped_well_modes(0.0, 3e-9, count=4, shooting_points=2)
+        assert np.array_equal(modes.energies, energies)
+        assert np.array_equal(modes.shooting_residuals, residuals)
+
+
+def test_stacked_power_matches_matrix_power():
+    rng = np.random.default_rng(11)
+    exponents = [*range(1, 70), 2**20, 2**20 - 1, 2**40 + 3, 3 * 10**101]
+    stack = np.eye(2) + 1e-3 * rng.standard_normal((len(exponents), 2, 2))
+    # an overflowed entry: a product with I in place of the first power
+    # would turn its zeros into nan
+    exponents += [2, 5, 6]
+    stack = np.concatenate([stack, np.tile([[np.inf, 1.0], [0.0, 1.0]], (3, 1, 1))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = _stacked_power(stack, exponents)
+        for a, e, power in zip(stack, exponents, stacked):
+            assert np.array_equal(power, np.linalg.matrix_power(a, e), equal_nan=True)
 
     @pytest.mark.parametrize("xi, length", [(1e160, 1.0), (0.0, 1e-170)])
     def test_overflowing_energies_rejected(self, xi, length):
