@@ -27,6 +27,7 @@ __all__ = [
     "classify_regime",
     "UnstableIntegrationError",
     "MARCH_BLOCK",
+    "rk4_increment",
     "integrate_second_order",
 ]
 
@@ -155,7 +156,7 @@ class UnstableIntegrationError(RuntimeError):
 MARCH_BLOCK = 256
 
 
-def _rk4_increment(coeffs, h) -> np.ndarray:
+def rk4_increment(coeffs, h) -> np.ndarray:
     """P - I for one classical RK4 step of y'' = -c1 y' - c0 y.
 
     For a linear system RK4 is exactly s_{j+1} = P s_j on the state
@@ -215,7 +216,7 @@ def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False
 
     Marches forward from ``grid.a`` (or backward from ``grid.b`` when
     ``backward`` is set) and returns ``(y, v)`` sample arrays in forward
-    grid order. Every step is the same matrix P (:func:`_rk4_increment`),
+    grid order. Every step is the same matrix P (:func:`rk4_increment`),
     so the march is blocked: the states of a block are the powers
     P^0 .. P^(B-1) applied to the block's start in one product, and the
     block starts are chained by P^B. Powers are held as P^j - I, so the
@@ -237,7 +238,7 @@ def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False
                       dtype=np.complex128 if is_complex else np.float64)
     # an unstable march overflows its powers; the guard reports it instead
     with np.errstate(over="ignore", invalid="ignore"):
-        increment = _rk4_increment(coeffs, h)
+        increment = rk4_increment(coeffs, h)
         powers = _increment_powers(increment, block + 1)
         (d00, d01), (d10, d11) = powers[block].tolist()
         for b in range(len(starts)):

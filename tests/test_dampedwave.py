@@ -301,6 +301,13 @@ class TestDampedWell:
         assert np.array_equal(modes.energies, energies)
         assert np.array_equal(modes.shooting_residuals, residuals)
 
+    @pytest.mark.parametrize("xi, length", [(1e160, 1.0), (0.0, 1e-170)])
+    def test_overflowing_energies_rejected(self, xi, length):
+        # these printed inf energies with nan residuals, or raised
+        # OverflowError, instead of naming the bad parameter
+        with pytest.raises(ValueError, match="finite square|overflow"):
+            damped_well_modes(xi, length, count=2)
+
 
 def test_stacked_power_matches_matrix_power():
     rng = np.random.default_rng(11)
@@ -314,13 +321,6 @@ def test_stacked_power_matches_matrix_power():
         stacked = _stacked_power(stack, exponents)
         for a, e, power in zip(stack, exponents, stacked):
             assert np.array_equal(power, np.linalg.matrix_power(a, e), equal_nan=True)
-
-    @pytest.mark.parametrize("xi, length", [(1e160, 1.0), (0.0, 1e-170)])
-    def test_overflowing_energies_rejected(self, xi, length):
-        # these printed inf energies with nan residuals, or raised
-        # OverflowError, instead of naming the bad parameter
-        with pytest.raises(ValueError, match="finite square|overflow"):
-            damped_well_modes(xi, length, count=2)
 
 
 class TestEnvelope:

@@ -1,12 +1,17 @@
 """Before/after timings of the well-mode shooting, for BENCH_dampedwave.json.
 
-    python3 tools/bench_dampedwave.py inprocess PARENT CHANGE [--processes P]
-    python3 tools/bench_dampedwave.py cli PARENT CHANGE [--pairs N]
-    python3 tools/bench_dampedwave.py bench PARENT CHANGE --workload W --seeds S0 S1
+    python3 tools/bench_dampedwave.py inprocess PARENT CHANGE [--processes P] > inprocess.json
+    python3 tools/bench_dampedwave.py cli PARENT CHANGE [--pairs N] > cli.json
+    python3 tools/bench_dampedwave.py rss PARENT CHANGE [--pairs N] > rss.json
+    python3 tools/bench_dampedwave.py bench PARENT CHANGE --workload W --seeds S0 S1 \\
+        [--trace 0|1] > W.json
+    python3 tools/bench_dampedwave.py report --inprocess inprocess.json --cli cli.json \\
+        --rss rss.json --bench W.json [W2.json ...] --parent-commit REV > BENCH_dampedwave.json
 
-PARENT and CHANGE are the roots of two source checkouts. Every mode pairs
-the two trees and alternates which side runs first, and prints one JSON
-document to stdout.
+PARENT and CHANGE are the roots of two source checkouts. Every measuring
+mode pairs the two trees, alternates which side runs first, and prints its
+raw samples as one JSON document; ``report`` summarizes those documents
+into the committed file.
 
 * ``inprocess``: each of P processes loads both ``src/`` trees side by
   side (as the packages ``parent`` and ``change``) and times
@@ -16,18 +21,26 @@ document to stdout.
 * ``cli``: wall time of ``python -m retromech dampedwave --xi 0 --well 1
   --count 20000 --output FILE`` in fresh processes; the two trees' files
   must be byte-identical.
+* ``rss``: peak RSS and call time of one ``damped_well_modes(0.5, 1.0,
+  count=C)`` in a fresh process, for C in 20000 and 200000: the parent, the
+  change, and the change shooting every mode as one stack
+  (``SHOOTING_BLOCK`` raised above C).
 * ``bench``: ``python3 bench/run.py --workload W --seed S --seconds 20
-  --trace 0`` run from each root, one pair per seed; keeps each metric's
-  value per seed.
+  --trace T`` run from each root, one pair per seed; keeps every run's
+  report.
+* ``report``: medians, quartiles and pair wins of every sample set, and
+  whether the claimed gain on ``library_sweep`` ``dampedwave_s`` holds.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import importlib
 import importlib.util
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -35,7 +48,31 @@ import tempfile
 import time
 
 COUNTS = (5, 20, 200, 2000, 20000)
+RSS_COUNTS = (20000, 200000)
 SIDES = ("parent", "change")
+
+WHAT = ("dampedwave.damped_well_modes: every mode's RK4 step built by one broadcast "
+        "stage pass (core.rk4_increment) and raised to its shooting power by one "
+        "stacked right-to-left binary power over the (modes, 2, 2) stack, 4096 modes "
+        "a block, in place of one Python-level stage pass and one "
+        "numpy.linalg.matrix_power per mode. Energies and shooting residuals "
+        "bit-identical.")
+#: library_sweep dampedwave_s: at least this much lower, in at least this
+#: share of the pairs, with a median gap wider than the parent's IQR
+CLAIM_DROP = 0.35
+CLAIM_WINS = 0.9
+
+RSS_CODE = """if True:
+    import resource, sys, time
+    from retromech import dampedwave
+    count, one_stack = int(sys.argv[1]), sys.argv[2] == "1"
+    if one_stack:
+        dampedwave.SHOOTING_BLOCK = count + 1
+    start = time.perf_counter()
+    dampedwave.damped_well_modes(0.5, 1.0, count=count)
+    elapsed = time.perf_counter() - start
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, elapsed)
+"""
 
 
 def _load(alias, root):
@@ -61,6 +98,11 @@ def _time_call(fn, count):
         reps *= 2
 
 
+def _orders(pairs):
+    """Which side runs first, alternating pair by pair."""
+    return [SIDES if i % 2 == 0 else SIDES[::-1] for i in range(pairs)]
+
+
 def _worker(parent, change, pairs):
     """One process: ``pairs`` alternating samples per count."""
     modules = {"parent": _load("parent", parent), "change": _load("change", change)}
@@ -68,29 +110,16 @@ def _worker(parent, change, pairs):
     for count in COUNTS:
         for side in SIDES:  # warm-up
             _time_call(modules[side].damped_well_modes, count)
-        for i in range(pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for order in _orders(pairs):
             for side in order:
                 out[str(count)][side].append(
                     _time_call(modules[side].damped_well_modes, count))
     return out
 
 
-def _summary(parent, change):
-    def quartiles(values):
-        q = statistics.quantiles(values, n=4)
-        return [q[0], q[2]]
-    wins = sum(c < p for p, c in zip(parent, change))
-    return {"parent_median": statistics.median(parent),
-            "parent_iqr": quartiles(parent),
-            "change_median": statistics.median(change),
-            "change_iqr": quartiles(change),
-            "change_faster": f"{wins}/{len(parent)}",
-            "parent": parent, "change": change}
-
-
 def inprocess(args):
-    merged = {str(c): {side: [] for side in SIDES} for c in COUNTS}
+    merged = {f"damped_well_modes_count{c}_s": {side: [] for side in SIDES}
+              for c in COUNTS}
     for _ in range(args.processes):
         done = subprocess.run(
             [sys.executable, __file__, "_worker", args.parent, args.change,
@@ -98,10 +127,12 @@ def inprocess(args):
             capture_output=True, text=True, check=True)
         for count, sides in json.loads(done.stdout).items():
             for side, values in sides.items():
-                merged[count][side].extend(values)
-    return {f"damped_well_modes_count{c}_s": _summary(merged[c]["parent"],
-                                                     merged[c]["change"])
-            for c in merged}
+                merged[f"damped_well_modes_count{count}_s"][side].extend(values)
+    return {"processes": args.processes, "pairs": args.pairs, "samples": merged}
+
+
+def _env(root):
+    return dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
 
 
 def cli(args):
@@ -111,50 +142,160 @@ def cli(args):
     roots = {"parent": args.parent, "change": args.change}
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {side: os.path.join(tmp, f"{side}.csv") for side in SIDES}
-        for i in range(args.pairs):
-            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                env = dict(os.environ, PYTHONPATH=os.path.join(roots[side], "src"))
+        for order in _orders(args.pairs):
+            for side in order:
                 start = time.perf_counter()
-                subprocess.run([*argv, outputs[side]], env=env, check=True)
+                subprocess.run([*argv, outputs[side]], env=_env(roots[side]), check=True)
                 times[side].append(time.perf_counter() - start)
             if not filecmp.cmp(outputs["parent"], outputs["change"], shallow=False):
                 raise SystemExit("error: the two trees wrote different files")
-    return {"cli_well_count20000_s": _summary(times["parent"], times["change"])}
+    return {"pairs": args.pairs, "samples": {"cli_well_count20000_s": times}}
+
+
+def rss(args):
+    # (name, root, one stack?)
+    runs = [("parent", args.parent, False), ("change", args.change, False),
+            ("change_one_stack", args.change, True)]
+    peak = {f"count{c}": {name: [] for name, _, _ in runs} for c in RSS_COUNTS}
+    call = {f"count{c}": {name: [] for name, _, _ in runs} for c in RSS_COUNTS}
+    for count in RSS_COUNTS:
+        for i in range(args.pairs):
+            for name, root, one_stack in (runs if i % 2 == 0 else runs[::-1]):
+                done = subprocess.run(
+                    [sys.executable, "-c", RSS_CODE, str(count), str(int(one_stack))],
+                    env=_env(root), capture_output=True, text=True, check=True)
+                mb, seconds = map(float, done.stdout.split())
+                peak[f"count{count}"][name].append(mb)
+                call[f"count{count}"][name].append(seconds)
+    return {"pairs": args.pairs, "peak_rss_mb": peak, "call_s": call}
 
 
 def bench(args):
     roots = {"parent": args.parent, "change": args.change}
+    seeds = list(range(args.seeds[0], args.seeds[1] + 1))
     runs = {side: [] for side in SIDES}
-    first = []
-    for i, seed in enumerate(range(args.seeds[0], args.seeds[1] + 1)):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        first.append(order[0])
+    orders = _orders(len(seeds))
+    for seed, order in zip(seeds, orders):
         for side in order:
             done = subprocess.run(
                 [sys.executable, "bench/run.py", "--workload", args.workload,
                  "--seed", str(seed), "--seconds", "20", "--trace", str(args.trace)],
                 cwd=roots[side], capture_output=True, text=True, check=True)
             runs[side].append(json.loads(done.stdout.splitlines()[-1]))
-    return {"workload": args.workload, "trace": args.trace,
-            "seeds": list(range(args.seeds[0], args.seeds[1] + 1)), "first": first,
-            "runs": runs}
+    return {"workload": args.workload, "trace": args.trace, "seeds": seeds,
+            "first": [order[0] for order in orders], "runs": runs}
+
+
+def _summary(parent, change):
+    """Medians and quartiles of paired samples, and the pairs the change
+    reads lower in."""
+    def quartiles(values):
+        q = statistics.quantiles(values, n=4)
+        return [q[0], q[2]]
+    return {"parent_median": statistics.median(parent),
+            "parent_quartiles": quartiles(parent),
+            "change_median": statistics.median(change),
+            "change_quartiles": quartiles(change),
+            "change_lower": f"{sum(c < p for p, c in zip(parent, change))}/{len(parent)}",
+            "parent": parent, "change": change}
+
+
+def _bench_summary(doc):
+    runs = doc["runs"]
+    return {"seeds": doc["seeds"], "first": doc["first"],
+            "correct": {s: [r["correct"] for r in runs[s]] for s in SIDES},
+            "failed_jobs": {s: [r["failed"] for r in runs[s]] for s in SIDES},
+            "attempted_jobs": {s: [r["attempted"] for r in runs[s]] for s in SIDES},
+            "metrics": {m: _summary(*([r["metrics"][m]["value"] for r in runs[s]]
+                                      for s in SIDES))
+                        for m in runs["parent"][0]["metrics"]}}
+
+
+def _claim(bench_runs):
+    """Whether library_sweep dampedwave_s (trace off) meets the claimed gain."""
+    text = (f"library_sweep dampedwave_s at least {CLAIM_DROP:.0%} lower than the "
+            f"parent, change lower in at least {CLAIM_WINS:.0%} of the pairs, median "
+            "gap larger than the parent IQR")
+    for key, run in bench_runs.items():
+        if key.startswith("library_sweep trace 0"):
+            s = run["metrics"]["dampedwave_s"]
+            lower, pairs = map(int, s["change_lower"].split("/"))
+            low, high = s["parent_quartiles"]
+            drop = 1.0 - s["change_median"] / s["parent_median"]
+            met = (drop >= CLAIM_DROP and lower >= CLAIM_WINS * pairs
+                   and s["parent_median"] - s["change_median"] > high - low)
+            return {"text": text, "source": key, "drop": drop, "met": met}
+    return {"text": text, "source": None, "met": None}
+
+
+def _host():
+    versions = ", ".join(f"{name} {importlib.import_module(name).__version__}"
+                         for name in ("numpy", "scipy"))
+    return (f"{os.cpu_count()} CPUs ({platform.machine()}), {platform.system()}; "
+            f"Python {platform.python_version()}, {versions}")
+
+
+def report(args):
+    def read(path):
+        with open(path) as f:
+            return json.load(f)
+    doc = {"what": WHAT,
+           "layer": "shooting (dampedwave.damped_well_modes; bench span dampedwave.shoot)",
+           "parent_commit": args.parent_commit,
+           "host": _host(),
+           "harness": "tools/bench_dampedwave.py; see its docstring for each section"}
+    inproc = read(args.inprocess)
+    doc["in_process"] = {
+        "processes": inproc["processes"], "pairs_per_process": inproc["pairs"],
+        **{name: _summary(s["parent"], s["change"])
+           for name, s in inproc["samples"].items()}}
+    times = read(args.cli)
+    doc["cli"] = {"pairs": times["pairs"],
+                  **{name: _summary(s["parent"], s["change"])
+                     for name, s in times["samples"].items()}}
+    memory = read(args.rss)
+    doc["rss"] = {"runs_each": memory["pairs"],
+                  **{f"{quantity}_median": {
+                      count: {name: statistics.median(values)
+                              for name, values in runs.items()}
+                      for count, runs in memory[quantity].items()}
+                     for quantity in ("peak_rss_mb", "call_s")},
+                  "samples": {q: memory[q] for q in ("peak_rss_mb", "call_s")}}
+    bench_runs = {}
+    for path in args.bench:
+        run = read(path)
+        key = (f"{run['workload']} trace {run['trace']} "
+               f"seeds {run['seeds'][0]}-{run['seeds'][-1]}")
+        bench_runs[key] = _bench_summary(run)
+    doc["claim"] = _claim(bench_runs)
+    doc["bench_run"] = bench_runs
+    return doc
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("inprocess", "cli", "bench", "_worker"))
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--processes", type=int, default=10)
-    parser.add_argument("--pairs", type=int, default=11)
-    parser.add_argument("--workload", default="library_sweep")
-    parser.add_argument("--seeds", type=int, nargs=2, default=(1101, 1110))
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    sub = parser.add_subparsers(dest="mode", required=True)
+    for mode in ("inprocess", "cli", "rss", "bench", "_worker"):
+        p = sub.add_parser(mode)
+        p.add_argument("parent")
+        p.add_argument("change")
+        p.add_argument("--processes", type=int, default=10)
+        p.add_argument("--pairs", type=int, default=11 if mode != "rss" else 3)
+        p.add_argument("--workload", default="library_sweep")
+        p.add_argument("--seeds", type=int, nargs=2, default=(1101, 1110))
+        p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p = sub.add_parser("report")
+    p.add_argument("--inprocess", required=True)
+    p.add_argument("--cli", required=True)
+    p.add_argument("--rss", required=True)
+    p.add_argument("--bench", nargs="+", required=True)
+    p.add_argument("--parent-commit", required=True)
     args = parser.parse_args()
     if args.mode == "_worker":
         result = _worker(args.parent, args.change, args.pairs)
     else:
-        result = {"inprocess": inprocess, "cli": cli, "bench": bench}[args.mode](args)
+        result = {"inprocess": inprocess, "cli": cli, "rss": rss, "bench": bench,
+                  "report": report}[args.mode](args)
     json.dump(result, sys.stdout, indent=1)
     print()
 
