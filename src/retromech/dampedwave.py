@@ -244,8 +244,8 @@ def damped_well_modes(xi: float, length: float,
 
     ``count`` is an ``int`` or ``np.integer`` >= 0 (not a ``bool``).
     Raises ``ValueError`` for a bad ``xi``, ``length`` or ``count`` or for
-    energies that overflow, and ``RuntimeError`` naming the lowest mode
-    whose residual misses the bound.
+    energies or shooting step counts that overflow, and ``RuntimeError``
+    naming the lowest mode whose residual misses the bound.
     """
     # xi * xi overflows to inf where xi**2 would raise
     if not (xi >= 0 and math.isfinite(xi * xi)):
@@ -265,8 +265,12 @@ def damped_well_modes(xi: float, length: float,
     residuals = np.empty(count)
     for start in range(0, count, SHOOTING_BLOCK):
         block = wavenumbers2[start:start + SHOOTING_BLOCK]
-        steps = [_shooting_steps(math.sqrt(k2), length, shooting_points - 1)
-                 for k2 in block.tolist()]
+        try:
+            steps = [_shooting_steps(math.sqrt(k2), length, shooting_points - 1)
+                     for k2 in block.tolist()]
+        except OverflowError:  # math.ceil of an infinite step count
+            raise ValueError(f"shooting step count overflows at xi = {xi} and "
+                             f"length {length}") from None
         h = np.array([length / n for n in steps], dtype=np.float64)
         # a shot that misses overflows its power; the bound below reports it
         with np.errstate(over="ignore", invalid="ignore"):

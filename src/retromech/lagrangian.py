@@ -9,11 +9,15 @@ coordinate, optionally minus a potential:
     potential  := 'free' | 'harmonic,' REAL | 'poly,' REAL (',' REAL)*
                 | 'well,' REAL
 
-Whitespace is insignificant. The variational rule maps a term of order
-beta to a single derivative of total order 2*beta in the equation of
-motion, once per direction, and the potential contributes +dV/dq. Orders
-are stored as exact fractions so the doubling and the integer checks never
-drift.
+Whitespace is insignificant. Each term with the separator after it, and
+each potential body, is one match of an anchored regular expression; a
+malformed text raises :class:`ParseError` at the offset where the match
+stopped. The variational rule maps a term of order beta to a single
+derivative of total order 2*beta in the equation of motion, once per
+direction, and the potential contributes +dV/dq. Orders are stored as
+exact fractions so the doubling and the integer checks never drift, and
+an order whose 2*beta is not a finite float is rejected before its
+fraction is built.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 
 from .enums import Direction
@@ -71,6 +75,10 @@ class Potential:
     def to_json_dict(self) -> dict:
         raise NotImplementedError
 
+    def gradient(self) -> tuple:
+        """dV/dq as nonzero (coeff, power) pairs: sum coeff * q**power."""
+        raise ValueError(f"potential {self.kind!r} has no classical gradient")
+
 
 @dataclass(frozen=True)
 class FreePotential(Potential):
@@ -85,6 +93,9 @@ class FreePotential(Potential):
 
     def to_json_dict(self):
         return {"kind": "free"}
+
+    def gradient(self):
+        return ()
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,9 @@ class HarmonicPotential(Potential):
 
     def to_json_dict(self):
         return {"kind": "harmonic", "k": self.k}
+
+    def gradient(self):
+        return ((self.k, 1),) if self.k != 0 else ()
 
 
 @dataclass(frozen=True)
@@ -137,6 +151,10 @@ class PolynomialPotential(Potential):
 
     def to_json_dict(self):
         return {"kind": "poly", "coeffs": list(self.coeffs)}
+
+    def gradient(self):
+        return tuple((power * c, power - 1) for power, c in enumerate(self.coeffs)
+                     if power and c != 0)
 
 
 @dataclass(frozen=True)
@@ -187,7 +205,7 @@ class ProductTerm:
         if not math.isfinite(self.coeff) or self.coeff == 0:
             raise ValueError(f"coefficient must be finite and nonzero, got {self.coeff}")
         order = _coerce_order(self.order)
-        if order < 0:
+        if order.numerator < 0:
             raise ValueError(f"negative order {order}")
         object.__setattr__(self, "order", order)
 
@@ -199,10 +217,16 @@ class LagrangianSpec:
 
     def __post_init__(self):
         terms = tuple(self.terms)
-        orders = [t.order for t in terms]
-        if len(set(orders)) != len(orders):
+        if len({(t.order.numerator, t.order.denominator) for t in terms}) != len(terms):
             raise ValueError("duplicate orders in lagrangian")
         object.__setattr__(self, "terms", terms)
+        # (coeff, 2*order) of every term, highest order first: the derivative
+        # terms both equations of motion share. Built here rather than as a
+        # cached_property, whose first access costs more than this.
+        ordered = sorted(terms, key=lambda t: t.order, reverse=True)
+        object.__setattr__(self, "_eom_orders", tuple(
+            (t.coeff, Fraction(2 * t.order.numerator, t.order.denominator))
+            for t in ordered))
 
     @property
     def is_degenerate(self) -> bool:
@@ -262,145 +286,139 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-_REAL_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_REAL = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_REAL_RE = re.compile(_REAL)
+_NUMBER = rf"(?>{_REAL})"  # atomic: the longest REAL, never a shorter one
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def try_literal(self, lit: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def expect_literal(self, lit: str):
-        if not self.try_literal(lit):
-            raise ParseError(f"unexpected input {self._context()!r}", self.pos,
-                             expected=(repr(lit),))
-
-    def real_token(self) -> tuple:
-        self.skip_ws()
-        m = _REAL_RE.match(self.text, self.pos)
-        if m is None:
-            raise ParseError(f"unexpected input {self._context()!r}", self.pos,
-                             expected=("REAL",))
-        start = self.pos
-        self.pos = m.end()
-        return m.group(0), start
-
-    def real(self) -> tuple:
-        token, start = self.real_token()
-        value = float(token)
-        if not math.isfinite(value):
-            raise ParseError(f"non-finite number {token!r}", start)
-        return value, start
-
-    def real_fraction(self) -> tuple:
-        token, start = self.real_token()
-        try:
-            return Fraction(Decimal(token)), start
-        except InvalidOperation:  # pragma: no cover - regex precludes this
-            raise ParseError(f"malformed number {token!r}", start) from None
-
-    def _context(self) -> str:
-        return self.text[self.pos:self.pos + 12]
+def _prefix(*pieces: str) -> str:
+    """A pattern matching the longest run of ``pieces`` that the text starts
+    with, whitespace allowed after each. The first piece whose group is None
+    is where the text went wrong, and the match ends at its offset."""
+    pattern = ""
+    for piece in reversed(pieces):
+        pattern = rf"(?:{piece}\s*+{pattern})?"
+    return pattern
 
 
-def _parse_potential_body(s: _Scanner) -> Potential:
-    if s.try_literal("free"):
-        return FreePotential()
-    if s.try_literal("harmonic"):
-        s.expect_literal(",")
-        k, pos = s.real()
-        if k < 0:
-            raise ParseError(f"harmonic constant must be >= 0, got {k}", pos)
-        return HarmonicPotential(k)
-    if s.try_literal("poly"):
-        coeffs = []
-        s.expect_literal(",")
-        value, _ = s.real()
-        coeffs.append(value)
-        while s.try_literal(","):
-            value, _ = s.real()
-            coeffs.append(value)
-        return PolynomialPotential(tuple(coeffs))
-    if s.try_literal("well"):
-        s.expect_literal(",")
-        length, pos = s.real()
-        if length <= 0:
-            raise ParseError(f"well length must be > 0, got {length}", pos)
-        return InfiniteWellPotential(length)
-    raise ParseError(f"unexpected input {s._context()!r}", s.pos,
-                     expected=("'free'", "'harmonic'", "'poly'", "'well'"))
+# one product term and the separator after it: '+', '-' or none
+_TERM_RE = re.compile(r"\s*+" + _prefix(
+    rf"(?P<coeff>{_NUMBER})", r"(?P<star>\*)", r"(?P<open>q\[)",
+    rf"(?P<order>{_NUMBER})", r"(?P<close>\])", r"(?P<sep>[+-])"))
+_CALL_RE = re.compile(r"\s*+" + _prefix(r"(?P<open>V\()"))
+_CLOSE_RE = re.compile(r"\s*+" + _prefix(r"(?P<close>\))"))
+# only 'poly' takes more than one value, and a comma left dangling after its
+# values is matched to name the offset where the next value is missing
+_POTENTIAL_RE = re.compile(r"\s*+(?:(?P<free>free)\s*+|" + _prefix(
+    r"(?P<kind>harmonic|well|(?P<poly>poly))", "(?P<comma>,)",
+    rf"(?P<values>{_NUMBER}(?(poly)(?:\s*+,\s*+{_NUMBER})*+))",
+    "(?(poly)(?P<dangle>,))") + ")")
+
+
+def _unexpected(text: str, pos: int, *expected: str) -> ParseError:
+    return ParseError(f"unexpected input {text[pos:pos + 12]!r}", pos, expected)
+
+
+def _finite(token: str, start: int) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {token!r}", start)
+    return value
+
+
+def _order(token: str, start: int) -> Fraction:
+    """The exact order a REAL token spells, once its equation-of-motion
+    order 2*order is known to be a finite float."""
+    if not math.isfinite(2.0 * float(token)):
+        raise ParseError(f"order {token!r} doubles to a non-finite number", start)
+    order = Fraction(*Decimal(token).as_integer_ratio())
+    if order.numerator < 0:
+        raise ParseError(f"negative order {order}", start)
+    return order
+
+
+def _potential_at(text: str, pos: int) -> tuple:
+    """The potential body at ``pos`` and the offset after it and after the
+    whitespace that follows."""
+    m = _POTENTIAL_RE.match(text, pos)
+    if m["free"]:
+        return FreePotential(), m.end()
+    if not m["kind"]:
+        raise _unexpected(text, m.end(), "'free'", "'harmonic'", "'poly'", "'well'")
+    if not m["comma"]:
+        raise _unexpected(text, m.end(), "','")
+    if not m["values"]:
+        raise _unexpected(text, m.end(), "REAL")
+    values = [_finite(v[0], v.start()) for v in _REAL_RE.finditer(text, *m.span("values"))]
+    if m["dangle"]:
+        raise _unexpected(text, m.end(), "REAL")
+    if m["poly"]:
+        return PolynomialPotential(tuple(values)), m.end()
+    value, start = values[0], m.start("values")
+    if m["kind"] == "harmonic":
+        if value < 0:
+            raise ParseError(f"harmonic constant must be >= 0, got {value}", start)
+        return HarmonicPotential(value), m.end()
+    if value <= 0:
+        raise ParseError(f"well length must be > 0, got {value}", start)
+    return InfiniteWellPotential(value), m.end()
 
 
 def parse_potential(text: str) -> Potential:
     """Parse a standalone potential descriptor such as ``harmonic, 4.0``."""
-    s = _Scanner(text)
-    potential = _parse_potential_body(s)
-    if not s.at_end():
-        raise ParseError(f"trailing input {s._context()!r}", s.pos)
+    potential, pos = _potential_at(text, 0)
+    if pos < len(text):
+        raise ParseError(f"trailing input {text[pos:pos + 12]!r}", pos)
     return potential
-
-
-def _parse_term(s: _Scanner) -> tuple:
-    coeff, coeff_pos = s.real()
-    s.expect_literal("*")
-    s.expect_literal("q[")
-    order, order_pos = s.real_fraction()
-    if order < 0:
-        raise ParseError(f"negative order {order}", order_pos)
-    s.expect_literal("]")
-    return coeff, order, coeff_pos, order_pos
 
 
 def parse_lagrangian(text: str) -> LagrangianSpec:
     """Parse DSL text into a structured spec.
 
-    Zero-coefficient terms are dropped; duplicate orders are rejected with
-    the offset of the repeated order. A spec whose terms all dropped is
-    still returned, flagged degenerate.
+    Each term and the separator after it is one match of an anchored
+    regular expression. Zero-coefficient terms are dropped; duplicate orders
+    are rejected with the offset of the repeated order, and so is any order
+    whose equation-of-motion order 2*order is not a finite float. A spec
+    whose terms all dropped is still returned, flagged degenerate.
     """
-    s = _Scanner(text)
     terms = []
-    seen = {}
-    coeff, order, _, order_pos = _parse_term(s)
-    seen[order] = order_pos
-    if coeff != 0.0:
-        terms.append(ProductTerm(coeff, order))
+    seen = set()
+    pos, sep = 0, "+"
+    while sep == "+":
+        m = _TERM_RE.match(text, pos)
+        coeff, star, open_, order, close, sep = m.groups()
+        pos = m.end()
+        if not coeff:
+            raise _unexpected(text, pos, "REAL")
+        coeff = _finite(coeff, m.start("coeff"))
+        if not star:
+            raise _unexpected(text, pos, "'*'")
+        if not open_:
+            raise _unexpected(text, pos, "'q['")
+        if not order:
+            raise _unexpected(text, pos, "REAL")
+        order = _order(order, m.start("order"))
+        if not close:
+            raise _unexpected(text, pos, "']'")
+        key = (order.numerator, order.denominator)
+        if key in seen:
+            raise ParseError(f"duplicate order {order}", m.start("order"))
+        seen.add(key)
+        if coeff != 0.0:
+            terms.append(ProductTerm(coeff, order))
     potential: Potential = FreePotential()
-    while True:
-        if s.at_end():
-            break
-        if s.try_literal("+"):
-            coeff, order, _, order_pos = _parse_term(s)
-            if order in seen:
-                raise ParseError(f"duplicate order {order}", order_pos)
-            seen[order] = order_pos
-            if coeff != 0.0:
-                terms.append(ProductTerm(coeff, order))
-            continue
-        if s.try_literal("-"):
-            s.expect_literal("V(")
-            potential = _parse_potential_body(s)
-            s.expect_literal(")")
-            if not s.at_end():
-                raise ParseError(f"trailing input {s._context()!r}", s.pos)
-            break
-        raise ParseError(f"unexpected input {s._context()!r}", s.pos,
-                         expected=("'+'", "'- V(...)'", "end of input"))
+    if sep == "-":
+        m = _CALL_RE.match(text, pos)
+        if not m["open"]:
+            raise _unexpected(text, m.end(), "'V('")
+        potential, pos = _potential_at(text, m.end())
+        m = _CLOSE_RE.match(text, pos)
+        if not m["close"]:
+            raise _unexpected(text, pos, "')'")
+        if m.end() < len(text):
+            raise ParseError(f"trailing input {text[m.end():m.end() + 12]!r}", m.end())
+    elif pos < len(text):
+        raise _unexpected(text, pos, "'+'", "'- V(...)'", "end of input")
     return LagrangianSpec(tuple(terms), potential)
 
 
@@ -418,8 +436,7 @@ def _check_derivable_potential(potential: Potential):
 
 def _derive(spec: LagrangianSpec, direction: Direction) -> EquationOfMotion:
     _check_derivable_potential(spec.potential)
-    ordered = sorted(spec.terms, key=lambda t: t.order, reverse=True)
-    terms = tuple(EomTerm(t.coeff, 2 * t.order, direction) for t in ordered)
+    terms = tuple(EomTerm(coeff, order, direction) for coeff, order in spec._eom_orders)
     return EquationOfMotion(terms=terms, potential=spec.potential, direction=direction)
 
 
@@ -434,29 +451,6 @@ def derive_retrocausal_eom(spec: LagrangianSpec) -> EquationOfMotion:
     return _derive(spec, Direction.RETROCAUSAL)
 
 
-def _linear_gradient_coeff(potential: Potential) -> float:
-    """Coefficient g such that dV/dq = g q, for potentials whose gradient is
-    purely linear; anything else cannot reduce to the classical form."""
-    if isinstance(potential, FreePotential):
-        return 0.0
-    if isinstance(potential, HarmonicPotential):
-        return potential.k
-    if isinstance(potential, PolynomialPotential):
-        gradient = [(p * c, p - 1) for p, c in enumerate(potential.coeffs) if p >= 1]
-        coeff = 0.0
-        for g, power in gradient:
-            if g == 0.0:
-                continue
-            if power != 1:
-                raise ValueError(
-                    "potential gradient is not linear in q; cannot reduce to the "
-                    "classical oscillator form"
-                )
-            coeff += g
-        return coeff
-    raise ValueError(f"potential {potential.kind!r} has no classical gradient")
-
-
 def reduce_integer_orders(eom: EquationOfMotion) -> ClassicalOde:
     """Collapse an all-integer-order equation to m q'' + c q' + k q = 0.
 
@@ -469,12 +463,18 @@ def reduce_integer_orders(eom: EquationOfMotion) -> ClassicalOde:
     for term in eom.terms:
         if term.total_order.denominator != 1:
             raise ValueError(f"non-integer residual order {term.total_order}")
-        nth = int(term.total_order)
+        nth = term.total_order.numerator
         if nth not in slots:
             raise ValueError(f"order {nth} exceeds the classical form (max 2)")
         sign = -1.0 if (eom.direction is Direction.RETROCAUSAL and nth % 2 == 1) else 1.0
         slots[nth] += sign * term.coeff
-    slots[0] += _linear_gradient_coeff(eom.potential)
+    for coeff, power in eom.potential.gradient():
+        if power != 1:
+            raise ValueError(
+                "potential gradient is not linear in q; cannot reduce to the "
+                "classical oscillator form"
+            )
+        slots[0] += coeff
     return ClassicalOde(mass_coeff=slots[2], damping_coeff=slots[1],
                         stiffness_coeff=slots[0])
 
@@ -508,22 +508,6 @@ def _join_signed(pieces: list) -> str:
     return " ".join(out)
 
 
-def _gradient_pieces(potential: Potential) -> list:
-    if isinstance(potential, FreePotential):
-        return []
-    if isinstance(potential, HarmonicPotential):
-        return [(potential.k, "q")] if potential.k != 0 else []
-    if isinstance(potential, PolynomialPotential):
-        pieces = []
-        for power, c in enumerate(potential.coeffs):
-            if power == 0 or c == 0:
-                continue
-            body = "" if power == 1 else ("q" if power == 2 else f"q^{power - 1}")
-            pieces.append((power * c, body))
-        return pieces
-    raise ValueError(f"potential {potential.kind!r} has no classical gradient")
-
-
 def render_eom(obj) -> str:
     """Deterministic human-readable form of an equation of motion or of a
     reduced classical ODE."""
@@ -536,7 +520,8 @@ def render_eom(obj) -> str:
         return _join_signed(pieces) + " = 0"
     if isinstance(obj, EquationOfMotion):
         pieces = [(t.coeff, f"D^{_fmt_order(t.total_order)}[q]") for t in obj.terms]
-        pieces += _gradient_pieces(obj.potential)
+        pieces += [(coeff, "" if power == 0 else "q" if power == 1 else f"q^{power}")
+                   for coeff, power in obj.potential.gradient()]
         if not pieces:
             return "0 = 0"
         return _join_signed(pieces) + f" = 0 ({obj.direction.value})"

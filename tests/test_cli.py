@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -490,6 +491,38 @@ def test_dampedwave_across_its_size_range(capsys):
     energies = np.array(doc["energies"])
     assert energies.shape == (20000,) and np.all(np.diff(energies) > 0)
     assert max(doc["shooting_residuals"]) <= 1e-8
+
+
+def test_derive_eom_across_its_size_range(capsys):
+    def run(text):
+        code = main(["derive-eom", "--lagrangian", text])
+        return code, capsys.readouterr()
+
+    # 300 distinct orders i/4 at the largest coefficients; the half-integer
+    # equation-of-motion orders leave nothing to reduce
+    code, captured = run(" + ".join(f"1e308*q[{i / 4}]" for i in range(300)))
+    assert code == 0 and captured.err == ""
+    body = " + ".join(f"1e+308·D^{i // 2 if i % 2 == 0 else i / 2}[q]"
+                      for i in reversed(range(300)))
+    assert captured.out == f"{body} = 0 (causal)\n{body} = 0 (retrocausal)\n"
+    assert len(captured.out.encode()) == 11587
+    code, captured = run("1e308*q[1] + 1e308*q[0.5] + 1e308*q[0]")
+    assert code == 0 and captured.err == ""
+    assert captured.out.splitlines() == [
+        "1e+308·D^2[q] + 1e+308·D^1[q] + 1e+308·D^0[q] = 0 (causal)",
+        "1e+308·D^2[q] + 1e+308·D^1[q] + 1e+308·D^0[q] = 0 (retrocausal)",
+        "reduced causal:      1e+308·q'' + 1e+308·q' + 1e+308·q = 0",
+        "reduced retrocausal: 1e+308·q'' - 1e+308·q' + 1e+308·q = 0",
+    ]
+    # 2*order overflowed in the JSON document, an OverflowError traceback,
+    # and the exact order of 1e3000000 took over a second to build
+    for order in ("1e308", "1e400", "1e3000000"):
+        start = time.perf_counter()
+        code, captured = run(f"1*q[{order}]")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: lagrangian.parse_lagrangian: offset 4: order "
+                                f"{order!r} doubles to a non-finite number\n")
 
 
 def test_failed_shot_prints_only_the_error_line():

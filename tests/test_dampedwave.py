@@ -308,6 +308,13 @@ class TestDampedWell:
         with pytest.raises(ValueError, match="finite square|overflow"):
             damped_well_modes(xi, length, count=2)
 
+    def test_overflowing_step_count_rejected(self):
+        # math.ceil of the infinite step count raised "cannot convert float
+        # infinity to integer", naming neither xi nor the well length
+        with pytest.raises(ValueError, match=r"step count overflows at xi = 1e\+150 "
+                                             r"and length 1e\+200"):
+            damped_well_modes(1e150, 1e200, count=1)
+
 
 def test_stacked_power_matches_matrix_power():
     rng = np.random.default_rng(11)

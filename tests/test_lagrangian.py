@@ -118,6 +118,17 @@ class TestTypes:
     def test_spec_rejects_duplicate_orders(self):
         with pytest.raises(ValueError):
             LagrangianSpec((ProductTerm(1.0, 1), ProductTerm(2.0, 1)))
+        with pytest.raises(ValueError):
+            LagrangianSpec((ProductTerm(1.0, "0.5"), ProductTerm(2.0, Fraction(2, 4))))
+
+    def test_potential_gradients(self):
+        # dV/dq as nonzero (coeff, power) pairs; zero coefficients drop
+        assert FreePotential().gradient() == ()
+        assert HarmonicPotential(4.0).gradient() == ((4.0, 1),)
+        assert HarmonicPotential(0.0).gradient() == ()
+        assert PolynomialPotential((1, 0, 3, 0, 2)).gradient() == ((6.0, 1), (8.0, 3))
+        with pytest.raises(ValueError, match="'well' has no classical gradient"):
+            InfiniteWellPotential(1.0).gradient()
 
 
 class TestDerivation:
@@ -252,6 +263,10 @@ class TestRendering:
     def test_potential_gradient_rendered(self):
         eom = derive_causal_eom(parse_lagrangian("1*q[1] - V(harmonic, 4)"))
         assert render_eom(eom) == "1·D^2[q] + 4·q = 0 (causal)"
+        eom = derive_causal_eom(parse_lagrangian("1*q[1] - V(harmonic, 0)"))
+        assert render_eom(eom) == "1·D^2[q] = 0 (causal)"
+        eom = derive_retrocausal_eom(parse_lagrangian("1*q[1] - V(poly, 5, -1, 0, 0.5)"))
+        assert render_eom(eom) == "1·D^2[q] - 1 + 1.5·q^2 = 0 (retrocausal)"
 
     def test_roundtrip_fixed_point(self):
         texts = (

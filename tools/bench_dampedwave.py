@@ -1,17 +1,23 @@
-"""Before/after timings of the well-mode shooting, for BENCH_dampedwave.json.
+"""Before/after timings of two source trees, for the BENCH_*.json files.
 
     python3 tools/bench_dampedwave.py inprocess PARENT CHANGE [--processes P] > inprocess.json
     python3 tools/bench_dampedwave.py cli PARENT CHANGE [--pairs N] > cli.json
     python3 tools/bench_dampedwave.py rss PARENT CHANGE [--pairs N] > rss.json
     python3 tools/bench_dampedwave.py bench PARENT CHANGE --workload W --seeds S0 S1 \\
         [--trace 0|1] > W.json
-    python3 tools/bench_dampedwave.py report --inprocess inprocess.json --cli cli.json \\
-        --rss rss.json --bench W.json [W2.json ...] --parent-commit REV > BENCH_dampedwave.json
+    python3 tools/bench_dampedwave.py report --what TEXT --layer TEXT \\
+        --claim WORKLOAD METRIC DROP --bench W.json [W2.json ...] --parent-commit REV \\
+        [--inprocess inprocess.json --cli cli.json --rss rss.json] > BENCH_x.json
 
 PARENT and CHANGE are the roots of two source checkouts. Every measuring
 mode pairs the two trees, alternates which side runs first, and prints its
 raw samples as one JSON document; ``report`` summarizes those documents
-into the committed file.
+into the committed file. ``inprocess``, ``cli`` and ``rss`` time the
+well-mode shooting (BENCH_dampedwave.json); ``bench`` and ``report`` serve
+any layer (BENCH_lagrangian.json comes from them alone). The ``--what``,
+``--layer`` and ``--claim`` each file was made with are its ``what`` and
+``layer`` entries and its ``claim.workload``, ``claim.metric`` and
+``claim.min_drop``.
 
 * ``inprocess``: each of P processes loads both ``src/`` trees side by
   side (as the packages ``parent`` and ``change``) and times
@@ -29,7 +35,9 @@ into the committed file.
   --trace T`` run from each root, one pair per seed; keeps every run's
   report.
 * ``report``: medians, quartiles and pair wins of every sample set, and
-  whether the claimed gain on ``library_sweep`` ``dampedwave_s`` holds.
+  whether the claimed gain holds: METRIC of WORKLOAD (trace off) at least
+  DROP lower than the parent's, in at least 90 % of the pairs, with a
+  median gap wider than the parent's IQR.
 """
 
 from __future__ import annotations
@@ -51,15 +59,7 @@ COUNTS = (5, 20, 200, 2000, 20000)
 RSS_COUNTS = (20000, 200000)
 SIDES = ("parent", "change")
 
-WHAT = ("dampedwave.damped_well_modes: every mode's RK4 step built by one broadcast "
-        "stage pass (core.rk4_increment) and raised to its shooting power by one "
-        "stacked right-to-left binary power over the (modes, 2, 2) stack, 4096 modes "
-        "a block, in place of one Python-level stage pass and one "
-        "numpy.linalg.matrix_power per mode. Energies and shooting residuals "
-        "bit-identical.")
-#: library_sweep dampedwave_s: at least this much lower, in at least this
-#: share of the pairs, with a median gap wider than the parent's IQR
-CLAIM_DROP = 0.35
+#: the claimed metric must be lower in at least this share of the pairs
 CLAIM_WINS = 0.9
 
 RSS_CODE = """if True:
@@ -211,21 +211,26 @@ def _bench_summary(doc):
                         for m in runs["parent"][0]["metrics"]}}
 
 
-def _claim(bench_runs):
-    """Whether library_sweep dampedwave_s (trace off) meets the claimed gain."""
-    text = (f"library_sweep dampedwave_s at least {CLAIM_DROP:.0%} lower than the "
-            f"parent, change lower in at least {CLAIM_WINS:.0%} of the pairs, median "
-            "gap larger than the parent IQR")
+def _claim(bench_runs, workload, metric, min_drop):
+    """Whether METRIC of WORKLOAD (trace off) meets the claimed gain in each
+    run of it."""
+    text = (f"{workload} {metric} at least {min_drop:.0%} lower than the parent, "
+            f"change lower in at least {CLAIM_WINS:.0%} of the pairs, median gap "
+            "larger than the parent IQR")
+    claim = {"text": text, "workload": workload, "metric": metric,
+             "min_drop": min_drop, "runs": {}}
     for key, run in bench_runs.items():
-        if key.startswith("library_sweep trace 0"):
-            s = run["metrics"]["dampedwave_s"]
+        if key.startswith(f"{workload} trace 0"):
+            s = run["metrics"][metric]
             lower, pairs = map(int, s["change_lower"].split("/"))
             low, high = s["parent_quartiles"]
             drop = 1.0 - s["change_median"] / s["parent_median"]
-            met = (drop >= CLAIM_DROP and lower >= CLAIM_WINS * pairs
+            met = (drop >= min_drop and lower >= CLAIM_WINS * pairs
                    and s["parent_median"] - s["change_median"] > high - low)
-            return {"text": text, "source": key, "drop": drop, "met": met}
-    return {"text": text, "source": None, "met": None}
+            claim["runs"][key] = {"drop": drop, "met": met}
+    claim["met"] = (all(r["met"] for r in claim["runs"].values())
+                    if claim["runs"] else None)
+    return claim
 
 
 def _host():
@@ -239,35 +244,39 @@ def report(args):
     def read(path):
         with open(path) as f:
             return json.load(f)
-    doc = {"what": WHAT,
-           "layer": "shooting (dampedwave.damped_well_modes; bench span dampedwave.shoot)",
+    doc = {"what": args.what,
+           "layer": args.layer,
            "parent_commit": args.parent_commit,
            "host": _host(),
            "harness": "tools/bench_dampedwave.py; see its docstring for each section"}
-    inproc = read(args.inprocess)
-    doc["in_process"] = {
-        "processes": inproc["processes"], "pairs_per_process": inproc["pairs"],
-        **{name: _summary(s["parent"], s["change"])
-           for name, s in inproc["samples"].items()}}
-    times = read(args.cli)
-    doc["cli"] = {"pairs": times["pairs"],
-                  **{name: _summary(s["parent"], s["change"])
-                     for name, s in times["samples"].items()}}
-    memory = read(args.rss)
-    doc["rss"] = {"runs_each": memory["pairs"],
-                  **{f"{quantity}_median": {
-                      count: {name: statistics.median(values)
-                              for name, values in runs.items()}
-                      for count, runs in memory[quantity].items()}
-                     for quantity in ("peak_rss_mb", "call_s")},
-                  "samples": {q: memory[q] for q in ("peak_rss_mb", "call_s")}}
+    if args.inprocess:
+        inproc = read(args.inprocess)
+        doc["in_process"] = {
+            "processes": inproc["processes"], "pairs_per_process": inproc["pairs"],
+            **{name: _summary(s["parent"], s["change"])
+               for name, s in inproc["samples"].items()}}
+    if args.cli:
+        times = read(args.cli)
+        doc["cli"] = {"pairs": times["pairs"],
+                      **{name: _summary(s["parent"], s["change"])
+                         for name, s in times["samples"].items()}}
+    if args.rss:
+        memory = read(args.rss)
+        doc["rss"] = {"runs_each": memory["pairs"],
+                      **{f"{quantity}_median": {
+                          count: {name: statistics.median(values)
+                                  for name, values in runs.items()}
+                          for count, runs in memory[quantity].items()}
+                         for quantity in ("peak_rss_mb", "call_s")},
+                      "samples": {q: memory[q] for q in ("peak_rss_mb", "call_s")}}
     bench_runs = {}
     for path in args.bench:
         run = read(path)
         key = (f"{run['workload']} trace {run['trace']} "
                f"seeds {run['seeds'][0]}-{run['seeds'][-1]}")
         bench_runs[key] = _bench_summary(run)
-    doc["claim"] = _claim(bench_runs)
+    workload, metric, min_drop = args.claim
+    doc["claim"] = _claim(bench_runs, workload, metric, float(min_drop))
     doc["bench_run"] = bench_runs
     return doc
 
@@ -285,9 +294,13 @@ def main():
         p.add_argument("--seeds", type=int, nargs=2, default=(1101, 1110))
         p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p = sub.add_parser("report")
-    p.add_argument("--inprocess", required=True)
-    p.add_argument("--cli", required=True)
-    p.add_argument("--rss", required=True)
+    p.add_argument("--what", required=True, help="the change, in one paragraph")
+    p.add_argument("--layer", required=True, help="the layer it moves and its spans")
+    p.add_argument("--claim", nargs=3, required=True,
+                   metavar=("WORKLOAD", "METRIC", "DROP"))
+    p.add_argument("--inprocess")
+    p.add_argument("--cli")
+    p.add_argument("--rss")
     p.add_argument("--bench", nargs="+", required=True)
     p.add_argument("--parent-commit", required=True)
     args = parser.parse_args()
