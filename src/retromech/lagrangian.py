@@ -327,8 +327,9 @@ def _finite(token: str, start: int) -> float:
 
 
 def _order(token: str, start: int) -> Fraction:
-    """The exact order a REAL token spells, once its equation-of-motion
-    order 2*order is known to be a finite float."""
+    """The exact order a REAL token spells. An order whose equation-of-motion
+    order 2*order is not a finite float is rejected before its fraction,
+    which for 1e3000000 has a million digits, is built."""
     if not math.isfinite(2.0 * float(token)):
         raise ParseError(f"order {token!r} doubles to a non-finite number", start)
     order = Fraction(*Decimal(token).as_integer_ratio())
