@@ -288,30 +288,32 @@ class ParseError(ValueError):
 
 _REAL = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _REAL_RE = re.compile(_REAL)
-_NUMBER = rf"(?>{_REAL})"  # atomic: the longest REAL, never a shorter one
 
 
 def _prefix(*pieces: str) -> str:
     """A pattern matching the longest run of ``pieces`` that the text starts
     with, whitespace allowed after each. The first piece whose group is None
-    is where the text went wrong, and the match ends at its offset."""
+    is where the text went wrong, and the match ends at its offset. Every
+    piece after the first is optional, so the first match found never steps
+    back into an earlier piece: each REAL and whitespace run keeps its
+    longest match, the one ``_REAL_RE.match`` gives."""
     pattern = ""
     for piece in reversed(pieces):
-        pattern = rf"(?:{piece}\s*+{pattern})?"
+        pattern = rf"(?:{piece}\s*{pattern})?"
     return pattern
 
 
 # one product term and the separator after it: '+', '-' or none
-_TERM_RE = re.compile(r"\s*+" + _prefix(
-    rf"(?P<coeff>{_NUMBER})", r"(?P<star>\*)", r"(?P<open>q\[)",
-    rf"(?P<order>{_NUMBER})", r"(?P<close>\])", r"(?P<sep>[+-])"))
-_CALL_RE = re.compile(r"\s*+" + _prefix(r"(?P<open>V\()"))
-_CLOSE_RE = re.compile(r"\s*+" + _prefix(r"(?P<close>\))"))
+_TERM_RE = re.compile(r"\s*" + _prefix(
+    rf"(?P<coeff>{_REAL})", r"(?P<star>\*)", r"(?P<open>q\[)",
+    rf"(?P<order>{_REAL})", r"(?P<close>\])", r"(?P<sep>[+-])"))
+_CALL_RE = re.compile(r"\s*" + _prefix(r"(?P<open>V\()"))
+_CLOSE_RE = re.compile(r"\s*" + _prefix(r"(?P<close>\))"))
 # only 'poly' takes more than one value, and a comma left dangling after its
 # values is matched to name the offset where the next value is missing
-_POTENTIAL_RE = re.compile(r"\s*+(?:(?P<free>free)\s*+|" + _prefix(
+_POTENTIAL_RE = re.compile(r"\s*(?:(?P<free>free)\s*|" + _prefix(
     r"(?P<kind>harmonic|well|(?P<poly>poly))", "(?P<comma>,)",
-    rf"(?P<values>{_NUMBER}(?(poly)(?:\s*+,\s*+{_NUMBER})*+))",
+    rf"(?P<values>{_REAL}(?(poly)(?:\s*,\s*{_REAL})*))",
     "(?(poly)(?P<dangle>,))") + ")")
 
 
