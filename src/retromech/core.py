@@ -57,10 +57,6 @@ class Grid:
         """Abscissae a + i*h for i = 0 .. n-1."""
         return self.a + np.arange(self.n) * self.h
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -81,15 +77,6 @@ class GridFunction:
             raise ValueError(f"expected {self.grid.n} samples, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        """Sample a vectorized callable on the grid points."""
-        return cls(grid, np.asarray(fn(grid.points())))
-
-    @property
-    def is_complex(self) -> bool:
-        return self.samples.dtype.kind == "c"
 
 
 @dataclass(frozen=True)

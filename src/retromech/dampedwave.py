@@ -16,7 +16,6 @@ one stacked array pass.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -153,14 +152,14 @@ def solve_damped_free(params: DampedWaveParams, grid: Grid,
 
 @dataclass(frozen=True, eq=False)
 class DampedWellModes:
-    """Hard-wall well energies and mode shapes for damping factor xi.
+    """Hard-wall well energies for damping factor xi.
 
     The substitution psi = exp(-xi x) u strips the damping term, so the
-    Dirichlet modes on [0, L] sit at E_n = (hbar^2 / 2m)(n^2 pi^2 / L^2 +
-    xi^2) with shapes exp(-xi x) sin(n pi x / L) (unnormalized). The
-    residuals |psi(L)| come from an independent RK4 shooting pass from
-    (psi, psi') = (0, 1) at each energy, with at least ``shooting_points - 1``
-    steps and more where a high mode or a long well needs them.
+    Dirichlet modes on [0, L] are exp(-xi x) sin(n pi x / L) (unnormalized)
+    at E_n = (hbar^2 / 2m)(n^2 pi^2 / L^2 + xi^2). The residuals |psi(L)|
+    come from an independent RK4 shooting pass from (psi, psi') = (0, 1) at
+    each energy, with at least ``shooting_points - 1`` steps and more where
+    a high mode or a long well needs them.
     """
 
     xi: float
@@ -168,17 +167,6 @@ class DampedWellModes:
     units: UnitsConfig
     energies: np.ndarray
     shooting_residuals: np.ndarray
-    shape_points: int
-
-    @functools.cached_property
-    def shapes(self) -> tuple:
-        """Mode shapes on ``shape_points`` samples of [0, L], built on first
-        access since the energy report never reads them."""
-        grid = Grid(0.0, self.length, self.shape_points)
-        x = grid.points()
-        decay = np.exp(-self.xi * x)
-        return tuple(GridFunction(grid, decay * np.sin(n * math.pi * x / self.length))
-                     for n in range(1, len(self.energies) + 1))
 
 
 def _shooting_steps(k: float, length: float, minimum: int) -> int:
@@ -229,9 +217,9 @@ def _stacked_power(a: np.ndarray, exponents: list) -> np.ndarray:
 
 def damped_well_modes(xi: float, length: float,
                       units: UnitsConfig = NATURAL_UNITS, count: int = 5, *,
-                      shape_points: int = 513,
                       shooting_points: int = 3001) -> DampedWellModes:
-    """The lowest ``count`` hard-wall modes of the damped well [0, length].
+    """Energies and shooting residuals of the lowest ``count`` hard-wall
+    modes of the damped well [0, length].
 
     Energies are closed form, E_n = (hbar^2 / 2m)(n^2 pi^2 / L^2 + xi^2).
     Each is cross-checked by RK4 shooting from (psi, psi') = (0, 1):
@@ -288,7 +276,7 @@ def damped_well_modes(xi: float, length: float,
             )
     residuals.setflags(write=False)
     return DampedWellModes(xi=xi, length=length, units=units, energies=energies,
-                           shooting_residuals=residuals, shape_points=shape_points)
+                           shooting_residuals=residuals)
 
 
 def envelope_decay_rate(f: GridFunction) -> float:

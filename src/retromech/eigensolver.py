@@ -42,9 +42,6 @@ __all__ = [
     "count_interior_nodes",
 ]
 
-#: Relative residual bound every returned eigenpair must satisfy.
-RESIDUAL_BOUND = 1e-8
-
 #: Minimum grid size for the discretization to make sense.
 MIN_GRID_POINTS = 16
 
@@ -55,10 +52,6 @@ HARMONIC_HALF_WIDTH = 12.0
 
 class SpectrumError(RuntimeError):
     """Eigenpair extraction failed or missed the residual bound."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,20 +167,17 @@ def _load_flapack():
     return module
 
 
-def eigh_tridiagonal(d, e, *, select="i", select_range):
+def eigh_tridiagonal(d, e, *, select_range):
     """Eigenpairs ``select_range = (lo, hi)`` (inclusive, ascending) of the
     symmetric tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
 
     Runs what ``scipy.linalg.eigh_tridiagonal(d, e, select="i",
     select_range=...)`` runs: LAPACK ``dstebz`` bisection in block order,
     ``dstein`` inverse iteration, then a sort by eigenvalue, so energies
-    and eigenvectors are identical to scipy's bytes. Only index selection
-    is supported. The LAPACK module is loaded on the first call; inputs
-    must be finite, since nothing here checks them. A nonzero LAPACK
-    ``info`` raises :class:`SpectrumError`.
+    and eigenvectors are identical to scipy's bytes. The LAPACK module is
+    loaded on the first call; inputs must be finite, since nothing here
+    checks them. A nonzero LAPACK ``info`` raises :class:`SpectrumError`.
     """
-    if select != "i":
-        raise ValueError(f"only select='i' is supported, got {select!r}")
     lapack = _load_flapack()
     lo, hi = select_range
     m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1,
@@ -205,9 +195,13 @@ def eigh_tridiagonal(d, e, *, select="i", select_range):
 def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolution:
     """Lowest ``count`` eigenpairs by bisection plus inverse iteration.
 
-    Every returned pair satisfies ||H psi - E psi|| <= 1e-8 ||psi||;
-    eigenfunctions are sign-fixed to a positive leading lobe so downstream
-    phase checks are deterministic.
+    Every returned pair has the backward error of a stable solver: with N
+    the matrix dimension and ||H||_G its largest Gershgorin row sum (an
+    upper bound on ||H||_2), ||H psi - E psi|| <= sqrt(N) eps ||H||_G ||psi||
+    (LAPACK Users' Guide, 3rd ed., section 4.7). An absolute bound would
+    fail on a fine grid, where ||H|| grows like h^-2. Eigenfunctions are
+    sign-fixed to a positive leading lobe so downstream phase checks are
+    deterministic.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -218,18 +212,21 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
         raise ValueError(
             f"count = {count} exceeds matrix dimension {hamiltonian.dimension}"
         )
-    energies, vectors = eigh_tridiagonal(
-        hamiltonian.diag, hamiltonian.offdiag,
-        select="i", select_range=(0, count - 1),
-    )
+    d, e = hamiltonian.diag, hamiltonian.offdiag
+    energies, vectors = eigh_tridiagonal(d, e, select_range=(0, count - 1))
+    rows = np.abs(d)
+    rows[:-1] += np.abs(e)
+    rows[1:] += np.abs(e)
+    tolerance = math.sqrt(len(d)) * np.finfo(np.float64).eps * float(rows.max())
     h = hamiltonian.grid.h
     functions = []
     for j in range(count):
         v = vectors[:, j]
         residual = np.linalg.norm(hamiltonian.matvec(v) - energies[j] * v)
-        if residual > RESIDUAL_BOUND * np.linalg.norm(v):
+        bound = tolerance * np.linalg.norm(v)
+        if not residual <= bound:
             raise SpectrumError(
-                f"eigenpair {j} residual {residual:.3e} exceeds bound", index=j)
+                f"eigenpair {j} residual {residual:.3e} exceeds bound {bound:.3e}")
         psi = np.zeros(hamiltonian.grid.n)
         psi[1:-1] = v / math.sqrt(h)
         lobe = np.flatnonzero(np.abs(psi) > 1e-3 * np.max(np.abs(psi)))[0]

@@ -16,8 +16,8 @@ stopped. The variational rule maps a term of order beta to a single
 derivative of total order 2*beta in the equation of motion, once per
 direction, and the potential contributes +dV/dq. Orders are stored as
 exact fractions so the doubling and the integer checks never drift, and
-an order whose 2*beta is not a finite float is rejected before its
-fraction is built.
+an order whose 2*beta is not a finite float, or is a nonzero beta that
+rounds to zero, is rejected before its fraction is built.
 """
 
 from __future__ import annotations
@@ -76,8 +76,9 @@ class Potential:
         raise NotImplementedError
 
     def gradient(self) -> tuple:
-        """dV/dq as nonzero (coeff, power) pairs: sum coeff * q**power."""
-        raise ValueError(f"potential {self.kind!r} has no classical gradient")
+        """dV/dq as nonzero (coeff, power) pairs: sum coeff * q**power.
+        Raises ``ValueError`` where dV/dq does not exist as finite numbers."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,14 @@ class PolynomialPotential(Potential):
         return {"kind": "poly", "coeffs": list(self.coeffs)}
 
     def gradient(self):
-        return tuple((power * c, power - 1) for power, c in enumerate(self.coeffs)
-                     if power and c != 0)
+        pairs = []
+        for power, c in enumerate(self.coeffs):
+            if power and c != 0:
+                if not math.isfinite(power * c):
+                    raise ValueError(f"gradient of the q^{power} term overflows: "
+                                     f"{power} * {c!r} is not finite")
+                pairs.append((power * c, power - 1))
+        return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,10 @@ class InfiniteWellPotential(Potential):
 
     def to_json_dict(self):
         return {"kind": "well", "L": self.length}
+
+    def gradient(self):
+        raise ValueError("infinite-well potential has no gradient; it is only valid in "
+                         "the eigensolver context")
 
 
 # --------------------------------------------------------------------------
@@ -220,12 +231,12 @@ class LagrangianSpec:
         if len({(t.order.numerator, t.order.denominator) for t in terms}) != len(terms):
             raise ValueError("duplicate orders in lagrangian")
         object.__setattr__(self, "terms", terms)
-        # (coeff, 2*order) of every term, highest order first: the derivative
-        # terms both equations of motion share. Built here rather than as a
-        # cached_property, whose first access costs more than this.
+        # the derivative terms (coeff, 2*order) of both equations of motion,
+        # highest order first. Built here rather than as a cached_property,
+        # whose first access costs more than this.
         ordered = sorted(terms, key=lambda t: t.order, reverse=True)
-        object.__setattr__(self, "_eom_orders", tuple(
-            (t.coeff, Fraction(2 * t.order.numerator, t.order.denominator))
+        object.__setattr__(self, "_eom_terms", tuple(
+            EomTerm(t.coeff, Fraction(2 * t.order.numerator, t.order.denominator))
             for t in ordered))
 
     @property
@@ -236,9 +247,10 @@ class LagrangianSpec:
 
 @dataclass(frozen=True)
 class EomTerm:
+    """coeff * D^total_order q, in the direction of its equation of motion."""
+
     coeff: float
     total_order: Fraction
-    direction: Direction
 
 
 @dataclass(frozen=True)
@@ -330,10 +342,16 @@ def _finite(token: str, start: int) -> float:
 
 def _order(token: str, start: int) -> Fraction:
     """The exact order a REAL token spells. An order whose equation-of-motion
-    order 2*order is not a finite float is rejected before its fraction,
-    which for 1e3000000 has a million digits, is built."""
-    if not math.isfinite(2.0 * float(token)):
+    order 2*order is not a finite float, or is a nonzero order that rounds
+    to 0.0, is rejected before its fraction, which for 1e3000000 or
+    1e-3000000 has a million digits, is built."""
+    doubled = 2.0 * float(token)
+    if not math.isfinite(doubled):
         raise ParseError(f"order {token!r} doubles to a non-finite number", start)
+    # a nonzero digit before the exponent makes the order nonzero
+    if doubled == 0.0 and any(c.isdecimal() and int(c)
+                              for c in token.lower().partition("e")[0]):
+        raise ParseError(f"nonzero order {token!r} doubles to zero", start)
     order = Fraction(*Decimal(token).as_integer_ratio())
     if order.numerator < 0:
         raise ParseError(f"negative order {order}", start)
@@ -381,8 +399,9 @@ def parse_lagrangian(text: str) -> LagrangianSpec:
     Each term and the separator after it is one match of an anchored
     regular expression. Zero-coefficient terms are dropped; duplicate orders
     are rejected with the offset of the repeated order, and so is any order
-    whose equation-of-motion order 2*order is not a finite float. A spec
-    whose terms all dropped is still returned, flagged degenerate.
+    whose equation-of-motion order 2*order is not a finite float or, for a
+    nonzero order, is 0.0. A spec whose terms all dropped is still returned,
+    flagged degenerate.
     """
     terms = []
     seen = set()
@@ -429,18 +448,10 @@ def parse_lagrangian(text: str) -> LagrangianSpec:
 # derivation
 
 
-def _check_derivable_potential(potential: Potential):
-    if isinstance(potential, InfiniteWellPotential):
-        raise ValueError(
-            "infinite-well potential has no gradient; it is only valid in the "
-            "eigensolver context"
-        )
-
-
 def _derive(spec: LagrangianSpec, direction: Direction) -> EquationOfMotion:
-    _check_derivable_potential(spec.potential)
-    terms = tuple(EomTerm(coeff, order, direction) for coeff, order in spec._eom_orders)
-    return EquationOfMotion(terms=terms, potential=spec.potential, direction=direction)
+    spec.potential.gradient()  # raises where dV/dq does not exist
+    return EquationOfMotion(terms=spec._eom_terms, potential=spec.potential,
+                            direction=direction)
 
 
 def derive_causal_eom(spec: LagrangianSpec) -> EquationOfMotion:
@@ -478,6 +489,9 @@ def reduce_integer_orders(eom: EquationOfMotion) -> ClassicalOde:
                 "classical oscillator form"
             )
         slots[0] += coeff
+    for name, nth in (("mass", 2), ("damping", 1), ("stiffness", 0)):
+        if not math.isfinite(slots[nth]):
+            raise ValueError(f"reduced {name} coefficient overflows")
     return ClassicalOde(mass_coeff=slots[2], damping_coeff=slots[1],
                         stiffness_coeff=slots[0])
 

@@ -458,11 +458,15 @@ def test_eigensolve_across_its_size_range(capsys):
     energies = np.array(json.loads(captured.out)["energies"])
     exact = np.arange(20) + 0.5
     assert np.max(np.abs(energies - exact) / exact) <= 1e-3
-    # the residual bound is absolute while ||H|| grows like h^-2, so the
-    # well misses it at n = 8000; the contract is to fail, naming the bound
-    code, captured = run("--potential", "well,1", "--n", "8000")
-    assert code == 1
-    failure(captured, "eigensolver.solve_spectrum", "residual")
+    # an absolute residual bound of 1e-8 failed these, since ||H|| grows like
+    # h^-2; the backward-error bound scales with ||H||
+    for argv, count in ((("well,1", "--n", "3000", "--count", "5"), 5),
+                        (("well,1", "--n", "8000"), 3),
+                        (("harmonic,1", "--n", "200000", "--count", "20"), 20)):
+        code, captured = run("--potential", *argv)
+        assert code == 0 and captured.err == ""
+        energies = np.array(json.loads(captured.out)["energies"])
+        assert energies.shape == (count,) and np.all(np.diff(energies) > 0)
     for direction, solver in (("causal", "solve_causal"),
                               ("retrocausal", "solve_retrocausal")):
         assert main(["oscillate", "--n", "2", "--direction", direction]) == 1
@@ -526,6 +530,24 @@ def test_derive_eom_across_its_size_range(monkeypatch, capsys):
         assert code == 1 and captured.out == ""
         assert captured.err == (f"error: lagrangian.parse_lagrangian: offset 4: order "
                                 f"{order!r} doubles to a non-finite number\n")
+    # a nonzero order whose 2*order underflowed printed D^0.0[q], and the
+    # exact order of 1e-3000000 took over a second to build
+    for order in ("1e-400", "1e-3000000"):
+        code, captured = run(f"1*q[{order}]")
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: lagrangian.parse_lagrangian: offset 4: nonzero "
+                                f"order {order!r} doubles to zero\n")
+    monkeypatch.undo()
+    # an overflowing gradient, and an overflowing reduced stiffness, ended in
+    # an OverflowError traceback from the rendering
+    for text, error in (
+            ("1*q[1] - V(poly, 0, 0, 1e308)", "lagrangian.derive_causal_eom: gradient "
+             "of the q^2 term overflows: 2 * 1e+308 is not finite"),
+            ("1*q[1] + 1e308*q[0] - V(harmonic, 1e308)",
+             "lagrangian.reduce_integer_orders: reduced stiffness coefficient overflows")):
+        code, captured = run(text)
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
 
 def test_failed_shot_prints_only_the_error_line():

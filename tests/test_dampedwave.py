@@ -168,7 +168,7 @@ class TestFreeSolution:
     def test_complex_initial_data(self):
         grid = Grid(0.0, 5.0, 2001)
         sol = solve_damped_free(DampedWaveParams(0.3, 0.5), grid, 1.0 + 0.5j, -0.2j)
-        assert sol.closed_form.is_complex
+        assert np.iscomplexobj(sol.closed_form.samples)
         assert sol.max_discrepancy <= 1e-6
 
     def test_solution_decays_forward(self):
@@ -214,23 +214,6 @@ class TestDampedWell:
         modes = damped_well_modes(xi, length, count=200)
         assert modes.shooting_residuals.shape == (200,)
         assert np.max(modes.shooting_residuals) <= SHOOTING_BOUND
-
-    def test_mode_shapes(self):
-        modes = damped_well_modes(0.7, 2.0, count=2)
-        grid = modes.shapes[0].grid
-        x = grid.points()
-        expected = np.exp(-0.7 * x) * np.sin(math.pi * x / 2.0)
-        assert np.max(np.abs(modes.shapes[0].samples - expected)) <= 1e-12
-
-    def test_shapes_built_on_first_access(self):
-        modes = damped_well_modes(0.7, 2.0, count=3)
-        assert "shapes" not in vars(modes)
-        shapes = modes.shapes
-        assert modes.shapes is shapes
-        assert len(shapes) == 3 and shapes[2].grid.n == 513
-        x = shapes[2].grid.points()
-        expected = np.exp(-0.7 * x) * np.sin(3 * math.pi * x / 2.0)
-        assert np.max(np.abs(shapes[2].samples - expected)) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):

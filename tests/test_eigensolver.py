@@ -137,6 +137,38 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="exceeds"):
             solve_spectrum(ham, ham.dimension + 1)
 
+    @pytest.mark.parametrize("potential, n, count", [
+        (WELL, 2000, 5), (WELL, 3000, 3), (HarmonicPotential(1.0), 2000, 6),
+        (HarmonicPotential(1.0), 20000, 20), (HarmonicPotential(2.3), 20000, 20),
+    ], ids=["well-2000", "well-3000", "harmonic-2000", "harmonic-20000",
+            "harmonic-2.3-20000"])
+    def test_residuals_keep_the_absolute_bound_they_met(self, potential, n, count):
+        # solve_spectrum bounds the backward error sqrt(N) eps ||H||_G ||v||,
+        # which for the well is looser than 1e-8 ||v|| above n = 870; these
+        # cases met the absolute bound before it and still must
+        ham = build_hamiltonian(potential, default_grid(potential, n))
+        assert solve_spectrum(ham, count).count == count
+        w, v = eigensolver.eigh_tridiagonal(ham.diag, ham.offdiag,
+                                            select_range=(0, count - 1))
+        for j in range(count):
+            residual = np.linalg.norm(ham.matvec(v[:, j]) - w[j] * v[:, j])
+            assert residual <= 1e-8 * np.linalg.norm(v[:, j])
+
+    def test_residual_failure_names_pair_residual_and_bound(self, monkeypatch):
+        exact = eigensolver.eigh_tridiagonal
+
+        def shifted(d, e, *, select_range):
+            w, v = exact(d, e, select_range=select_range)
+            return w + np.array([0.0, 1e-6, 0.0]), v
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", shifted)
+        ham = build_hamiltonian(WELL, default_grid(WELL, 100))
+        # bound sqrt(98) eps (|d| + 2 |e|) at h = 1/99, for unit-norm v
+        bound = math.sqrt(98) * np.finfo(np.float64).eps * 2.0 * 99.0**2
+        with pytest.raises(SpectrumError, match=rf"^eigenpair 1 residual 1\.000e-06 "
+                                                rf"exceeds bound {bound:.3e}$"):
+            solve_spectrum(ham, 3)
+
     def test_polynomial_potential_supported(self):
         pot = PolynomialPotential((0.0, 0.0, 0.5))  # same as harmonic k=1
         grid = Grid(-12.0, 12.0, 1500)
@@ -177,9 +209,10 @@ class TestLapack:
     @staticmethod
     def assert_matches_scipy(potential, n, count):
         ham = build_hamiltonian(potential, default_grid(potential, n))
-        kwargs = {"select": "i", "select_range": (0, count - 1)}
-        w, v = eigensolver.eigh_tridiagonal(ham.diag, ham.offdiag, **kwargs)
-        w_ref, v_ref = scipy.linalg.eigh_tridiagonal(ham.diag, ham.offdiag, **kwargs)
+        w, v = eigensolver.eigh_tridiagonal(ham.diag, ham.offdiag,
+                                            select_range=(0, count - 1))
+        w_ref, v_ref = scipy.linalg.eigh_tridiagonal(ham.diag, ham.offdiag, select="i",
+                                                     select_range=(0, count - 1))
         assert w.shape == (count,) and v.shape == (ham.dimension, count)
         assert w.tobytes() == w_ref.tobytes()
         assert v.tobytes() == v_ref.tobytes()
@@ -200,17 +233,11 @@ class TestLapack:
         # eigenvalues block by block, and the higher block comes first here
         d = np.array([9.0, 8.0, 7.0, 6.0, 1.0, 2.0, 3.0, 4.0])
         e = np.array([-1.0, -1.0, -1.0, 0.0, -1.0, -1.0, -1.0])
-        w, v = eigensolver.eigh_tridiagonal(d, e, select="i", select_range=(0, 7))
+        w, v = eigensolver.eigh_tridiagonal(d, e, select_range=(0, 7))
         w_ref, v_ref = scipy.linalg.eigh_tridiagonal(d, e, select="i",
                                                      select_range=(0, 7))
         assert np.all(np.diff(w) > 0)
         assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
-
-    def test_only_index_selection(self):
-        ham = build_hamiltonian(WELL, default_grid(WELL, 100))
-        with pytest.raises(ValueError, match="select='i'"):
-            eigensolver.eigh_tridiagonal(ham.diag, ham.offdiag, select="v",
-                                         select_range=(0.0, 1.0))
 
     def test_bisection_failure_is_spectrum_error(self):
         # LAPACK dstebz returns info = 4 on this 1e-152-wide well
@@ -228,12 +255,12 @@ class TestLapack:
             "from retromech import eigensolver\n"
             "d = 2.0 + np.arange(60.0) / 7.0\n"
             "e = -np.ones(59)\n"
-            "kw = dict(select='i', select_range=(0, 9))\n"
-            "w1, v1 = eigensolver.eigh_tridiagonal(d, e, **kw)\n"
+            "w1, v1 = eigensolver.eigh_tridiagonal(d, e, select_range=(0, 9))\n"
             "assert 'scipy.linalg' not in sys.modules\n"
             "import scipy.linalg\n"
-            "w2, v2 = scipy.linalg.eigh_tridiagonal(d, e, **kw)\n"
-            "w3, v3 = eigensolver.eigh_tridiagonal(d, e, **kw)\n"
+            "w2, v2 = scipy.linalg.eigh_tridiagonal(d, e, select='i',\n"
+            "                                       select_range=(0, 9))\n"
+            "w3, v3 = eigensolver.eigh_tridiagonal(d, e, select_range=(0, 9))\n"
             "same = [a.tobytes() == b.tobytes() for a, b in\n"
             "        ((w1, w2), (w1, w3), (v1, v2), (v1, v3))]\n"
             "print(all(same))\n"

@@ -54,6 +54,15 @@ class TestParser:
         with pytest.raises(ParseError, match="negative order"):
             parse_lagrangian("1.0*q[-1]")
 
+    def test_nonzero_order_that_doubles_to_zero_rejected(self):
+        # 2*order rounded to 0.0 and the equation read D^0.0[q]
+        text = "1*q[1] + 2*q[1e-400]"
+        with pytest.raises(ParseError, match="nonzero order '1e-400' doubles to zero") \
+                as err:
+            parse_lagrangian(text)
+        assert err.value.position == text.index("1e-400")
+        assert parse_lagrangian("2*q[0.00e-400]").terms == (ProductTerm(2.0, 0),)
+
     def test_syntax_error_carries_position_and_expectations(self):
         with pytest.raises(ParseError) as err:
             parse_lagrangian("1.0 q[1]")
@@ -127,8 +136,10 @@ class TestTypes:
         assert HarmonicPotential(4.0).gradient() == ((4.0, 1),)
         assert HarmonicPotential(0.0).gradient() == ()
         assert PolynomialPotential((1, 0, 3, 0, 2)).gradient() == ((6.0, 1), (8.0, 3))
-        with pytest.raises(ValueError, match="'well' has no classical gradient"):
+        with pytest.raises(ValueError, match="infinite-well potential has no gradient"):
             InfiniteWellPotential(1.0).gradient()
+        with pytest.raises(ValueError, match=r"q\^2 term overflows: 2 \* 1e\+308"):
+            PolynomialPotential((0, 0, 1e308)).gradient()
 
 
 class TestDerivation:
@@ -136,7 +147,6 @@ class TestDerivation:
         eom = derive_causal_eom(parse_lagrangian(REFERENCE))
         assert [(t.coeff, t.total_order) for t in eom.terms] == [
             (1.0, Fraction(2)), (0.3, Fraction(1)), (4.0, Fraction(0))]
-        assert all(t.direction is Direction.CAUSAL for t in eom.terms)
         assert eom.direction is Direction.CAUSAL
 
     def test_retrocausal_mirrors_causal(self):
@@ -145,7 +155,7 @@ class TestDerivation:
         retro = derive_retrocausal_eom(spec)
         assert [(t.coeff, t.total_order) for t in causal.terms] == \
                [(t.coeff, t.total_order) for t in retro.terms]
-        assert all(t.direction is Direction.RETROCAUSAL for t in retro.terms)
+        assert retro.direction is Direction.RETROCAUSAL
 
     def test_newton_recovered_with_potential(self):
         eom = derive_causal_eom(parse_lagrangian("1.0*q[1] - V(harmonic, 4.0)"))
@@ -217,6 +227,12 @@ class TestReduction:
         eom = derive_causal_eom(parse_lagrangian("1*q[1] - V(poly, 0, 1)"))
         with pytest.raises(ValueError, match="not linear"):
             reduce_integer_orders(eom)
+
+    def test_overflowing_stiffness_rejected(self):
+        spec = parse_lagrangian("1*q[1] + 1e308*q[0] - V(harmonic, 1e308)")
+        for derive in (derive_causal_eom, derive_retrocausal_eom):
+            with pytest.raises(ValueError, match="reduced stiffness coefficient overflows"):
+                reduce_integer_orders(derive(spec))
 
     def test_non_integer_residual_rejected(self):
         eom = derive_causal_eom(parse_lagrangian("1*q[0.25]"))

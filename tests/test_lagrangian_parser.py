@@ -3,9 +3,14 @@ scanner it replaced, on generated valid and malformed texts; derandomized
 by the profile in ``conftest.py``.
 
 Both must give the same spec or potential, or the same ``ParseError``
-(text, offset and expected tokens). The one difference is deliberate: an
-order whose equation-of-motion order 2*order is not a finite float is now
-rejected at its offset, where the scanner built its exact fraction.
+(text, offset and expected tokens). The two differences are deliberate:
+an order whose equation-of-motion order 2*order is not a finite float, and
+a nonzero order whose 2*order rounds to 0.0, are now rejected at their
+offset, where the scanner built their exact fraction.
+
+The gradient dispatches are frozen too, with the well's message edited to
+the one ``Potential.gradient`` raises; a polynomial gradient or a reduced
+stiffness that overflows is now rejected where the old code gave inf.
 """
 
 import math
@@ -194,7 +199,8 @@ def frozen_linear_gradient_coeff(potential: Potential) -> float:
                 )
             coeff += g
         return coeff
-    raise ValueError(f"potential {potential.kind!r} has no classical gradient")
+    raise ValueError("infinite-well potential has no gradient; it is only valid in "
+                     "the eigensolver context")
 
 
 def frozen_gradient_pieces(potential: Potential) -> list:
@@ -210,7 +216,8 @@ def frozen_gradient_pieces(potential: Potential) -> list:
             body = "" if power == 1 else ("q" if power == 2 else f"q^{power - 1}")
             pieces.append((power * c, body))
         return pieces
-    raise ValueError(f"potential {potential.kind!r} has no classical gradient")
+    raise ValueError("infinite-well potential has no gradient; it is only valid in "
+                     "the eigensolver context")
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +239,8 @@ _NUMBER = st.builds(lambda sign, m, e: sign + m + e,
                     st.sampled_from(["", "", "+", "-"]), _MANTISSA, _EXPONENT)
 # a small pool, so that orders repeat, in different spellings
 _ORDER = st.one_of(st.sampled_from(["0", "-0", "1", "1.0", "0.5", "5e-1", ".5", "2",
-                                    "0.25", "1e308", "8e307", "-1e400", "-0.5"]),
+                                    "0.25", "1e308", "8e307", "-1e400", "-0.5",
+                                    "1e-400"]),
                    _NUMBER)
 _GARBAGE = st.sampled_from(["x", "*", "q[", "q", "[", "]", "+", "-", "V(", "V", "(", ")",
                             ",", "free", "harmonic", "poly", "well", "1", ".", "e"])
@@ -297,9 +305,9 @@ def _reached(outcome):
     return next(rule for rule in _RULES if rule in outcome[1])
 
 
-_RULES = ("doubles to a non-finite number", "non-finite number", "negative order",
-          "duplicate order", "unexpected input", "trailing input", "harmonic constant",
-          "well length")
+_RULES = ("doubles to a non-finite number", "doubles to zero", "non-finite number",
+          "negative order", "duplicate order", "unexpected input", "trailing input",
+          "harmonic constant", "well length")
 _TOKEN_SOUP = st.lists(_GARBAGE | _WS).map("".join)
 
 
@@ -312,20 +320,25 @@ def test_lagrangian_parser_matches_frozen_scanner():
         new = _outcome(parse_lagrangian, text)
         old = _outcome(frozen_parse_lagrangian, text)
         reached.add(_reached(new))
-        if new[0] == "error" and new[1].endswith("doubles to a non-finite number"):
-            # the new rejection: the scanner accepted this order, or stopped
+        if new[0] == "error" and new[1].endswith(("doubles to a non-finite number",
+                                                  "doubles to zero")):
+            # the new rejections: the scanner accepted this order, or stopped
             # on it or later for another reason
             token = _REAL_RE.match(text, new[2])[0]
-            assert new[1] == (f"offset {new[2]}: order {token!r} doubles to a "
-                              "non-finite number")
-            assert not math.isfinite(2.0 * float(token))
+            doubled = 2.0 * float(token)
+            if math.isfinite(doubled):
+                assert new[1] == f"offset {new[2]}: nonzero order {token!r} doubles to zero"
+                assert doubled == 0.0 and Decimal(token) != 0
+            else:
+                assert new[1] == (f"offset {new[2]}: order {token!r} doubles to a "
+                                  "non-finite number")
             assert old[0] == "ok" or old[2] >= new[2]
             return
         _assert_same(new, old)
 
     compare()
     # a comparison is only as good as the rules its texts reach
-    assert reached == {"ok", "degenerate", *_RULES[:6]}
+    assert reached == {"ok", "degenerate", *_RULES[:7]}
 
 
 def test_potential_parser_matches_frozen_scanner():
@@ -351,7 +364,8 @@ _POTENTIALS = st.one_of(
     st.builds(HarmonicPotential,
               st.sampled_from([0.0, -0.0, 2.5]) | st.floats(0.0, 1e308)),
     st.builds(PolynomialPotential,
-              st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e308, 1e308),
+              st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e308])
+                       | st.floats(-1e308, 1e308),
                        min_size=1, max_size=4).map(tuple)),
     st.builds(InfiniteWellPotential, st.floats(1e-300, 1e300)),
 )
@@ -364,24 +378,45 @@ def _result(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
-@hypothesis.settings(max_examples=400)
-@hypothesis.given(potential=_POTENTIALS,
-                  stiffness=st.sampled_from([None, 4.0, -1.5, 1e308]),
-                  direction=st.sampled_from(list(Direction)))
-def test_gradient_renders_and_reduces_as_before(potential, stiffness, direction):
-    terms = (EomTerm(1.0, Fraction(2), direction),)
-    if stiffness is not None:
-        terms += (EomTerm(stiffness, Fraction(0), direction),)
-    eom = EquationOfMotion(terms, potential, direction)
+def test_gradient_renders_and_reduces_as_before():
+    reached = set()
 
-    def frozen_render():
-        pieces = [(1.0, "D^2[q]")] + [(t.coeff, "D^0[q]") for t in terms[1:]]
-        pieces += frozen_gradient_pieces(potential)
-        return _join_signed(pieces) + f" = 0 ({direction.value})"
+    @hypothesis.settings(max_examples=400)
+    @hypothesis.given(potential=_POTENTIALS,
+                      stiffness=st.sampled_from([None, 4.0, -1.5, 1e308]),
+                      direction=st.sampled_from(list(Direction)))
+    def compare(potential, stiffness, direction):
+        terms = (EomTerm(1.0, Fraction(2)),)
+        if stiffness is not None:
+            terms += (EomTerm(stiffness, Fraction(0)),)
+        eom = EquationOfMotion(terms, potential, direction)
 
-    def frozen_stiffness():
-        return (stiffness or 0.0) + frozen_linear_gradient_coeff(potential)
+        def frozen_render():
+            pieces = [(1.0, "D^2[q]")] + [(t.coeff, "D^0[q]") for t in terms[1:]]
+            pieces += frozen_gradient_pieces(potential)
+            return _join_signed(pieces) + f" = 0 ({direction.value})"
 
-    assert _result(render_eom, eom) == _result(frozen_render)
-    new = _result(lambda: reduce_integer_orders(eom).stiffness_coeff)
-    assert new == _result(frozen_stiffness)
+        def frozen_stiffness():
+            return (stiffness or 0.0) + frozen_linear_gradient_coeff(potential)
+
+        rendered = _result(render_eom, eom)
+        new = _result(lambda: reduce_integer_orders(eom).stiffness_coeff)
+        old = _result(frozen_stiffness)
+        if rendered[0] == "ValueError" and " term overflows: " in rendered[1]:
+            # the new rejection of a gradient coefficient power * c that
+            # overflows: rendering it raised OverflowError, and reducing it
+            # gave inf or stopped at a nonlinear power
+            reached.add("gradient overflows")
+            assert _result(frozen_render)[0] == "OverflowError"
+            assert new == rendered
+            assert old == ("ok", "inf") or "not linear" in old[1]
+            return
+        assert rendered == _result(frozen_render)
+        if new == ("ValueError", "reduced stiffness coefficient overflows"):
+            reached.add("stiffness overflows")
+            assert old == ("ok", "inf")  # the new rejection of an overflowed sum
+            return
+        assert new == old
+
+    compare()
+    assert reached == {"gradient overflows", "stiffness overflows"}

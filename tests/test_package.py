@@ -3,6 +3,7 @@ first access and is that module's own object."""
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -17,6 +18,17 @@ def test_export_is_its_modules_object(name):
     module = importlib.import_module(f"retromech.{retromech._MODULE_OF[name]}")
     assert name in module.__all__
     assert getattr(retromech, name) is getattr(module, name)
+
+
+_MODULES = sorted(info.name for info in pkgutil.iter_modules(retromech.__path__)
+                  if info.name != "__main__")
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_every_name_in_a_modules_all_exists(module):
+    mod = importlib.import_module(f"retromech.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_enums_are_shared_with_their_old_modules():
