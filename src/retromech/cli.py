@@ -248,6 +248,17 @@ def _add_output_flags(p, default_format, choices=("csv", "json")):
     p.add_argument("--format", choices=choices, default=default_format)
 
 
+def _float_text(token):
+    """A number as its text: argparse still rejects what ``float()`` cannot
+    read, and ``derive-eom --alpha X`` then means exactly ``q[X]``. A config
+    file's JSON number becomes the shortest text that reads back as it."""
+    value = float(token)
+    return token if isinstance(token, str) else repr(value)
+
+
+_float_text.__name__ = "float"  # argparse names the type in its error
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="retromech",
@@ -273,9 +284,9 @@ def build_parser():
     p = commands["derive-eom"] = sub.add_parser(
         "derive-eom", help="derive both equations of motion")
     p.add_argument("--lagrangian", default=None, help="lagrangian DSL text")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="value substituted for the order placeholder 'a' "
-                        "in q[...] before parsing")
+    p.add_argument("--alpha", type=_float_text, default=None,
+                   help="number substituted as written for the order "
+                        "placeholder 'a' in q[...] before parsing")
     _add_output_flags(p, "json", choices=("json",))
 
     p = commands["oscillate"] = sub.add_parser(
@@ -480,9 +491,8 @@ def _cmd_derive_eom(opts):
     text = opts["lagrangian"]
     if opts["alpha"] is not None:
         # CLI convenience: a bare 'a' (or 'alpha') order placeholder gets the
-        # numeric value; the core grammar itself stays purely numeric
-        value = repr(float(opts["alpha"]))
-        text = re.sub(r"q\[\s*(?:alpha|a)\s*\]", f"q[{value}]", text)
+        # number; the core grammar itself stays purely numeric
+        text = re.sub(r"q\[\s*(?:alpha|a)\s*\]", f"q[{opts['alpha']}]", text)
     spec = _wrap("lagrangian.parse_lagrangian", lagrangian.parse_lagrangian, text)
     causal = _wrap("lagrangian.derive_causal_eom",
                    lagrangian.derive_causal_eom, spec)
@@ -521,11 +531,11 @@ def _cmd_oscillate(opts):
     solve = (oscillator.solve_causal if opts["direction"] == "causal"
              else oscillator.solve_retrocausal)
     traj = _wrap(f"oscillator.solve_{opts['direction']}", solve, params, grid)
+    energy = _wrap("oscillator.OscillatorTrajectory.energy", traj.energy)
     t = grid.points()
     if opts["format"] == "csv":
         return _csv(["t", "q", "qdot", "energy"],
-                    [t, traj.position.samples, traj.velocity.samples,
-                     traj.energy()])
+                    [t, traj.position.samples, traj.velocity.samples, energy])
     return _json({
         "params": {"m": params.m, "C": params.C, "k": params.k,
                    "q0": params.q0, "v0": params.v0},
@@ -533,7 +543,7 @@ def _cmd_oscillate(opts):
         "t": t.tolist(),
         "q": traj.position.samples.tolist(),
         "qdot": traj.velocity.samples.tolist(),
-        "energy": traj.energy().tolist(),
+        "energy": energy.tolist(),
     })
 
 

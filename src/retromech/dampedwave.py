@@ -140,9 +140,7 @@ def solve_damped_free(params: DampedWaveParams, grid: Grid,
     dpsi0 = complex(dpsi0)
     regime = classify_regime(*params.coeffs)
     closed = _closed_form(params, grid, psi0, dpsi0, regime)
-    limit = 1e6 * max(abs(psi0), abs(dpsi0), 1.0)
-    numeric, _ = integrate_second_order(params.coeffs, psi0, dpsi0, grid,
-                                        amplitude_limit=limit)
+    numeric, _ = integrate_second_order(params.coeffs, psi0, dpsi0, grid)
     disagreement = float(np.max(np.abs(closed - numeric)))
     return DampedFreeSolution(params=params, grid=grid, regime=regime,
                               closed_form=GridFunction(grid, closed),

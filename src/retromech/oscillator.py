@@ -10,7 +10,11 @@ the two trajectories describe one event viewed in opposite directions.
 Both are marched by the shared RK4 propagator with the coefficient pairs
 (C/m, k/m) and (-C/m, k/m). The backward step of the mirror is the forward
 step conjugated by (q, v) -> (q, -v), so the discrete pair obeys the
-reflection theorem up to roundoff.
+reflection theorem up to roundoff. Each is marched in the direction where
+its exact solution does not grow, so the one stability check it needs is
+RK4's own: a step outside the stability region raises
+:class:`~retromech.core.UnstableIntegrationError`, as does a march that
+leaves the float range.
 """
 
 from __future__ import annotations
@@ -27,13 +31,7 @@ __all__ = [
     "solve_causal",
     "solve_retrocausal",
     "time_reverse",
-    "AMPLITUDE_GUARD_FACTOR",
 ]
-
-#: Blow-up guard: integration aborts once |q| exceeds this multiple of the
-#: starting amplitude. The anti-damped equation integrated the wrong way is
-#: exponentially unstable and must fail loudly, not silently.
-AMPLITUDE_GUARD_FACTOR = 1e6
 
 
 @dataclass(frozen=True)
@@ -77,15 +75,17 @@ class OscillatorTrajectory:
     velocity: GridFunction
 
     def energy(self) -> np.ndarray:
-        """Mechanical energy 0.5 m v^2 + 0.5 k q^2 at every sample."""
+        """Mechanical energy 0.5 m v^2 + 0.5 k q^2 at every sample.
+
+        Raises ``ValueError`` where it leaves the float range."""
         q = self.position.samples
         v = self.velocity.samples
-        return 0.5 * self.params.m * v**2 + 0.5 * self.params.k * q**2
-
-
-def _guard_limit(params: OscillatorParams) -> float:
-    scale = max(abs(params.q0), abs(params.v0), 1e-12)
-    return AMPLITUDE_GUARD_FACTOR * scale
+        with np.errstate(over="ignore"):
+            energy = 0.5 * self.params.m * v**2 + 0.5 * self.params.k * q**2
+        if not np.isfinite(energy).all():
+            t = self.grid.a + int(np.argmin(np.isfinite(energy))) * self.grid.h
+            raise ValueError(f"energy overflows at t = {t:.6g}")
+        return energy
 
 
 def solve_causal(params: OscillatorParams, grid: Grid) -> OscillatorTrajectory:
@@ -93,8 +93,7 @@ def solve_causal(params: OscillatorParams, grid: Grid) -> OscillatorTrajectory:
 
     For C > 0 the energy decays, so the envelope of |q| shrinks toward
     equilibrium after transients."""
-    q, v = integrate_second_order(params.coeffs, params.q0, params.v0, grid,
-                                  amplitude_limit=_guard_limit(params))
+    q, v = integrate_second_order(params.coeffs, params.q0, params.v0, grid)
     return OscillatorTrajectory(params, grid, GridFunction(grid, q),
                                 GridFunction(grid, v))
 
@@ -105,8 +104,7 @@ def solve_retrocausal(params: OscillatorParams, grid: Grid) -> OscillatorTraject
     anti-damped equation)."""
     c1, c0 = params.coeffs
     q, v = integrate_second_order((-c1, c0), params.q0, params.v0, grid,
-                                  backward=True,
-                                  amplitude_limit=_guard_limit(params))
+                                  backward=True)
     return OscillatorTrajectory(params, grid, GridFunction(grid, q),
                                 GridFunction(grid, v))
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,23 @@ class TestDeriveEomCommand:
         assert doc["causal"]["potential"] == {"kind": "harmonic", "k": 4.0}
         assert doc["reduced"]["retrocausal"]["stiffness"] == 4.0
 
+    @pytest.mark.parametrize("token", ["0.50", "1e-400", "1.0000000000000001", "1_0"])
+    def test_alpha_is_substituted_as_written(self, capsys, token):
+        # the flag substituted repr(float(token)): 1e-400 became order 0.0,
+        # 1.0000000000000001 became 1.0 and 1_0 became 10.0
+        def run(order, *flags):
+            code = main(["derive-eom", "--lagrangian", f"1*q[1] + 2*{order}", *flags])
+            return code, capsys.readouterr()
+
+        assert run("q[a]", "--alpha", token) == run(f"q[{token}]")
+
+    def test_alpha_from_a_config_number(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"command": "derive-eom", "alpha": 0.5,
+                                        "lagrangian": "1*q[1] + 2*q[a]"}))
+        assert main(["--config", str(cfg_path)]) == 0
+        assert "reduced causal:      1·q'' + 2·q' = 0" in capsys.readouterr().out
+
     def test_dsl_error_is_computation_failure(self, capsys):
         assert main(["derive-eom", "--lagrangian", "1*q[1] + 1*q[1]"]) == 1
         err = capsys.readouterr().err
@@ -216,7 +234,7 @@ class TestOscillateCommand:
     def test_step_outside_stability_region_exits_1(self, capsys, argv, h, radius):
         # h * omega = 10, 5 and 3.3 lie past RK4's limit 2 sqrt(2) on the
         # imaginary axis: the march grew the energy from 0.5 to 79861,
-        # 106793 and 297 without reaching the amplitude guard
+        # 106793 and 297, short of any float-range trouble
         assert main(["oscillate", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -243,6 +261,37 @@ class TestOscillateCommand:
         # the oscillation, which the exact flow does not, but never grows it
         assert main(["oscillate", *argv]) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--q0", "1e300", "--k", "1e20", "--b", "1e-9", "--n", "101"],
+         "oscillator.solve_causal: the RK4 march for (c1, c0) = (0.0, 1e+20) leaves "
+         "the float range at t = 1e-11 (step 1 of 100)"),
+        (["--q0", "1e308", "--v0", "1e308", "--b", "1", "--n", "3"],
+         "oscillator.OscillatorTrajectory.energy: energy overflows at t = 0"),
+        (["--q0", "1e308", "--v0", "1e308", "--b", "1", "--n", "3", "--format", "json"],
+         "oscillator.OscillatorTrajectory.energy: energy overflows at t = 0"),
+    ], ids=["qdot", "energy-csv", "energy-json"])
+    def test_overflow_exits_1_without_file(self, tmp_path, capsys, argv, error):
+        # qdot, then the energy, overflowed to inf (JSON: Infinity) with exit 0
+        out = tmp_path / "boom"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["oscillate", *argv, "--output", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("argv, last_row", [
+    (["oscillate", "--k", "0", "--q0", "1", "--v0", "1", "--b", "2e6", "--n", "2001"],
+     "2000000,2000001,1,0.5"),
+    (["dampedwave", "--xi", "0", "--energy", "1e-30", "--psi0", "0", "--dpsi0", "1",
+      "--b", "1e7", "--n", "10001"], "10000000,10000000,0,10000000"),
+], ids=["oscillate-k0", "dampedwave-psi-is-x"])
+def test_linear_growth_marches_to_the_end(capsys, argv, last_row):
+    # RK4 is exact for y = y0 + v0 t; the relative amplitude guard stopped
+    # these marches once |y| passed 1e6 times the start
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == last_row
 
 
 class TestEigensolveCommand:

@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from retromech.cli import _FN_TABLE, _SCHEMES, _csv, main  # noqa: E402
-from retromech.core import Grid, GridFunction  # noqa: E402
+from retromech.core import Grid, GridFunction, UnstableIntegrationError  # noqa: E402
 from retromech.dampedwave import (  # noqa: E402
     DampedWaveParams,
     damped_well_modes,
@@ -47,6 +47,7 @@ from retromech.oscillator import (  # noqa: E402
     solve_retrocausal,
     time_reverse,
 )
+from test_core import reference_march  # noqa: E402
 from test_fracops import recursive_causal_convolve  # noqa: E402
 
 
@@ -62,6 +63,44 @@ def test_reflection_theorem(m, big_c, k, q0, v0):
     retro = solve_retrocausal(OscillatorParams(m, big_c, k, q0, -v0), grid)
     reference = time_reverse(causal.position)
     assert np.max(np.abs(retro.position.samples - reference.samples)) <= 1e-5
+
+
+def _powers_of_ten(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+def test_step_check_trips_wherever_the_amplitude_guard_did():
+    # a relative amplitude guard of 1e6 times the boundary state, run by the
+    # reference march: for oscillator inputs with k > 0, every march it
+    # stops has an RK4 step outside the stability region
+    reached = set()
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(m=_powers_of_ten(-3.0, 3.0),
+                      big_c=st.just(0.0) | _powers_of_ten(-4.0, 4.0),
+                      k=_powers_of_ten(-8.0, 10.0),
+                      q0=st.floats(-1e3, 1e3), v0=st.floats(-1e3, 1e3),
+                      n=st.sampled_from([2, 3, 5, 11, 101, 1001]),
+                      b=_powers_of_ten(-2.0, 8.0), retrocausal=st.booleans())
+    def compare(m, big_c, k, q0, v0, n, b, retrocausal):
+        params = OscillatorParams(m, big_c, k, q0, v0)
+        grid = Grid(0.0, b, n)
+        c1, c0 = params.coeffs
+        limit = 1e6 * max(abs(q0), abs(v0), 1e-12)
+        solve = solve_retrocausal if retrocausal else solve_causal
+        try:
+            reference_march((-c1, c0) if retrocausal else (c1, c0), q0, v0, grid,
+                            backward=retrocausal, amplitude_limit=limit)
+        except UnstableIntegrationError:
+            reached.add("tripped")
+            with pytest.raises(UnstableIntegrationError,
+                               match="is outside the stability region"):
+                solve(params, grid)
+        else:
+            reached.add("marched")
+
+    compare()
+    assert reached == {"tripped", "marched"}
 
 
 def trapezoid_kernel(mu, n):
