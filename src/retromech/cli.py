@@ -12,8 +12,9 @@ Subcommands map one-to-one onto the library modules:
 Outputs are deterministic: identical configurations yield byte-identical
 files (CSV floats use 17 significant digits, JSON uses shortest
 round-trip floats, random checks are seeded). CSV is streamed in blocks
-of rows, each formatted with array operations to exactly the bytes of
-``%.17g``, so the whole text is never held at once. Files are written to
+of rows, each stacked from slices of the output columns and formatted
+with array operations to exactly the bytes of ``%.17g``, so neither the
+whole text nor the whole table is ever held. Files are written to
 a temporary sibling and renamed on success, so failures leave no partial
 output. Exit codes: 0 success, 1 computation failure, 2 usage error.
 
@@ -68,19 +69,33 @@ _CSV_BLOCK_ROWS = 4096
 #: and up to three zeros when |x| < 1, then the integer digits from the
 #: first copy, and the point and the fraction's digits from the second.
 _SLOT = 44
-#: Mask row of an empty text from a %-operation, after the 2 * 21 * 17
-#: fixed-notation rows; a text of length L takes the row L further on.
-_PERCENT_MASKS = 2 * 21 * 17
+#: Mask rows of +0 and -0, after the 2 * 21 * 17 fixed-notation rows: the
+#: separator, the sign for -0, and the ``"0"`` of the slot's first word.
+_ZERO_MASKS = 2 * 21 * 17
+#: Mask row of an empty text from a %-operation; a text of length L takes
+#: the row L further on.
+_PERCENT_MASKS = _ZERO_MASKS + 2
 
 
 def _csv(header: list, columns: list):
-    """Header line plus one row per sample, every value as ``%.17g``;
-    yields the text as bytes, one block of rows at a time."""
+    """Header line plus one row per sample, every value as ``%.17g``, as
+    an iterator of bytes, one block of rows at a time. Each block is
+    stacked from slices of the columns, so the whole table never exists.
+    Raises ``ValueError`` at once when the columns differ in length."""
+    rows = len(columns[0])
+    if any(len(column) != rows for column in columns):
+        raise ValueError(f"CSV columns differ in length: "
+                         f"{[len(column) for column in columns]}")
+    return _csv_blocks(header, columns, rows)
+
+
+def _csv_blocks(header, columns, rows):
     import numpy as np
-    table = np.column_stack(columns).astype(np.float64, copy=False)
     yield (",".join(header) + "\n").encode()
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        yield _format_rows(table[start:start + _CSV_BLOCK_ROWS])
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS]
+                                 for column in columns])
+        yield _format_rows(block.astype(np.float64, copy=False))
 
 
 @functools.cache
@@ -99,8 +114,8 @@ def _csv_tables():
              + (i == 0))
     words = np.frombuffer(b",-0.\n-0.   .", np.uint32)
     # fixed-notation layouts by sign, exponent of the leading digit (-4..16)
-    # and significant digits (1..17), then text of 0..24 bytes from a
-    # %-operation; b is the byte's place in the slot
+    # and significant digits (1..17), then +0 and -0, then text of 0..24
+    # bytes from a %-operation; b is the byte's place in the slot
     neg = np.arange(2)[:, None, None, None]
     exp10 = np.arange(-4, 17)[None, :, None, None]
     count = np.arange(1, 18)[None, None, :, None]
@@ -112,8 +127,9 @@ def _csv_tables():
              | small & ((b == 2) | (b == 3) | (b >= exp10 + 8) & (b <= 6))
              | first
              | ~small & ((b == 27) & (count - 1 > exp10) | second))
+    zero = (b == 0) | (b == 2) | (b == 1) & (np.arange(2)[:, None] == 1)
     percent = b <= np.arange(25)[:, None]
-    masks = np.concatenate((fixed.reshape(-1, _SLOT), percent))
+    masks = np.concatenate((fixed.reshape(-1, _SLOT), zero, percent))
     return powers, high, powers - high, digits, zeros, words, masks
 
 
@@ -130,9 +146,9 @@ def _times_power_of_ten(a, k, powers, high, low):
 def _format_rows(block) -> bytes:
     """``%.17g`` text of a 2-D float64 block as comma-separated lines.
 
-    Values that ``%.17g`` prints in fixed notation are formatted with
-    array operations. Zeros, non-finite values and values printed in
-    exponent notation go through one %-operation for the block.
+    Values that ``%.17g`` prints in fixed notation, and zeros, are
+    formatted with array operations. Non-finite values and values printed
+    in exponent notation go through one %-operation for the block.
     """
     import numpy as np
     powers, high, low, digits, zeros, words, masks = _csv_tables()
@@ -146,6 +162,7 @@ def _format_rows(block) -> bytes:
     # half-even rounds the sum half-even.
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e17)
+    zero = a == 0
     a[~fixed] = 1.0
     k = 16 - np.floor(np.log10(a)).astype(np.int64)
     np.maximum(k, 0, out=k)
@@ -175,9 +192,11 @@ def _format_rows(block) -> bytes:
     for j, chunk in enumerate(chunks):
         slots[:, 2 + j] = slots[:, 7 + j] = digits[chunk]
     slots[:, 6] = words[2]
-    layout = np.signbit(x) * (21 * 17) + (exp10 + 4) * 17 + (16 - trailing)
+    negative = np.signbit(x)
+    layout = negative * (21 * 17) + (exp10 + 4) * 17 + (16 - trailing)
+    layout[zero] = _ZERO_MASKS + negative[zero]
     text = slots.view(np.uint8)
-    other = np.flatnonzero(~fixed)
+    other = np.flatnonzero(~(fixed | zero))
     if len(other):
         printed = (("%-24.17g" * len(other)) % tuple(x[other].tolist())).encode()
         printed = np.frombuffer(printed, np.uint8).reshape(-1, 24)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,21 +63,39 @@ class Grid:
 class GridFunction:
     """Real- or complex-valued samples living on a :class:`Grid`.
 
-    Samples are copied and frozen on construction, so instances are safe
-    to share across threads.
+    Samples are read-only, so instances are safe to share across threads.
+    A float or complex ``ndarray`` that is read-only, and whose ``.base``
+    chain holds only read-only arrays, is kept as it is: no one can write
+    to its memory, so a copy would only double it. Anything else (a
+    writeable array, a read-only view of a writeable one, a list) is
+    copied and the copy frozen. Library code freezes the arrays it makes,
+    so its results are not copied again.
     """
 
     grid: Grid
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples, copy=True)
-        if arr.dtype.kind not in "fc":
-            arr = arr.astype(np.float64)
+        arr = self.samples
+        if not (type(arr) is np.ndarray and arr.dtype.kind in "fc"
+                and _read_only(arr)):
+            arr = np.array(arr, copy=True)
+            if arr.dtype.kind not in "fc":
+                arr = arr.astype(np.float64)
+            arr.setflags(write=False)
         if arr.ndim != 1 or arr.shape[0] != self.grid.n:
             raise ValueError(f"expected {self.grid.n} samples, got shape {arr.shape}")
-        arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+
+def _read_only(arr: np.ndarray) -> bool:
+    """Whether ``arr`` and every array along its ``.base`` chain are
+    read-only; memory that is not an ``ndarray``'s counts as writeable."""
+    while arr is not None:
+        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
 
 
 @dataclass(frozen=True)
@@ -195,11 +214,11 @@ def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False
     on a uniform grid.
 
     Marches forward from ``grid.a`` (or backward from ``grid.b`` when
-    ``backward`` is set) and returns ``(y, v)`` sample arrays in forward
-    grid order. Every step is the same matrix P (:func:`rk4_increment`),
-    so the march is blocked: the states of a block are the powers
-    P^0 .. P^(B-1) applied to the block's start in one product, and the
-    block starts are chained by P^B. Powers are held as P^j - I, so the
+    ``backward`` is set) and returns ``(y, v)``, read-only sample arrays
+    in forward grid order. Every step is the same matrix P
+    (:func:`rk4_increment`), so the march is blocked: the states of a
+    block are the powers P^0 .. P^(B-1) applied to the block's start in
+    one product, and the block starts are chained by P^B. Powers are held as P^j - I, so the
     march keeps the precision of a step-by-step loop.
 
     Raises :class:`UnstableIntegrationError` when h lies outside RK4's
@@ -229,6 +248,8 @@ def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False
         ys += starts[:, :1]
         vs = starts @ powers[:block, 1].T
         vs += starts[:, 1:]
+    ys.setflags(write=False)
+    vs.setflags(write=False)
     ys, vs = ys.ravel()[:n], vs.ravel()[:n]
     _check_step_growth(coeffs, h, increment.tolist(), grid)
     if not (np.isfinite(ys).all() and np.isfinite(vs).all()):
@@ -259,13 +280,18 @@ def _check_step_growth(coeffs, h: float, d, grid: Grid) -> None:
     half = 0.5 * (d00 + d11)
     spread = cmath.sqrt(half * half - (d00 * d11 - d01 * d10))
     # |1 + mu|^2 - 1 = 2 Re mu + |mu|^2 for each eigenvalue mu of d; the
-    # entries of d carry a few units of roundoff each, hence the bound
+    # entries of d carry a few units of roundoff each, hence the bound.
+    # A step whose entries overflow leaves excess inf or nan: it grows too.
     excess = max(2.0 * mu.real + abs(mu) * abs(mu) for mu in (half + spread,
                                                              half - spread))
     scale = 1.0 + max(abs(d00), abs(d01), abs(d10), abs(d11))
-    if not excess > 16.0 * np.finfo(np.float64).eps * scale * scale:
-        return
+    if math.isfinite(excess):
+        if excess <= 16.0 * np.finfo(np.float64).eps * scale * scale:
+            return
+        growth = f"grows the solution by {(1.0 + excess) ** 0.5:.6g} per step"
+    else:
+        growth = "overflows the float range"
     raise UnstableIntegrationError(
         f"RK4 step h = {h:.6g} (n = {grid.n}) is outside the stability region "
-        f"for (c1, c0) = ({c1!r}, {c0!r}): the step grows the solution by "
-        f"{(1.0 + excess) ** 0.5:.6g} per step where the exact one does not grow")
+        f"for (c1, c0) = ({c1!r}, {c0!r}): the step {growth} where the exact "
+        "one does not grow")

@@ -120,16 +120,31 @@ class DampedFreeSolution:
 
 def _closed_form(params: DampedWaveParams, grid: Grid, psi0: complex,
                  dpsi0: complex, regime: Regime) -> np.ndarray:
-    x = grid.points() - grid.a
+    """(c1 + c2 x) exp(lam x) or a exp(l1 x) + b exp(l2 x), built in place
+    in one complex array and a second for the other exponential; each
+    operation keeps the operand order of the plain expression, so the bits
+    are the same."""
+    x = grid.points()
+    x -= grid.a
     if regime is Regime.CRITICAL:
         lam = -params.xi
         c1 = psi0
         c2 = dpsi0 - lam * psi0
-        return (c1 + c2 * x) * np.exp(lam * x)
+        out = np.multiply(c2, x)
+        np.add(c1, out, out=out)
+        x *= lam
+        np.multiply(out, np.exp(x, out=x), out=out)
+        return out
     l1, l2 = characteristic_roots(params)
     a = (dpsi0 - l2 * psi0) / (l1 - l2)
     b = psi0 - a
-    return a * np.exp(l1 * x) + b * np.exp(l2 * x)
+    out = np.multiply(l1, x)
+    np.multiply(a, np.exp(out, out=out), out=out)
+    second = np.multiply(l2, x)
+    del x
+    np.multiply(b, np.exp(second, out=second), out=second)
+    out += second
+    return out
 
 
 def solve_damped_free(params: DampedWaveParams, grid: Grid,
@@ -140,7 +155,8 @@ def solve_damped_free(params: DampedWaveParams, grid: Grid,
     dpsi0 = complex(dpsi0)
     regime = classify_regime(*params.coeffs)
     closed = _closed_form(params, grid, psi0, dpsi0, regime)
-    numeric, _ = integrate_second_order(params.coeffs, psi0, dpsi0, grid)
+    closed.setflags(write=False)
+    numeric = integrate_second_order(params.coeffs, psi0, dpsi0, grid)[0]
     disagreement = float(np.max(np.abs(closed - numeric)))
     return DampedFreeSolution(params=params, grid=grid, regime=regime,
                               closed_form=GridFunction(grid, closed),

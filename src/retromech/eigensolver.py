@@ -232,9 +232,16 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
         lobe = np.flatnonzero(np.abs(psi) > 1e-3 * np.max(np.abs(psi)))[0]
         if psi[lobe] < 0:
             psi = -psi
+        psi.setflags(write=False)
         functions.append(GridFunction(hamiltonian.grid, psi))
     return EigenSolution(energies, tuple(functions), hamiltonian.potential,
                          hamiltonian.units, hamiltonian.grid)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only, so a :class:`GridFunction` keeps it as is."""
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,11 +260,12 @@ class WaveFunctionPair:
 
     def psi_plus(self, t: float) -> GridFunction:
         phase = cmath.exp(-1j * self.energy * t / self.hbar)
-        return GridFunction(self.spatial.grid,
-                            self.spatial.samples.astype(np.complex128) * phase)
+        samples = self.spatial.samples.astype(np.complex128) * phase
+        return GridFunction(self.spatial.grid, _frozen(samples))
 
     def psi_minus(self, t: float) -> GridFunction:
-        return GridFunction(self.spatial.grid, np.conj(self.psi_plus(t).samples))
+        return GridFunction(self.spatial.grid,
+                            _frozen(np.conj(self.psi_plus(t).samples)))
 
 
 def make_pair(solution: EigenSolution, index: int) -> WaveFunctionPair:
@@ -276,7 +284,7 @@ def density(pair: WaveFunctionPair, t: float) -> GridFunction:
     eigenstate since the opposite phases cancel.
     """
     z = pair.psi_plus(t).samples
-    return GridFunction(pair.spatial.grid, (z * np.conj(z)).real)
+    return GridFunction(pair.spatial.grid, _frozen(z * np.conj(z)).real)
 
 
 def superposition_density(solution: EigenSolution, coeffs, t: float) -> GridFunction:
@@ -296,7 +304,7 @@ def superposition_density(solution: EigenSolution, coeffs, t: float) -> GridFunc
             continue
         phase = cmath.exp(-1j * solution.energies[n] * t / solution.units.hbar)
         psi += cn * phase * solution.eigenfunctions[n].samples
-    return GridFunction(solution.grid, (psi * np.conj(psi)).real)
+    return GridFunction(solution.grid, _frozen(psi * np.conj(psi)).real)
 
 
 def _functional(u, w, v, energy, h, units: UnitsConfig):

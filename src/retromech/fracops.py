@@ -153,7 +153,7 @@ def _fd_second(y: np.ndarray, h: float) -> np.ndarray:
 
 def _integer_deriv(y: np.ndarray, h: float, m: int) -> np.ndarray:
     if m == 0:
-        return y.copy()
+        return y
     if m == 1:
         return _fd_first(y, h)
     return _fd_second(y, h)
@@ -298,6 +298,7 @@ def causal_frac_deriv(f: GridFunction, order,
     if not np.isfinite(out).all():
         raise ValueError(f"order {order.alpha} derivative on step h = {h!r} "
                          "overflowed to a non-finite value")
+    out.setflags(write=False)
     return GridFunction(f.grid, out)
 
 
@@ -309,7 +310,7 @@ def retrocausal_frac_deriv(f: GridFunction, order,
     Reversing the samples maps the right-sided kernel onto the left-sided
     one while the chain rule contributes the (-1)^m parity, so the plain
     conjugation is already the full operator (order 1 gives -f', order 2
-    gives +f'').
+    gives +f''). Both reflections are read-only views, not copies.
     """
     reflected = GridFunction(f.grid, f.samples[::-1])
     out = causal_frac_deriv(reflected, order, scheme)

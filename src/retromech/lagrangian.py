@@ -507,9 +507,22 @@ def _fmt_float(x: float) -> str:
 
 
 def _fmt_order(order: Fraction) -> str:
+    """The shortest float text of ``order`` where it reads back as the
+    exact order, else the order's exact decimal. An order that is no
+    finite decimal (a library caller's Fraction(1, 3)) keeps its float
+    text."""
     if order.denominator == 1:
         return str(order.numerator)
-    return repr(float(order))
+    text = repr(float(order))
+    if Fraction(Decimal(text)) == order:
+        return text
+    # 10^places is a multiple of every denominator 2^i 5^j <= 2^places
+    places = order.denominator.bit_length()
+    digits, rest = divmod(order.numerator * 10**places, order.denominator)
+    if rest:
+        return text
+    whole, fraction = divmod(digits, 10**places)
+    return f"{whole}.{fraction:0{places}d}".rstrip("0")
 
 
 def _join_signed(pieces: list) -> str:

@@ -110,5 +110,6 @@ def solve_retrocausal(params: OscillatorParams, grid: Grid) -> OscillatorTraject
 
 
 def time_reverse(f: GridFunction) -> GridFunction:
-    """Reverse the samples: the value at t moves to a + b - t. Involution."""
+    """Reverse the samples: the value at t moves to a + b - t. Involution.
+    The result's samples are a read-only view of ``f``'s."""
     return GridFunction(f.grid, f.samples[::-1])

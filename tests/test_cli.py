@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -244,6 +245,15 @@ class TestOscillateCommand:
         assert f"the step grows the solution by {radius}" in captured.err
         assert "(c1, c0) = (" in captured.err
 
+    def test_overflowing_step_names_h_and_n(self, capsys):
+        # k h^2 = 2.5e301: the step matrix itself overflows, which the check
+        # read as no growth, so the march failed with the float-range error
+        assert main(["oscillate", "--k", "1e300", "--n", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: oscillator.solve_causal: RK4 step h = 5 (n = 3) is outside the "
+            "stability region for (c1, c0) = (0.0, 1e+300): the step overflows the "
+            "float range where the exact one does not grow\n")
+
     @pytest.mark.parametrize("argv, expected", [
         (["--n", "5"],
          "t,q,qdot,energy\n0,1,0,0.5\n"
@@ -444,6 +454,29 @@ def test_csv_streams_blocks_of_rows():
     chunks = list(_csv(["a", "b"], columns))
     assert [chunk.count(b"\n") for chunk in chunks] == [1, 4096, 4096, 1]
     assert all(isinstance(chunk, bytes) for chunk in chunks)
+
+
+def test_csv_holds_one_block_not_the_table():
+    # two columns of 400000 rows make a 6.4 MB table; the blocks are
+    # stacked from column slices, so the peak is one block's working set
+    rows = 400000
+    columns = [np.linspace(0.0, 1.0, rows), np.linspace(-3.0, 7.0, rows) ** 3]
+    for _ in _csv(["a", "b"], [column[:10] for column in columns]):
+        pass  # builds the formatting tables outside the measurement
+    tracemalloc.start()
+    try:
+        for _ in _csv(["a", "b"], columns):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * rows * 8
+
+
+def test_csv_rejects_columns_of_unequal_length():
+    # raised by the call itself, before any byte (or output file) exists
+    with pytest.raises(ValueError, match=r"differ in length: \[3, 4\]"):
+        _csv(["a", "b"], [np.zeros(3), np.zeros(4)])
 
 
 class TestJsonDeterminism:

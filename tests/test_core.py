@@ -84,6 +84,24 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             f.samples[0] = 2.0
 
+    def test_keeps_only_memory_no_one_can_write(self):
+        # a read-only array whose .base chain is read-only is kept as is;
+        # a writeable array, and a read-only view of one, are copied
+        frozen = np.arange(8.0)
+        frozen.setflags(write=False)
+        writeable = np.arange(8.0)
+        view = writeable[::-1]
+        view.setflags(write=False)
+        cases = [(frozen, True), (frozen[::-1], True), (frozen.view(), True),
+                 (writeable, False), (view, False),
+                 (np.frombuffer(np.arange(8.0).tobytes()), False)]
+        for samples, kept in cases:
+            f = GridFunction(Grid(0, 1, 8), samples)
+            assert (f.samples is samples) is kept
+            assert np.shares_memory(f.samples, samples) is kept
+            assert not f.samples.flags.writeable
+            assert np.array_equal(f.samples, samples)
+
     def test_complex_flag(self):
         f = GridFunction(Grid(0, 1, 4), np.array([1j, 0, 0, 0]))
         assert np.iscomplexobj(f.samples)

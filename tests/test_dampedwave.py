@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ class TestFreeSolution:
         sol = solve_damped_free(DampedWaveParams(1e-8, 0.5), grid)
         x = grid.points()
         assert np.max(np.abs(sol.closed_form.samples - np.cos(x))) <= 1e-6
+
+    def test_large_grid_holds_each_array_once(self):
+        # the two complex results take 6.4 MB at n = 200001; the march's
+        # unused psi', the closed form's temporaries and a copy of each
+        # result pushed the peak to 16 MB
+        grid = Grid(0.0, 10.0, 200001)
+        solve_damped_free(DampedWaveParams(0.3, 0.5), Grid(0.0, 10.0, 2001))
+        tracemalloc.start()
+        try:
+            sol = solve_damped_free(DampedWaveParams(0.3, 0.5), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.max_discrepancy <= 1e-6
+        assert peak <= 12e6
 
 
 class TestDampedWell:

@@ -284,6 +284,20 @@ class TestRendering:
         eom = derive_retrocausal_eom(parse_lagrangian("1*q[1] - V(poly, 5, -1, 0, 0.5)"))
         assert render_eom(eom) == "1·D^2[q] - 1 + 1.5·q^2 = 0 (retrocausal)"
 
+    def test_orders_print_as_their_exact_value(self):
+        # 1.0000000000000001 is no double: its float text 1.0 (2.0 doubled)
+        # read back as order 1, a duplicate of the other term
+        spec = parse_lagrangian("1*q[1] + 2*q[1.0000000000000001]")
+        assert render_eom(derive_causal_eom(spec)) == \
+            "2·D^2.0000000000000002[q] + 1·D^2[q] = 0 (causal)"
+        assert render_lagrangian(spec) == "1*q[1] + 2*q[1.0000000000000001]"
+        assert parse_lagrangian(render_lagrangian(spec)) == spec
+        # orders whose float text reads back exactly keep that text
+        spec = parse_lagrangian("1*q[0.5] + 2*q[1e-05] + 3*q[1.5]")
+        assert render_eom(derive_causal_eom(spec)) == \
+            "3·D^3[q] + 1·D^1[q] + 2·D^2e-05[q] = 0 (causal)"
+        assert render_lagrangian(spec) == "1*q[0.5] + 2*q[1e-05] + 3*q[1.5]"
+
     def test_roundtrip_fixed_point(self):
         texts = (
             REFERENCE,

@@ -3,11 +3,14 @@
     python3 tools/bench_dampedwave.py inprocess PARENT CHANGE [--processes P] > inprocess.json
     python3 tools/bench_dampedwave.py cli PARENT CHANGE [--pairs N] > cli.json
     python3 tools/bench_dampedwave.py rss PARENT CHANGE [--pairs N] > rss.json
+    python3 tools/bench_dampedwave.py jobs-rss PARENT CHANGE --workload W \\
+        --seeds S0 S1 > jobs.json
     python3 tools/bench_dampedwave.py bench PARENT CHANGE --workload W --seeds S0 S1 \\
         [--trace 0|1] > W.json
     python3 tools/bench_dampedwave.py report --what TEXT --layer TEXT \\
         --claim WORKLOAD METRIC DROP --bench W.json [W2.json ...] --parent-commit REV \\
-        [--inprocess inprocess.json --cli cli.json --rss rss.json] > BENCH_x.json
+        [--inprocess inprocess.json --cli cli.json --rss rss.json \\
+        --jobs-rss jobs.json] > BENCH_x.json
 
 PARENT and CHANGE are the roots of two source checkouts. Every measuring
 mode pairs the two trees, alternates which side runs first, and prints its
@@ -31,6 +34,13 @@ any layer (BENCH_lagrangian.json comes from them alone). The ``--what``,
   count=C)`` in a fresh process, for C in 20000 and 200000: the parent, the
   change, and the change shooting every mode as one stack
   (``SHOOTING_BLOCK`` raised above C).
+* ``jobs-rss``: each job's own peak RSS. Every job of the CLI workload W
+  (``bench/workloads.py``, one pair per seed S0 .. S1, which draws the
+  job parameters) runs once per tree through that tree's
+  ``bench/launcher.py``, which starts it with ``posix_spawn`` and reads
+  its ``wait4`` rusage, so a job's peak is its own and not its
+  spawner's. The two trees' exit codes, stdout and output files must be
+  byte-identical. ``bench/`` is only read.
 * ``bench``: ``python3 bench/run.py --workload W --seed S --seconds 20
   --trace T`` run from each root, one pair per seed; keeps every run's
   report.
@@ -170,6 +180,63 @@ def rss(args):
     return {"pairs": args.pairs, "peak_rss_mb": peak, "call_s": call}
 
 
+def _launch(root):
+    """``bench/launcher.py`` of ROOT, starting its jobs on ROOT/src."""
+    launcher = os.path.join(root, "bench", "launcher.py")
+    return subprocess.Popen([sys.executable, launcher], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True, cwd=root, env=_env(root))
+
+
+def _read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _run_job(launcher, job, tmp):
+    """Run one workload job through ``launcher``; returns its peak RSS in
+    MiB and its (exit code, stdout, output file) bytes."""
+    out, err, path = (os.path.join(tmp, f"job.{ext}") for ext in ("out", "err", "file"))
+    argv = [sys.executable, "-m", "retromech", *job.argv]
+    argv += ["--output", path] if job.output else []
+    request = {"argv": argv, "stdout": out, "stderr": err, "timeout": 600}
+    launcher.stdin.write(json.dumps(request) + "\n")
+    launcher.stdin.flush()
+    reply = json.loads(launcher.stdout.readline())
+    wrote = _read_bytes(path) if job.output else None
+    return reply["maxrss_kib"] / 1024, (reply["code"], _read_bytes(out), wrote)
+
+
+def jobs_rss(args):
+    roots = {"parent": args.parent, "change": args.change}
+    # started before numpy loads here, as bench/run.py starts its launcher
+    launchers = {side: _launch(roots[side]) for side in SIDES}
+    sys.path.insert(0, os.path.join(args.parent, "bench"))
+    import workloads
+    seeds = list(range(args.seeds[0], args.seeds[1] + 1))
+    orders = _orders(len(seeds))
+    peaks = {}
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for seed, order in zip(seeds, orders):
+                jobs = workloads.CLI_WORKLOADS[args.workload](workloads.draw(seed))
+                for job in jobs:
+                    outputs = {}
+                    for side in order:
+                        peak, outputs[side] = _run_job(launchers[side], job, tmp)
+                        peaks.setdefault(job.name, {s: [] for s in SIDES})[side].append(
+                            peak)
+                    if outputs["parent"] != outputs["change"]:
+                        raise SystemExit(f"error: {job.name} (seed {seed}) differs "
+                                         "between the two trees")
+    finally:
+        for launcher in launchers.values():
+            launcher.stdin.close()
+            launcher.wait()
+            launcher.stdout.close()
+    return {"workload": args.workload, "seeds": seeds,
+            "first": [order[0] for order in orders], "maxrss_mb": peaks}
+
+
 def bench(args):
     roots = {"parent": args.parent, "change": args.change}
     seeds = list(range(args.seeds[0], args.seeds[1] + 1))
@@ -260,6 +327,17 @@ def report(args):
         doc["cli"] = {"pairs": times["pairs"],
                       **{name: _summary(s["parent"], s["change"])
                          for name, s in times["samples"].items()}}
+    if args.jobs_rss:
+        jobs = read(args.jobs_rss)
+        peaks = jobs["maxrss_mb"]
+        largest = {side: [max(runs[side][i] for runs in peaks.values())
+                          for i in range(len(jobs["seeds"]))] for side in SIDES}
+        doc["jobs_rss"] = {"workload": jobs["workload"], "seeds": jobs["seeds"],
+                           "first": jobs["first"],
+                           "largest_job_mb": _summary(largest["parent"],
+                                                      largest["change"]),
+                           **{name: _summary(runs["parent"], runs["change"])
+                              for name, runs in peaks.items()}}
     if args.rss:
         memory = read(args.rss)
         doc["rss"] = {"runs_each": memory["pairs"],
@@ -284,7 +362,7 @@ def report(args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("inprocess", "cli", "rss", "bench", "_worker"):
+    for mode in ("inprocess", "cli", "rss", "jobs-rss", "bench", "_worker"):
         p = sub.add_parser(mode)
         p.add_argument("parent")
         p.add_argument("change")
@@ -301,14 +379,15 @@ def main():
     p.add_argument("--inprocess")
     p.add_argument("--cli")
     p.add_argument("--rss")
+    p.add_argument("--jobs-rss")
     p.add_argument("--bench", nargs="+", required=True)
     p.add_argument("--parent-commit", required=True)
     args = parser.parse_args()
     if args.mode == "_worker":
         result = _worker(args.parent, args.change, args.pairs)
     else:
-        result = {"inprocess": inprocess, "cli": cli, "rss": rss, "bench": bench,
-                  "report": report}[args.mode](args)
+        result = {"inprocess": inprocess, "cli": cli, "rss": rss, "jobs-rss": jobs_rss,
+                  "bench": bench, "report": report}[args.mode](args)
     json.dump(result, sys.stdout, indent=1)
     print()
 
