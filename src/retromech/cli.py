@@ -278,6 +278,14 @@ def _float_text(token):
 _float_text.__name__ = "float"  # argparse names the type in its error
 
 
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="retromech",
@@ -423,7 +431,18 @@ def parse_args(argv) -> RunConfig:
             file_defaults[dest] = value
         subparser.set_defaults(**file_defaults)
 
-    namespace = parser.parse_args([command] + pruned)
+    # argparse takes "-2.5e+69" for an option (its negative-number pattern
+    # has no exponent), so a number after a value-taking flag is attached
+    valued = {flag for action in subparser._actions if action.nargs != 0
+              for flag in action.option_strings}
+    joined = []
+    for arg in pruned:
+        if joined and joined[-1] in valued and _is_number(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+
+    namespace = parser.parse_args([command] + joined)
     options = vars(namespace)
     options.pop("config", None)
     options.pop("command", None)

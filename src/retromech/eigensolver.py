@@ -16,7 +16,9 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
+import random
 import sys
 from dataclasses import dataclass
 
@@ -222,8 +224,11 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
     functions = []
     for j in range(count):
         v = vectors[:, j]
-        residual = np.linalg.norm(hamiltonian.matvec(v) - energies[j] * v)
-        bound = tolerance * np.linalg.norm(v)
+        r = hamiltonian.matvec(v) - energies[j] * v
+        # pairwise sums, not np.linalg.norm: its BLAS ddot runs threaded
+        # for long vectors and stalls against LAPACK's still-spinning pool
+        residual = math.sqrt(np.add.reduce(r * r))
+        bound = tolerance * math.sqrt(np.add.reduce(v * v))
         if not residual <= bound:
             raise SpectrumError(
                 f"eigenpair {j} residual {residual:.3e} exceeds bound {bound:.3e}")
@@ -363,11 +368,15 @@ def stationarity_check(solution: EigenSolution, index: int,
     eigenvalue. ``stationary`` is set when the smallest measured exponent
     reaches 1.9.
 
-    ``trials`` (an integer >= 1) perturbations are drawn as one block of
-    ``trials`` x 6 normal weights from ``seed``, and all of them are
-    evaluated in one array pass per scale. Each row is summed mode by mode
-    and normalized on its own, so every exponent has the bits it would
-    have if the trials were evaluated one at a time with the same draws.
+    ``trials`` (an integer >= 1) perturbations take ``trials`` x 6 normal
+    weights, drawn row by row with ``random.Random(seed).gauss``: the
+    standard library's generator, which loads nothing where numpy.random
+    would add its extension modules to the process. Versions that drew
+    from ``numpy.random.default_rng(seed)`` perturbed along other
+    directions for the same seed. All trials are evaluated in one array
+    pass per scale. Each row is summed mode by mode and normalized
+    on its own, so every exponent has the bits it would have if the
+    trials were evaluated one at a time with the same draws.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
@@ -382,7 +391,8 @@ def stationarity_check(solution: EigenSolution, index: int,
     x = grid.points()
     v = np.asarray(solution.potential.evaluate(x), dtype=np.float64)
     base = float(_functional(psi, psi, v, energy, grid.h, solution.units))
-    weights = np.random.default_rng(seed).standard_normal((trials, 6))
+    gauss = random.Random(operator.index(seed)).gauss
+    weights = np.array([[gauss(0.0, 1.0) for _ in range(6)] for _ in range(trials)])
     phase = math.pi * (x - grid.a) / (grid.b - grid.a)
     eta = np.zeros((trials, grid.n))
     for j, mode in enumerate(np.sin(np.arange(1, 7)[:, None] * phase)):

@@ -77,11 +77,17 @@ class OscillatorTrajectory:
     def energy(self) -> np.ndarray:
         """Mechanical energy 0.5 m v^2 + 0.5 k q^2 at every sample.
 
-        Raises ``ValueError`` where it leaves the float range."""
+        A sample whose square overflows (q^2 with k = 0 or tiny, v^2 with a
+        tiny m) is taken again as 0.5 (m v) v + 0.5 (k q) q, so finite
+        samples keep their bits. Raises ``ValueError`` where the energy
+        itself leaves the float range."""
+        m, k = self.params.m, self.params.k
         q = self.position.samples
         v = self.velocity.samples
-        with np.errstate(over="ignore"):
-            energy = 0.5 * self.params.m * v**2 + 0.5 * self.params.k * q**2
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = 0.5 * m * v**2 + 0.5 * k * q**2
+            bad = np.flatnonzero(~np.isfinite(energy))
+            energy[bad] = 0.5 * (m * v[bad]) * v[bad] + 0.5 * (k * q[bad]) * q[bad]
         if not np.isfinite(energy).all():
             t = self.grid.a + int(np.argmin(np.isfinite(energy))) * self.grid.h
             raise ValueError(f"energy overflows at t = {t:.6g}")

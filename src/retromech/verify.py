@@ -7,13 +7,16 @@ is written in the check that uses it. A check fails by raising
 AssertionError with a short diagnostic (through :func:`_require`, so the
 checks hold under ``python -O`` too) or any other exception; the runner
 prints one line per check and reports the failure count. All randomness is
-seeded, so repeated runs are identical.
+seeded: every draw comes from ``random.Random(seed)``, the standard
+library's generator (loading numpy.random would add its extension modules
+to the process), so repeated runs are identical.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 
 import numpy as np
 
@@ -99,10 +102,10 @@ def check_gl_convergence_order():
 
 
 def check_linearity():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     grid = Grid(0.0, 2.0, 257)
-    f = GridFunction(grid, rng.standard_normal(grid.n))
-    g = GridFunction(grid, rng.standard_normal(grid.n))
+    f, g = (GridFunction(grid, np.array([rng.gauss(0.0, 1.0) for _ in range(grid.n)]))
+            for _ in range(2))
     combo = GridFunction(grid, 1.3 * f.samples - 0.7 * g.samples)
     for scheme in fracops.Scheme:
         for alpha in (0.5, 1.0, 1.5):
@@ -328,9 +331,9 @@ def check_superposition():
         (np.array([0.5, 0.5j, math.sqrt(0.5)]), 77, 25.0),
     )
     for coeffs, seed, t_max in mass_cases:
-        rng = np.random.default_rng(seed)
-        for t in rng.uniform(0.0, t_max, size=20):
-            rho = eigensolver.superposition_density(sol, coeffs, float(t))
+        rng = random.Random(seed)
+        for t in [rng.uniform(0.0, t_max) for _ in range(20)]:
+            rho = eigensolver.superposition_density(sol, coeffs, t)
             mass = np.sum(rho.samples) * sol.grid.h
             _require(abs(mass - 1.0) <= 1e-10, (coeffs, t, mass))
     coeffs = mass_cases[0][0]
@@ -363,11 +366,10 @@ def check_stationarity():
 
 
 def check_damped_closed_vs_rk4():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     grid = Grid(0.0, 10.0, 5001)
     for _ in range(6):
-        params = dampedwave.DampedWaveParams(float(rng.uniform(0.0, 2.5)),
-                                             float(rng.uniform(0.1, 2.0)))
+        params = dampedwave.DampedWaveParams(rng.uniform(0.0, 2.5), rng.uniform(0.1, 2.0))
         sol = dampedwave.solve_damped_free(params, grid)
         _require(sol.max_discrepancy <= 1e-6, (params, sol.max_discrepancy))
 

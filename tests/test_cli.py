@@ -51,6 +51,20 @@ class TestParseArgs:
         assert err.value.code == 2
         assert "--m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [-2.5e69, -1e-5, -1.0000000000000001e-05,
+                                       -5e-324, -1.7976931348623157e308])
+    @pytest.mark.parametrize("argv, flag", [
+        (["oscillate"], "--q0"),
+        (["fracdiff", "--alpha", "0.5", "--fn", "t"], "--a"),
+        (["derive-eom", "--lagrangian", "q[a]"], "--alpha"),
+    ], ids=["oscillate", "fracdiff", "derive-eom"])
+    def test_negative_exponent_notation_in_both_spellings(self, argv, flag, value):
+        # argparse read "--q0 -2.5e+69" as two flags and exited 2
+        text = repr(value)
+        apart = parse_args([*argv, flag, text]).options
+        assert apart == parse_args([*argv, f"{flag}={text}"]).options
+        assert float(apart[flag[2:]]) == value
+
     def test_free_potential_needs_domain(self):
         with pytest.raises(SystemExit) as err:
             parse_args(["eigensolve", "--potential", "free"])
@@ -289,6 +303,21 @@ class TestOscillateCommand:
             assert main(["oscillate", *argv, "--output", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("argv, energies", [
+        (["--k", "0", "--q0", "1e200", "--v0", "1"], ["0.5"] * 3),
+        (["--k", "1e-300", "--q0", "1e200", "--v0", "1"], ["5.0000000000000001e+99"] * 3),
+        (["--k", "0", "--m", "1e-300", "--v0", "1e160"], ["5e+19"] * 3),
+    ], ids=["k0-huge-q", "tiny-k-huge-q", "tiny-m-huge-v"])
+    def test_overflowing_square_keeps_a_finite_energy(self, capsys, argv, energies):
+        # q^2 or v^2 overflowed (with k = 0, 0 * inf printed a RuntimeWarning)
+        # and the run exited 1 with "energy overflows at t = 0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["oscillate", *argv, "--b", "1", "--n", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [row.split(",")[3] for row in captured.out.splitlines()[1:]] == energies
 
 
 @pytest.mark.parametrize("argv, last_row", [
@@ -729,6 +758,27 @@ def test_eigensolve_leaves_scipy_linalg_unloaded(argv):
     code = ("import sys, retromech.cli\n"
             f"code = retromech.cli.main({argv!r})\n"
             "print(code, 'scipy.linalg' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stderr.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("code", [
+    "code = retromech.cli.main(['verify'])\n",
+    "from retromech import eigensolver, lagrangian\n"
+    "well = lagrangian.InfiniteWellPotential(1.0)\n"
+    "ham = eigensolver.build_hamiltonian(well, eigensolver.default_grid(well, 200))\n"
+    "sol = eigensolver.solve_spectrum(ham, 2)\n"
+    "code = int(not eigensolver.stationarity_check(sol, 0, 1e-2).stationary)\n",
+], ids=["verify", "stationarity-check"])
+def test_seeded_draws_leave_numpy_random_unloaded(code):
+    # the draws come from the standard library's random.Random; numpy.random
+    # would add its extension modules, about 6.5 MB of peak RSS
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["retromech.cli"].__file__)))
+    code = ("import sys, retromech.cli\n" + code
+            + "print(code, 'numpy.random' in sys.modules, file=sys.stderr)")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)

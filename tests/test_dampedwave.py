@@ -190,7 +190,8 @@ class TestFreeSolution:
     def test_large_grid_holds_each_array_once(self):
         # the two complex results take 6.4 MB at n = 200001; the march's
         # unused psi', the closed form's temporaries and a copy of each
-        # result pushed the peak to 16 MB
+        # result pushed the peak to 16 MB, and the full-grid difference
+        # and magnitude behind max_discrepancy to 11.2 MB
         grid = Grid(0.0, 10.0, 200001)
         solve_damped_free(DampedWaveParams(0.3, 0.5), Grid(0.0, 10.0, 2001))
         tracemalloc.start()
@@ -200,7 +201,9 @@ class TestFreeSolution:
         finally:
             tracemalloc.stop()
         assert sol.max_discrepancy <= 1e-6
-        assert peak <= 12e6
+        assert peak <= 10.5e6
+        full = np.max(np.abs(sol.closed_form.samples - sol.rk4.samples))
+        assert sol.max_discrepancy == float(full)
 
 
 class TestDampedWell:

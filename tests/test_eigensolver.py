@@ -2,6 +2,7 @@ import importlib.machinery
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -398,12 +399,12 @@ def per_trial_stationarity(solution, index, perturbation_scale, *, trials, seed,
     psi = solution.eigenfunctions[index].samples
     energy = solution.energies[index] if energy_override is None else energy_override
     base = functional(psi, energy)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     phase = math.pi * (grid.points() - grid.a) / (grid.b - grid.a)
     exponents = []
     for _ in range(trials):
         eta = np.zeros(grid.n)
-        for mode, weight in enumerate(rng.standard_normal(6), start=1):
+        for mode, weight in enumerate([rng.gauss(0.0, 1.0) for _ in range(6)], start=1):
             eta += weight * np.sin(mode * phase)
         eta[0] = eta[-1] = 0.0
         eta /= np.linalg.norm(eta)

@@ -20,7 +20,8 @@ well-mode shooting (BENCH_dampedwave.json); ``bench`` and ``report`` serve
 any layer (BENCH_lagrangian.json comes from them alone). The ``--what``,
 ``--layer`` and ``--claim`` each file was made with are its ``what`` and
 ``layer`` entries and its ``claim.workload``, ``claim.metric`` and
-``claim.min_drop``.
+``claim.min_drop``. BENCH_memory.json is a list of such reports, one per
+change, oldest first.
 
 * ``inprocess``: each of P processes loads both ``src/`` trees side by
   side (as the packages ``parent`` and ``change``) and times
