@@ -25,7 +25,7 @@ _EXPORTS = {
              "UnstableIntegrationError", "classify_regime"),
     "enums": ("Direction", "Scheme"),
     "fracops": ("ComposeHalfResult", "FracOrder", "causal_frac_deriv", "compose_half",
-                "gamma_fn", "gl_weights", "retrocausal_frac_deriv"),
+                "gl_weights", "retrocausal_frac_deriv"),
     "lagrangian": ("ClassicalOde", "EquationOfMotion", "FreePotential",
                    "HarmonicPotential", "InfiniteWellPotential", "LagrangianSpec",
                    "ParseError", "PolynomialPotential", "ProductTerm",

@@ -286,6 +286,18 @@ def _is_number(token):
     return True
 
 
+def _takes_value(flags, token):
+    """Whether argparse reads ``token`` as a flag that takes a value, given
+    ``flags`` (option string -> takes a value): a flag spelled in full, or
+    the prefix of exactly one long flag (argparse's ``allow_abbrev`` rule).
+    An ambiguous prefix is left to argparse's own error."""
+    if token not in flags and token.startswith("--") and token != "--":
+        matches = [flag for flag in flags if flag.startswith(token)]
+        if len(matches) == 1:
+            token = matches[0]
+    return flags.get(token, False)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="retromech",
@@ -433,11 +445,11 @@ def parse_args(argv) -> RunConfig:
 
     # argparse takes "-2.5e+69" for an option (its negative-number pattern
     # has no exponent), so a number after a value-taking flag is attached
-    valued = {flag for action in subparser._actions if action.nargs != 0
-              for flag in action.option_strings}
+    flags = {flag: action.nargs != 0 for action in subparser._actions
+             for flag in action.option_strings}
     joined = []
     for arg in pruned:
-        if joined and joined[-1] in valued and _is_number(arg):
+        if joined and _takes_value(flags, joined[-1]) and _is_number(arg):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

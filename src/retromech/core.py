@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "UnstableIntegrationError",
     "MARCH_BLOCK",
     "rk4_increment",
+    "increment_power",
     "integrate_second_order",
 ]
 
@@ -193,6 +195,12 @@ def rk4_increment(coeffs, h) -> np.ndarray:
                      h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0])
 
 
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """P^(j+k) - I = a + b + a b from a = P^j - I and b = P^k - I, so no
+    power of P is ever rounded as I plus its small part."""
+    return a + b + a @ b
+
+
 def _increment_powers(d: np.ndarray, count: int) -> np.ndarray:
     """P^j - I for j = 0 .. count-1, where P = I + d, by doubling:
     P^(L+j) - I = D_L + D_j + D_L D_j fills each next stretch from the one
@@ -202,11 +210,32 @@ def _increment_powers(d: np.ndarray, count: int) -> np.ndarray:
     filled, jump = 1, d
     while filled < count:
         take = min(filled, count - filled)
-        head = powers[:take]
-        powers[filled:filled + take] = jump + head + jump @ head
+        powers[filled:filled + take] = _compose(jump, powers[:take])
         filled += take
-        jump = 2.0 * jump + jump @ jump
+        jump = _compose(jump, jump)
     return powers
+
+
+def increment_power(d: np.ndarray, exponents) -> np.ndarray:
+    """P^e - I for each step P = I + d[i] of a (m, 2, 2) stack, with
+    e = exponents[i] (ints >= 0 of any size).
+
+    The right-to-left binary method (Knuth, TAOCP vol. 2, 4.6.3) on the
+    march's increments: z runs through P^(2^j) - I by squaring, and each
+    set bit j of e folds z into the result, every square and product one
+    stacked :func:`_compose` over the whole stack.
+    """
+    exponents = [operator.index(e) for e in exponents]
+    power = np.zeros_like(d)
+    z = d
+    for j in range(max(exponents, default=0).bit_length()):
+        if j % 62 == 0:  # bits j .. j + 61 of every exponent, through int64
+            word = np.array([e >> j & (2**62 - 1) for e in exponents], dtype=np.int64)
+        if j:
+            z = _compose(z, z)
+        bit = (word & (1 << j % 62)).astype(bool)
+        np.copyto(power, _compose(power, z), where=bit[:, None, None])
+    return power
 
 
 def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False):

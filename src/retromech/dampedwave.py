@@ -9,15 +9,16 @@ side is unstable. The module solves the free equation twice over
 (2 xi, k^2), cross-checked), classifies the damping regime, and works out
 the hard-wall well whose mode energies pick up a uniform xi^2 shift,
 confirmed by RK4 shooting: psi(L) from (psi, psi') = (0, 1) is one entry
-of a matrix power of the RK4 step, and every mode's step and power are
-one stacked array pass.
+of P^N - I for the RK4 step P, raised by the march's own stacked power on
+P - I (``core.increment_power``), and every mode's step and power are one
+stacked array pass. A shot's N keeps k h <= 1, inside RK4's stability
+interval.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .core import (
     Regime,
     UnitsConfig,
     classify_regime,
+    increment_power,
     integrate_second_order,
     rk4_increment,
 )
@@ -190,50 +192,27 @@ class DampedWellModes:
     shooting_residuals: np.ndarray
 
 
+#: Largest k h a shot takes. The per-step RK4 phase error, which the
+#: L (k h)^4 / 120 model in :func:`_shooting_steps` counts, is 0.98 of the
+#: model's at k h = 0.25, 0.67 at k h = 1 and 6.7 at k h = 2.5; and every
+#: h |lambda| = k h <= 1 lies inside RK4's stability region.
+SHOOTING_KH = 1.0
+
+
 def _shooting_steps(k: float, length: float, minimum: int) -> int:
     """Fewest RK4 steps N >= ``minimum`` that shoot a mode of wavenumber k
-    across [0, length] to within half of :data:`SHOOTING_BOUND`.
+    across [0, length] to within half of :data:`SHOOTING_BOUND`, with
+    k h <= :data:`SHOOTING_KH`.
 
     From psi'(0) = 1 the RK4 phase error leaves |psi(L)| ~ L (k h)^4 / 120
     at a true node, so N is the smallest count with
     L (k L / N)^4 / 120 <= SHOOTING_BOUND / 2: k h stays fixed as modes get
-    higher or the well gets longer.
+    higher or the well gets longer. Below a length of
+    60 SHOOTING_BOUND / SHOOTING_KH^4 (6e-7) that k h would pass the cap,
+    which then sets N.
     """
-    needed = k * length * (length / (60.0 * SHOOTING_BOUND)) ** 0.25
-    return max(minimum, math.ceil(needed))
-
-
-def _stacked_power(a: np.ndarray, exponents: list) -> np.ndarray:
-    """``a[i]`` to the power ``exponents[i]`` (Python ints >= 1, of any
-    size) for a (m, 2, 2) stack, with the same products
-    :func:`numpy.linalg.matrix_power` forms for each matrix.
-
-    That is the right-to-left binary method (Knuth, TAOCP vol. 2, 4.6.3):
-    z runs through a^(2^j) by squaring, the lowest set bit j starts
-    ``result = z`` and each higher one sets ``result = result @ z``;
-    exponent 3 is the shortcut ``(a @ a) @ a``. Each square and product is one stacked
-    ``matmul`` over every matrix, whose bits equal a 2x2 ``matmul``'s.
-    """
-    exponents = [operator.index(e) for e in exponents]
-    width = max((e.bit_length() for e in exponents), default=0)
-    nbytes = -(-width // 8)
-    packed = np.frombuffer(b"".join(e.to_bytes(nbytes, "little") for e in exponents),
-                           dtype=np.uint8).reshape(len(exponents), nbytes)
-    bits = np.unpackbits(packed, axis=1, count=width, bitorder="little").astype(bool)
-    z = a
-    result = a.copy()
-    started = np.zeros(len(exponents), dtype=bool)
-    for j, bit in enumerate(bits.T):
-        if j:
-            z = z @ z
-            product = np.where(started[:, None, None], result @ z, z)
-            np.copyto(result, product, where=bit[:, None, None])
-        started |= bit
-    cubes = np.array([e == 3 for e in exponents], dtype=bool)
-    if cubes.any():
-        cube = a[cubes]
-        result[cubes] = (cube @ cube) @ cube
-    return result
+    scale = max(1.0 / SHOOTING_KH, (length / (60.0 * SHOOTING_BOUND)) ** 0.25)
+    return max(minimum, math.ceil(k * length * scale))
 
 
 def damped_well_modes(xi: float, length: float,
@@ -244,12 +223,15 @@ def damped_well_modes(xi: float, length: float,
 
     Energies are closed form, E_n = (hbar^2 / 2m)(n^2 pi^2 / L^2 + xi^2).
     Each is cross-checked by RK4 shooting from (psi, psi') = (0, 1):
-    psi(L) is the (0, 1) entry of P^N for the mode's RK4 step P, with N
-    from :func:`_shooting_steps` (at least ``shooting_points - 1``), and
-    every residual |psi(L)| must be at most :data:`SHOOTING_BOUND`. Modes
-    are shot :data:`SHOOTING_BLOCK` at a time, each block as one
-    (modes, 2, 2) stack of steps and one stacked binary power
-    (:func:`_stacked_power`), bit for bit the per-mode ``matrix_power``.
+    psi(L) is the (0, 1) entry of P^N for the mode's RK4 step P, read from
+    P^N - I, which has the same off-diagonal. N comes from
+    :func:`_shooting_steps`: at least ``shooting_points - 1``, and enough
+    that k h <= :data:`SHOOTING_KH`, so every shot lies inside RK4's
+    stability region. Every residual |psi(L)| must be at most
+    :data:`SHOOTING_BOUND`. Modes are shot :data:`SHOOTING_BLOCK` at a
+    time, each block as one (modes, 2, 2) stack of increments P - I
+    (:func:`core.rk4_increment`) raised by the march's stacked power on
+    P - I (:func:`core.increment_power`).
 
     ``count`` is an ``int`` or ``np.integer`` >= 0 (not a ``bool``).
     Raises ``ValueError`` for a bad ``xi``, ``length`` or ``count`` or for
@@ -281,12 +263,11 @@ def damped_well_modes(xi: float, length: float,
             raise ValueError(f"shooting step count overflows at xi = {xi} and "
                              f"length {length}") from None
         h = np.array([length / n for n in steps], dtype=np.float64)
-        # a shot that misses overflows its power; the bound below reports it
+        # near the float range the stages overflow; the bound below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             increments = rk4_increment((2.0 * xi, block), h).transpose(2, 0, 1)
-            propagators = np.eye(2) + increments
-            # psi(L) from (psi, psi') = (0, 1) is the (0, 1) entry of P^steps
-            shots = np.abs(_stacked_power(propagators, steps)[:, 0, 1])
+            # psi(L) from (psi, psi') = (0, 1) is the (0, 1) entry of P^steps - I
+            shots = np.abs(increment_power(increments, steps)[:, 0, 1])
         residuals[start:start + len(shots)] = shots
         missed = np.flatnonzero(~(shots <= SHOOTING_BOUND))
         if missed.size:

@@ -41,7 +41,6 @@ __all__ = [
     "Scheme",
     "FracOrder",
     "ComposeHalfResult",
-    "gamma_fn",
     "gl_weights",
     "causal_frac_deriv",
     "retrocausal_frac_deriv",
@@ -87,41 +86,6 @@ class FracOrder:
     @property
     def m(self) -> int:
         return int(self.alpha) if self.is_integer else math.floor(self.alpha) + 1
-
-
-# 9-term Lanczos approximation, g = 7.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function via the Lanczos approximation.
-
-    Relative error stays below 1e-10 on [0.5, 20]; the reflection formula
-    extends the domain to negative non-integer arguments. Non-positive
-    integers are poles and are rejected.
-    """
-    x = float(x)
-    if x <= 0 and x.is_integer():
-        raise ValueError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 def gl_weights(alpha: float, count: int) -> np.ndarray:
@@ -251,7 +215,7 @@ def _product_trapezoid_integral(y: np.ndarray, h: float, mu: float) -> np.ndarra
     conv = _causal_convolve(y, b)
     i = np.arange(1.0, n)
     a0 = p[:-2] - i**mu * (i - mu - 1.0)
-    scale = h**mu / gamma_fn(mu + 2.0)
+    scale = h**mu / math.gamma(mu + 2.0)
     out[1:] = scale * (a0 * y[0] + conv[1:] - b[1:] * y[0] + y[1:])
     return out
 

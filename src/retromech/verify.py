@@ -58,21 +58,6 @@ def check_gl_weights():
     _require(abs(partial[-1]) < 0.01, "weight sums should decay toward zero")
 
 
-def check_gamma():
-    _require(abs(fracops.gamma_fn(1.0) - 1) < 1e-14, 1.0)
-    _require(abs(fracops.gamma_fn(0.5) - math.sqrt(math.pi)) < 1e-10, 0.5)
-    _require(abs(fracops.gamma_fn(4.0) - 6.0) < 1e-9, 4.0)
-    for x in np.linspace(0.5, 20.0, 79):
-        rel = abs(fracops.gamma_fn(x) - math.gamma(x)) / math.gamma(x)
-        _require(rel <= 1e-10, (x, rel))
-    for pole in (0.0, -1.0, -5.0):
-        try:
-            fracops.gamma_fn(pole)
-        except ValueError:
-            continue
-        raise AssertionError(f"pole {pole} not rejected")
-
-
 def check_power_law():
     grid = Grid(0.0, 1.0, 2048)
     t = grid.points()
@@ -404,7 +389,6 @@ def check_envelope():
 
 CHECKS = (
     ("fracops.gl-weights", check_gl_weights),
-    ("fracops.gamma", check_gamma),
     ("fracops.power-law-oracle", check_power_law),
     ("fracops.gl-convergence-order", check_gl_convergence_order),
     ("fracops.linearity", check_linearity),

@@ -53,17 +53,29 @@ class TestParseArgs:
 
     @pytest.mark.parametrize("value", [-2.5e69, -1e-5, -1.0000000000000001e-05,
                                        -5e-324, -1.7976931348623157e308])
-    @pytest.mark.parametrize("argv, flag", [
-        (["oscillate"], "--q0"),
-        (["fracdiff", "--alpha", "0.5", "--fn", "t"], "--a"),
-        (["derive-eom", "--lagrangian", "q[a]"], "--alpha"),
-    ], ids=["oscillate", "fracdiff", "derive-eom"])
-    def test_negative_exponent_notation_in_both_spellings(self, argv, flag, value):
-        # argparse read "--q0 -2.5e+69" as two flags and exited 2
+    @pytest.mark.parametrize("argv, flag, dest", [
+        (["oscillate"], "--q0", "q0"),
+        (["fracdiff", "--alpha", "0.5", "--fn", "t"], "--a", "a"),
+        (["derive-eom", "--lagrangian", "q[a]"], "--alpha", "alpha"),
+        (["dampedwave", "--xi", "1"], "--ener", "energy"),
+        (["oscillate"], "--q", "q0"),
+        (["fracdiff", "--fn", "t"], "--al", "alpha"),
+    ], ids=["oscillate", "fracdiff", "derive-eom", "dampedwave-prefix", "oscillate-prefix",
+            "fracdiff-prefix"])
+    def test_negative_exponent_notation_in_both_spellings(self, argv, flag, dest, value):
+        # argparse read "--q0 -2.5e+69" as two flags and exited 2, and a
+        # flag's unique prefix ("--ener") as well after that was mended
         text = repr(value)
         apart = parse_args([*argv, flag, text]).options
         assert apart == parse_args([*argv, f"{flag}={text}"]).options
-        assert float(apart[flag[2:]]) == value
+        assert float(apart[dest]) == value
+
+    def test_ambiguous_prefix_keeps_argparse_error(self, capsys):
+        # "--c" could be --c-light or --count, so no value is attached to it
+        with pytest.raises(SystemExit) as err:
+            parse_args(["dampedwave", "--xi", "1", "--c", "-1e-5"])
+        assert err.value.code == 2
+        assert "ambiguous option: --c could match --c-light, --count" in capsys.readouterr().err
 
     def test_free_potential_needs_domain(self):
         with pytest.raises(SystemExit) as err:
@@ -663,12 +675,13 @@ def test_derive_eom_across_its_size_range(monkeypatch, capsys):
 
 def test_failed_shot_prints_only_the_error_line():
     # the per-mode power printed numpy's overflow and invalid-value
-    # RuntimeWarnings ahead of the error line
+    # RuntimeWarnings ahead of the error line; at xi^2 = 1.69e308 the RK4
+    # stages overflow
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["retromech.cli"].__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "retromech", "dampedwave", "--xi", "1",
-                           "--well", "1e100", "--count", "2"],
+    done = subprocess.run([sys.executable, "-m", "retromech", "dampedwave", "--xi", "1.3e154",
+                           "--well", "1", "--count", "1"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == ("error: dampedwave.damped_well_modes: shooting cross-check "

@@ -13,8 +13,11 @@ from retromech.core import (
     Regime,
     UnitsConfig,
     UnstableIntegrationError,
+    _increment_powers,
     classify_regime,
+    increment_power,
     integrate_second_order,
+    rk4_increment,
 )
 
 
@@ -264,6 +267,33 @@ class TestIntegrator:
         y, v = integrate_second_order(coeffs, 1.0, 0.0, grid, backward=backward)
         ry, rv = reference_march(coeffs, 1.0, 0.0, grid, backward=backward)
         assert np.allclose(y, ry, rtol=1e-9) and np.allclose(v, rv, rtol=1e-9)
+
+
+class TestIncrementPower:
+    # bits 62 and up fall in the second 62-bit word, 300 and 302 in the fifth
+    EXPONENTS = [0, 1, 2, 3, 5, 2**53 - 1, 2**62 + 2**61, 2**63 + 2**40,
+                 2**100 + 2**62, 5 * 2**300]
+
+    def test_exact_powers_of_exact_steps(self):
+        # P = [[1, 1], [0, 1]] has P^e - I = [[0, e], [0, 0]], exact in
+        # floats for these e; P = 0 has P^e - I = -I for every e >= 1
+        m = len(self.EXPONENTS)
+        shear = increment_power(np.tile([[0.0, 1.0], [0.0, 0.0]], (m, 1, 1)),
+                                self.EXPONENTS)
+        expected = np.zeros((m, 2, 2))
+        expected[:, 0, 1] = [float(e) for e in self.EXPONENTS]
+        assert np.array_equal(shear, expected)
+        vanish = increment_power(np.tile(-np.eye(2), (m, 1, 1)), self.EXPONENTS)
+        assert np.array_equal(vanish[0], np.zeros((2, 2)))
+        assert np.array_equal(vanish[1:], np.tile(-np.eye(2), (m - 1, 1, 1)))
+
+    def test_powers_of_two_are_the_march_doublings(self):
+        # the march and the well shooting share one combine rule, so
+        # P^(2^j) - I has the same bits in both
+        d = rk4_increment((0.3, 2.0), 0.01)
+        exponents = [2**j for j in range(11)]
+        stacked = increment_power(np.tile(d, (len(exponents), 1, 1)), exponents)
+        assert np.array_equal(stacked, _increment_powers(d, 1025)[exponents])
 
 
 class TestRegime:

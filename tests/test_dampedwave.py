@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 
 from retromech import dampedwave
-from retromech.core import NATURAL_UNITS, Grid, Regime, UnitsConfig, classify_regime
+from retromech.cli import main
+from retromech.core import Grid, Regime, UnitsConfig, classify_regime
 from retromech.dampedwave import (
     SHOOTING_BOUND,
+    SHOOTING_KH,
     DampedWaveParams,
     _shooting_steps,
-    _stacked_power,
     characteristic_roots,
     damped_well_modes,
     envelope_decay_rate,
@@ -24,7 +26,7 @@ def classify(params):
 
 
 def per_mode_rk4_increment(coeffs, h):
-    """The scalar RK4 stage pass the stacked shooting replaced."""
+    """The scalar RK4 stage pass, the oracle's own copy of the step."""
     c1, c0 = coeffs
     y = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
@@ -46,26 +48,21 @@ def per_mode_rk4_increment(coeffs, h):
                      h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0])
 
 
-def per_mode_well_modes(xi, length, count, shooting_points):
-    """The per-mode shooting loop ``damped_well_modes`` replaced, kept as
-    its oracle: (energies, residuals), or the RuntimeError it raised."""
-    units = NATURAL_UNITS
+def mpmath_residuals(xi, length, count, shooting_points=3001):
+    """|psi(L)| of each mode from a 60-digit power of the same rounded RK4
+    step P = I + D, over the step counts the library takes, so only the
+    power's own rounding is left out."""
+    mpmath = pytest.importorskip("mpmath")
     modes = np.arange(1, count + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        wavenumbers2 = (modes * math.pi / length) ** 2 + xi**2
-        energies = (units.hbar**2 / (2.0 * units.mass)) * wavenumbers2
-    residuals = np.empty(count)
-    for i, k2 in enumerate(wavenumbers2):
-        steps = _shooting_steps(math.sqrt(k2), length, shooting_points - 1)
-        propagator = np.eye(2) + per_mode_rk4_increment((2.0 * xi, k2), length / steps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            residuals[i] = abs(np.linalg.matrix_power(propagator, steps)[0, 1])
-        if not residuals[i] <= SHOOTING_BOUND:
-            raise RuntimeError(
-                f"shooting cross-check failed for mode {i + 1}: "
-                f"|psi(L)| = {residuals[i]:.3e}"
-            )
-    return energies, residuals
+    wavenumbers2 = (modes * math.pi / length) ** 2 + xi**2
+    residuals = []
+    with mpmath.workdps(60):
+        for k2 in wavenumbers2.tolist():
+            steps = _shooting_steps(math.sqrt(k2), length, shooting_points - 1)
+            d = per_mode_rk4_increment((2.0 * xi, k2), length / steps)
+            power = (mpmath.eye(2) + mpmath.matrix(d.tolist())) ** steps
+            residuals.append(float(abs(power[0, 1])))
+    return np.array(residuals)
 
 
 class TestXiFromParams:
@@ -253,55 +250,72 @@ class TestDampedWell:
         assert np.array_equal(modes.energies, expected.energies)
         assert np.array_equal(modes.shooting_residuals, expected.shooting_residuals)
 
-    @pytest.mark.parametrize("xi", [0.0, 0.1, 0.5, 2.0, 1e3, 1e100])
-    def test_stacked_shooting_matches_per_mode_loop_bit_for_bit(self, xi):
-        for length in (1e-7, 0.3, 1.0, 7.0):
-            for count in (0, 1, 5, 30, 200):
-                for points in (2, 3, 4, 5, 3001):
-                    energies, residuals = per_mode_well_modes(xi, length, count, points)
-                    modes = damped_well_modes(xi, length, count=count,
-                                              shooting_points=points)
-                    assert np.array_equal(modes.energies, energies)
-                    assert np.array_equal(modes.shooting_residuals, residuals)
+    @pytest.mark.parametrize("xi, count", [(0.0, 30), (0.1, 30), (0.5, 30), (2.0, 30),
+                                           (1e3, 30), (1e100, 2)])
+    def test_shooting_matches_a_60_digit_power_of_the_same_step(self, xi, count):
+        # P = I + D rounded and raised by matrix_power was off by up to 41 %.
+        # Below a few roundoffs of the power's unit-size diagonal a residual
+        # is rounding noise, hence the absolute floor.
+        floor = 4.0 * np.finfo(np.float64).eps
+        for length in (1e-9, 1e-7, 0.3, 1.0, 7.0, 50.0):
+            for points in (2, 3001):
+                exact = mpmath_residuals(xi, length, count, points)
+                modes = damped_well_modes(xi, length, count=count,
+                                          shooting_points=points)
+                error = np.abs(modes.shooting_residuals - exact)
+                assert np.all(error <= 0.05 * exact + floor), (length, points)
 
-    @pytest.mark.parametrize("xi, length, count", [
-        (0.0, 1e8, 1),     # roundoff leaves |psi(L)| = 3.1e-8
-        (0.0, 1e10, 3),
-        (1.0, 1e100, 2),   # the power overflows to nan
-    ])
-    def test_failed_shot_matches_per_mode_loop(self, xi, length, count):
-        with pytest.raises(RuntimeError) as frozen:
-            per_mode_well_modes(xi, length, count, 3001)
-        with pytest.raises(RuntimeError) as stacked:
-            damped_well_modes(xi, length, count=count)
-        assert str(stacked.value) == str(frozen.value)
+    @pytest.mark.parametrize("xi, length, count", [(0.5, 1.0, 40), (0.1, 50.0, 30)])
+    def test_residuals_within_5_percent_of_the_60_digit_power(self, xi, length, count):
+        # the rounded P = I + D power was off by 33 % and 41 % here
+        exact = mpmath_residuals(xi, length, count)
+        modes = damped_well_modes(xi, length, count=count)
+        assert np.max(np.abs(modes.shooting_residuals - exact) / exact) <= 0.05
+
+    @pytest.mark.parametrize("xi, length, count", [(0.0, 1e8, 1), (1.0, 1e100, 2)])
+    def test_long_wells_pass_where_the_rounded_power_failed(self, xi, length, count):
+        # P = I + D rounded at every power left |psi(L)| = 3.1e-8 and nan
+        modes = damped_well_modes(xi, length, count=count)
+        assert np.max(modes.shooting_residuals) <= SHOOTING_BOUND
+
+    def test_failed_shot_names_the_mode_the_exact_power_misses(self):
+        # at L = 1e10 the rounded step itself misses from mode 2 on
+        exact = mpmath_residuals(0.0, 1e10, 3)
+        assert exact[0] <= SHOOTING_BOUND < exact[1]
+        with pytest.raises(RuntimeError, match=r"failed for mode 2: \|psi\(L\)\| = "):
+            damped_well_modes(0.0, 1e10, count=3)
 
     @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_shooting_in_blocks_matches_per_mode_loop(self, monkeypatch, block):
-        # the block edges fall inside every case; mode 3 of the 1e-9 well
-        # takes 2 steps with k h = 4.7, outside RK4's stability interval
+    def test_shooting_in_blocks_matches_one_block(self, monkeypatch, block):
+        # the block edges fall inside every case
+        cases = [(0.5, 1.0, 30), (0.0, 5.0, 200), (0.0, 1e-9, 9)]
+        whole = [damped_well_modes(xi, length, count=count).shooting_residuals
+                 for xi, length, count in cases]
+        with pytest.raises(RuntimeError) as one:
+            damped_well_modes(0.0, 1e10, count=4)
         monkeypatch.setattr(dampedwave, "SHOOTING_BLOCK", block)
-        for xi, length, count in [(0.5, 1.0, 30), (0.0, 5.0, 200)]:
-            energies, residuals = per_mode_well_modes(xi, length, count, 3001)
+        for (xi, length, count), residuals in zip(cases, whole):
             modes = damped_well_modes(xi, length, count=count)
-            assert np.array_equal(modes.energies, energies)
             assert np.array_equal(modes.shooting_residuals, residuals)
-        with pytest.raises(RuntimeError) as frozen:
-            per_mode_well_modes(0.0, 1e-9, 4, 2)
-        with pytest.raises(RuntimeError) as stacked:
-            damped_well_modes(0.0, 1e-9, count=4, shooting_points=2)
-        assert str(stacked.value) == str(frozen.value)
-        assert "mode 3:" in str(stacked.value)
+        with pytest.raises(RuntimeError) as blocked:
+            damped_well_modes(0.0, 1e10, count=4)
+        assert str(blocked.value) == str(one.value)
+        assert "mode 2:" in str(blocked.value)
 
-    def test_short_wells_shoot_in_one_to_three_steps(self):
-        # mode n of a 3e-9 well needs 0.84 n steps, so the exponents are
-        # 1 to 4 and numpy's shortcuts decide the products of 1, 2 and 3
-        steps = [_shooting_steps(n * math.pi / 3e-9, 3e-9, 1) for n in (1, 2, 3, 4)]
-        assert steps == [1, 2, 3, 4]
-        energies, residuals = per_mode_well_modes(0.0, 3e-9, 4, 2)
-        modes = damped_well_modes(0.0, 3e-9, count=4, shooting_points=2)
-        assert np.array_equal(modes.energies, energies)
-        assert np.array_equal(modes.shooting_residuals, residuals)
+    def test_short_wells_keep_kh_within_the_cap(self):
+        # the error model alone took 1 to 4 steps for modes 1 to 4 of a
+        # 3e-9 well (k h = 3.7), and 3000 steps for mode 2703 of a 1e-9
+        # well (k h = 2.83 > 2 sqrt(2), outside RK4's stability interval)
+        for length, points, modes in ((3e-9, 2, (1, 2, 3, 4)),
+                                      (1e-9, 3001, (954, 955, 2703, 5000))):
+            for n in modes:
+                k = n * math.pi / length
+                steps = _shooting_steps(k, length, points - 1)
+                assert steps == max(points - 1, math.ceil(k * length / SHOOTING_KH))
+                assert k * length / steps <= SHOOTING_KH
+        # from a length of 6e-7 up, the error model alone sets N
+        assert _shooting_steps(1e4 * math.pi, 1e-3, 1) == math.ceil(
+            10 * math.pi * (1e-3 / (60.0 * SHOOTING_BOUND)) ** 0.25)
 
     @pytest.mark.parametrize("xi, length", [(1e160, 1.0), (0.0, 1e-170)])
     def test_overflowing_energies_rejected(self, xi, length):
@@ -318,18 +332,20 @@ class TestDampedWell:
             damped_well_modes(1e150, 1e200, count=1)
 
 
-def test_stacked_power_matches_matrix_power():
-    rng = np.random.default_rng(11)
-    exponents = [*range(1, 70), 2**20, 2**20 - 1, 2**40 + 3, 3 * 10**101]
-    stack = np.eye(2) + 1e-3 * rng.standard_normal((len(exponents), 2, 2))
-    # an overflowed entry: a product with I in place of the first power
-    # would turn its zeros into nan
-    exponents += [2, 5, 6]
-    stack = np.concatenate([stack, np.tile([[np.inf, 1.0], [0.0, 1.0]], (3, 1, 1))])
-    with np.errstate(over="ignore", invalid="ignore"):
-        stacked = _stacked_power(stack, exponents)
-        for a, e, power in zip(stack, exponents, stacked):
-            assert np.array_equal(power, np.linalg.matrix_power(a, e), equal_nan=True)
+def test_well_modes_across_their_size_range(capsys):
+    # no well grows, so no run may miss its residual bound; the error model
+    # alone shot mode 2703 of the 1e-9 well outside RK4's stability interval
+    for xi in ("0", "0.5", "1e100"):
+        for count in (1, 40, 5000):
+            for exponent in range(-12, 7, 3):
+                argv = ["dampedwave", "--xi", xi, "--well", f"1e{exponent}",
+                        "--count", str(count), "--format", "json"]
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert (code, captured.err) == (0, ""), argv
+                residuals = json.loads(captured.out)["shooting_residuals"]
+                assert len(residuals) == count
+                assert max(residuals) <= SHOOTING_BOUND, argv
 
 
 class TestEnvelope:

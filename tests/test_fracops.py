@@ -13,15 +13,13 @@ from retromech.fracops import (
     Scheme,
     causal_frac_deriv,
     compose_half,
-    gamma_fn,
     gl_weights,
     retrocausal_frac_deriv,
 )
 
 
 def power_law_exact(t, a, k, alpha):
-    # left-derivative closed form for (t - a)^k, evaluated with math.gamma so
-    # the oracle shares nothing with the library's gamma implementation
+    # left-derivative closed form for (t - a)^k
     return math.gamma(k + 1) / math.gamma(k + 1 - alpha) * (t - a) ** (k - alpha)
 
 
@@ -54,26 +52,6 @@ class TestGlWeights:
             gl_weights(-0.1, 4)
         with pytest.raises(ValueError):
             gl_weights(0.5, 0)
-
-
-class TestGamma:
-    def test_known_values(self):
-        assert abs(gamma_fn(1.0) - 1.0) < 1e-14
-        assert abs(gamma_fn(0.5) - 1.7724538509055159) < 1e-10
-        assert abs(gamma_fn(4.0) - 6.0) < 1e-9
-
-    def test_accuracy_band(self):
-        for x in np.linspace(0.5, 20.0, 157):
-            exact = math.gamma(x)
-            assert abs(gamma_fn(x) - exact) / exact <= 1e-10
-
-    def test_reflection_negative(self):
-        assert abs(gamma_fn(-0.5) - math.gamma(-0.5)) < 1e-10
-
-    @pytest.mark.parametrize("pole", [0.0, -1.0, -2.0, -7.0])
-    def test_poles_rejected(self, pole):
-        with pytest.raises(ValueError):
-            gamma_fn(pole)
 
 
 class TestFracOrder:

@@ -381,10 +381,17 @@ def _result(fn, *args):
 def test_gradient_renders_and_reduces_as_before():
     reached = set()
 
+    # hypothesis also draws literals from the source of every loaded local
+    # module, so which modules a run has imported moves the draws; these two
+    # examples reach both overflow branches whatever is drawn
     @hypothesis.settings(max_examples=400)
     @hypothesis.given(potential=_POTENTIALS,
                       stiffness=st.sampled_from([None, 4.0, -1.5, 1e308]),
                       direction=st.sampled_from(list(Direction)))
+    @hypothesis.example(potential=PolynomialPotential((0.0, 0.0, 1e308)), stiffness=None,
+                        direction=Direction.CAUSAL)
+    @hypothesis.example(potential=HarmonicPotential(1e308), stiffness=1e308,
+                        direction=Direction.RETROCAUSAL)
     def compare(potential, stiffness, direction):
         terms = (EomTerm(1.0, Fraction(2)),)
         if stiffness is not None:

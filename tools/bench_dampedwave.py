@@ -8,20 +8,21 @@
     python3 tools/bench_dampedwave.py bench PARENT CHANGE --workload W --seeds S0 S1 \\
         [--trace 0|1] > W.json
     python3 tools/bench_dampedwave.py report --what TEXT --layer TEXT \\
-        --claim WORKLOAD METRIC DROP --bench W.json [W2.json ...] --parent-commit REV \\
-        [--inprocess inprocess.json --cli cli.json --rss rss.json \\
-        --jobs-rss jobs.json] > BENCH_x.json
+        [--claim WORKLOAD METRIC DROP] --bench W.json [W2.json ...] \\
+        --parent-commit REV [--inprocess inprocess.json --cli cli.json \\
+        --rss rss.json --jobs-rss jobs.json] > report.json
 
 PARENT and CHANGE are the roots of two source checkouts. Every measuring
 mode pairs the two trees, alternates which side runs first, and prints its
 raw samples as one JSON document; ``report`` summarizes those documents
-into the committed file. ``inprocess``, ``cli`` and ``rss`` time the
+into one report, a committed file or one entry of it. ``inprocess``, ``cli`` and ``rss`` time the
 well-mode shooting (BENCH_dampedwave.json); ``bench`` and ``report`` serve
 any layer (BENCH_lagrangian.json comes from them alone). The ``--what``,
 ``--layer`` and ``--claim`` each file was made with are its ``what`` and
 ``layer`` entries and its ``claim.workload``, ``claim.metric`` and
-``claim.min_drop``. BENCH_memory.json is a list of such reports, one per
-change, oldest first.
+``claim.min_drop``; a report made without ``--claim`` claims no gain and
+has ``"claim": null``. BENCH_memory.json and BENCH_dampedwave.json are
+lists of such reports, one per change, oldest first.
 
 * ``inprocess``: each of P processes loads both ``src/`` trees side by
   side (as the packages ``parent`` and ``change``) and times
@@ -45,10 +46,10 @@ change, oldest first.
 * ``bench``: ``python3 bench/run.py --workload W --seed S --seconds 20
   --trace T`` run from each root, one pair per seed; keeps every run's
   report.
-* ``report``: medians, quartiles and pair wins of every sample set, and
-  whether the claimed gain holds: METRIC of WORKLOAD (trace off) at least
-  DROP lower than the parent's, in at least 90 % of the pairs, with a
-  median gap wider than the parent's IQR.
+* ``report``: medians, quartiles and pair wins of every sample set, and,
+  given ``--claim``, whether the claimed gain holds: METRIC of WORKLOAD
+  (trace off) at least DROP lower than the parent's, in at least 90 % of
+  the pairs, with a median gap wider than the parent's IQR.
 """
 
 from __future__ import annotations
@@ -354,8 +355,11 @@ def report(args):
         key = (f"{run['workload']} trace {run['trace']} "
                f"seeds {run['seeds'][0]}-{run['seeds'][-1]}")
         bench_runs[key] = _bench_summary(run)
-    workload, metric, min_drop = args.claim
-    doc["claim"] = _claim(bench_runs, workload, metric, float(min_drop))
+    if args.claim:
+        workload, metric, min_drop = args.claim
+        doc["claim"] = _claim(bench_runs, workload, metric, float(min_drop))
+    else:
+        doc["claim"] = None
     doc["bench_run"] = bench_runs
     return doc
 
@@ -375,8 +379,8 @@ def main():
     p = sub.add_parser("report")
     p.add_argument("--what", required=True, help="the change, in one paragraph")
     p.add_argument("--layer", required=True, help="the layer it moves and its spans")
-    p.add_argument("--claim", nargs=3, required=True,
-                   metavar=("WORKLOAD", "METRIC", "DROP"))
+    p.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "DROP"),
+                   help="the gain claimed, if any")
     p.add_argument("--inprocess")
     p.add_argument("--cli")
     p.add_argument("--rss")
