@@ -553,10 +553,9 @@ def _cmd_derive_eom(opts):
         "causal": lagrangian.eom_to_json_dict(causal),
         "retrocausal": lagrangian.eom_to_json_dict(retro),
     }
-    reducible = all(t.total_order.denominator == 1 for t in causal.terms)
-    if reducible and not causal.is_degenerate:
-        ode_c = _wrap("lagrangian.reduce_integer_orders",
-                      lagrangian.reduce_integer_orders, causal)
+    ode_c = _wrap("lagrangian.reduce_integer_orders",
+                  lagrangian.reduce_integer_orders, causal)
+    if ode_c is not None:
         ode_r = _wrap("lagrangian.reduce_integer_orders",
                       lagrangian.reduce_integer_orders, retro)
         lines.append("reduced causal:      " + lagrangian.render_eom(ode_c))

@@ -56,6 +56,9 @@ SHOOTING_BOUND = 1e-8
 #: one stack, which is also slower (1.13 s against 0.90 s a call).
 SHOOTING_BLOCK = 4096
 
+#: Fewest RK4 steps a shot takes, whatever its mode and well length.
+SHOOTING_MIN_STEPS = 3000
+
 #: Samples per slice when ``solve_damped_free`` takes its discrepancy.
 _DISCREPANCY_BLOCK = 4096
 
@@ -181,8 +184,8 @@ class DampedWellModes:
     Dirichlet modes on [0, L] are exp(-xi x) sin(n pi x / L) (unnormalized)
     at E_n = (hbar^2 / 2m)(n^2 pi^2 / L^2 + xi^2). The residuals |psi(L)|
     come from an independent RK4 shooting pass from (psi, psi') = (0, 1) at
-    each energy, with at least ``shooting_points - 1`` steps and more where
-    a high mode or a long well needs them.
+    each energy, with at least :data:`SHOOTING_MIN_STEPS` steps and more
+    where a high mode or a long well needs them.
     """
 
     xi: float
@@ -199,10 +202,10 @@ class DampedWellModes:
 SHOOTING_KH = 1.0
 
 
-def _shooting_steps(k: float, length: float, minimum: int) -> int:
-    """Fewest RK4 steps N >= ``minimum`` that shoot a mode of wavenumber k
-    across [0, length] to within half of :data:`SHOOTING_BOUND`, with
-    k h <= :data:`SHOOTING_KH`.
+def _shooting_steps(k: float, length: float) -> int:
+    """Fewest RK4 steps N >= :data:`SHOOTING_MIN_STEPS` that shoot a mode
+    of wavenumber k across [0, length] to within half of
+    :data:`SHOOTING_BOUND`, with k h <= :data:`SHOOTING_KH`.
 
     From psi'(0) = 1 the RK4 phase error leaves |psi(L)| ~ L (k h)^4 / 120
     at a true node, so N is the smallest count with
@@ -212,12 +215,12 @@ def _shooting_steps(k: float, length: float, minimum: int) -> int:
     which then sets N.
     """
     scale = max(1.0 / SHOOTING_KH, (length / (60.0 * SHOOTING_BOUND)) ** 0.25)
-    return max(minimum, math.ceil(k * length * scale))
+    return max(SHOOTING_MIN_STEPS, math.ceil(k * length * scale))
 
 
 def damped_well_modes(xi: float, length: float,
-                      units: UnitsConfig = NATURAL_UNITS, count: int = 5, *,
-                      shooting_points: int = 3001) -> DampedWellModes:
+                      units: UnitsConfig = NATURAL_UNITS,
+                      count: int = 5) -> DampedWellModes:
     """Energies and shooting residuals of the lowest ``count`` hard-wall
     modes of the damped well [0, length].
 
@@ -225,7 +228,7 @@ def damped_well_modes(xi: float, length: float,
     Each is cross-checked by RK4 shooting from (psi, psi') = (0, 1):
     psi(L) is the (0, 1) entry of P^N for the mode's RK4 step P, read from
     P^N - I, which has the same off-diagonal. N comes from
-    :func:`_shooting_steps`: at least ``shooting_points - 1``, and enough
+    :func:`_shooting_steps`: at least :data:`SHOOTING_MIN_STEPS`, and enough
     that k h <= :data:`SHOOTING_KH`, so every shot lies inside RK4's
     stability region. Every residual |psi(L)| must be at most
     :data:`SHOOTING_BOUND`. Modes are shot :data:`SHOOTING_BLOCK` at a
@@ -257,8 +260,7 @@ def damped_well_modes(xi: float, length: float,
     for start in range(0, count, SHOOTING_BLOCK):
         block = wavenumbers2[start:start + SHOOTING_BLOCK]
         try:
-            steps = [_shooting_steps(math.sqrt(k2), length, shooting_points - 1)
-                     for k2 in block.tolist()]
+            steps = [_shooting_steps(math.sqrt(k2), length) for k2 in block.tolist()]
         except OverflowError:  # math.ceil of an infinite step count
             raise ValueError(f"shooting step count overflows at xi = {xi} and "
                              f"length {length}") from None

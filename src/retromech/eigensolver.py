@@ -16,7 +16,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import random
 import sys
@@ -50,6 +49,11 @@ MIN_GRID_POINTS = 16
 #: Harmonic domains are truncated at this many natural lengths; the
 #: low-lying eigenfunctions are far below double precision there.
 HARMONIC_HALF_WIDTH = 12.0
+
+#: :func:`stationarity_check` perturbs along this many random directions,
+#: drawn from this seed.
+STATIONARITY_TRIALS = 10
+STATIONARITY_SEED = 2024
 
 
 class SpectrumError(RuntimeError):
@@ -94,7 +98,9 @@ def build_hamiltonian(potential: Potential, grid: Grid,
                 f"[0, {span}], got [{grid.a}, {grid.b}]"
             )
     x_interior = grid.points()[1:-1]
-    v = np.asarray(potential.evaluate(x_interior), dtype=np.float64)
+    # an overflow or nan is rejected just below, naming the potential
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.asarray(potential.evaluate(x_interior), dtype=np.float64)
     if v.shape != x_interior.shape or not np.isfinite(v).all():
         raise ValueError(f"potential {potential.kind!r} is not evaluable on the grid")
     h = grid.h
@@ -131,8 +137,6 @@ class EigenSolution:
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=np.float64)
-        if e.size > 1 and not np.all(np.diff(e) > 0):
-            raise ValueError("energies must be strictly ascending")
         e.setflags(write=False)
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "eigenfunctions", tuple(self.eigenfunctions))
@@ -149,17 +153,15 @@ def _load_flapack():
 
     Importing ``scipy.linalg`` takes about 0.3 s (most of it in
     ``scipy._lib._array_api``), while the extension module alone loads in
-    a few milliseconds. Where the module file cannot be found next to
-    scipy's own ``linalg`` package, ``scipy.linalg.lapack`` supplies the
-    same wrappers.
+    a few milliseconds. Every scipy this package supports (>= 1.10) ships
+    the module in ``linalg``; where it is missing, :class:`SpectrumError`
+    names the directory searched.
     """
     scipy_spec = importlib.util.find_spec("scipy")
     linalg_dir = os.path.join(os.path.dirname(scipy_spec.origin), "linalg")
     spec = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir])
     if spec is None:
-        from scipy.linalg import lapack
-
-        return lapack
+        raise SpectrumError(f"scipy's LAPACK module _flapack is not in {linalg_dir}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     # CPython files a single-phase extension in sys.modules under its bare
@@ -354,8 +356,7 @@ class StationarityReport:
 
 
 def stationarity_check(solution: EigenSolution, index: int,
-                       perturbation_scale: float, *, trials: int = 10,
-                       seed: int = 2024,
+                       perturbation_scale: float, *,
                        energy_override: float | None = None) -> StationarityReport:
     """Measure how the functional responds to perturbed eigenfunctions.
 
@@ -368,18 +369,15 @@ def stationarity_check(solution: EigenSolution, index: int,
     eigenvalue. ``stationary`` is set when the smallest measured exponent
     reaches 1.9.
 
-    ``trials`` (an integer >= 1) perturbations take ``trials`` x 6 normal
-    weights, drawn row by row with ``random.Random(seed).gauss``: the
-    standard library's generator, which loads nothing where numpy.random
-    would add its extension modules to the process. Versions that drew
-    from ``numpy.random.default_rng(seed)`` perturbed along other
-    directions for the same seed. All trials are evaluated in one array
-    pass per scale. Each row is summed mode by mode and normalized
+    The :data:`STATIONARITY_TRIALS` perturbations take as many rows of 6
+    normal weights, drawn row by row with
+    ``random.Random(STATIONARITY_SEED).gauss``: the standard library's
+    generator, which loads nothing where numpy.random would add its
+    extension modules to the process. All trials are evaluated in one
+    array pass per scale. Each row is summed mode by mode and normalized
     on its own, so every exponent has the bits it would have if the
     trials were evaluated one at a time with the same draws.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not 0 < perturbation_scale <= 0.1:
         raise ValueError(f"perturbation scale must be in (0, 0.1], "
                          f"got {perturbation_scale}")
@@ -391,10 +389,11 @@ def stationarity_check(solution: EigenSolution, index: int,
     x = grid.points()
     v = np.asarray(solution.potential.evaluate(x), dtype=np.float64)
     base = float(_functional(psi, psi, v, energy, grid.h, solution.units))
-    gauss = random.Random(operator.index(seed)).gauss
-    weights = np.array([[gauss(0.0, 1.0) for _ in range(6)] for _ in range(trials)])
+    gauss = random.Random(STATIONARITY_SEED).gauss
+    weights = np.array([[gauss(0.0, 1.0) for _ in range(6)]
+                        for _ in range(STATIONARITY_TRIALS)])
     phase = math.pi * (x - grid.a) / (grid.b - grid.a)
-    eta = np.zeros((trials, grid.n))
+    eta = np.zeros((STATIONARITY_TRIALS, grid.n))
     for j, mode in enumerate(np.sin(np.arange(1, 7)[:, None] * phase)):
         eta += weights[:, j:j + 1] * mode
     eta[:, 0] = eta[:, -1] = 0.0
@@ -431,9 +430,10 @@ def default_grid(potential: Potential, n: int,
                      "supply the interval explicitly")
 
 
-def count_interior_nodes(f: GridFunction, threshold: float = 1e-6) -> int:
-    """Number of sign changes among samples above the noise threshold."""
+def count_interior_nodes(f: GridFunction) -> int:
+    """Number of sign changes among samples above 1e-6 times the largest
+    magnitude, the noise threshold."""
     s = np.asarray(f.samples, dtype=np.float64)
-    significant = s[np.abs(s) > threshold * np.max(np.abs(s))]
+    significant = s[np.abs(s) > 1e-6 * np.max(np.abs(s))]
     signs = np.sign(significant)
     return int(np.sum(signs[1:] * signs[:-1] < 0))

@@ -239,11 +239,6 @@ class LagrangianSpec:
             EomTerm(t.coeff, Fraction(2 * t.order.numerator, t.order.denominator))
             for t in ordered))
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when every product term was dropped (zero coefficients)."""
-        return not self.terms
-
 
 @dataclass(frozen=True)
 class EomTerm:
@@ -264,10 +259,6 @@ class EquationOfMotion:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-
-    @property
-    def is_degenerate(self) -> bool:
-        return not self.terms
 
 
 @dataclass(frozen=True)
@@ -465,29 +456,30 @@ def derive_retrocausal_eom(spec: LagrangianSpec) -> EquationOfMotion:
     return _derive(spec, Direction.RETROCAUSAL)
 
 
-def reduce_integer_orders(eom: EquationOfMotion) -> ClassicalOde:
-    """Collapse an all-integer-order equation to m q'' + c q' + k q = 0.
+def reduce_integer_orders(eom: EquationOfMotion) -> ClassicalOde | None:
+    """Collapse an equation to m q'' + c q' + k q = 0, or ``None`` where it
+    has no such form: no derivative terms, an order that is not an
+    integer or is above 2, or a dV/dq that is not linear in q.
 
     Causal derivatives map to plain ones; a retrocausal derivative of
     order n carries the parity (-1)^n, which is what flips the damping
     sign between the two directions. Exact arithmetic: signs and sums
-    involve no tolerance.
+    involve no tolerance. On an equation from :func:`derive_causal_eom` or
+    :func:`derive_retrocausal_eom` it raises ``ValueError`` only where a
+    reduced coefficient overflows.
     """
+    if not eom.terms:
+        return None
     slots = {0: 0.0, 1: 0.0, 2: 0.0}
     for term in eom.terms:
-        if term.total_order.denominator != 1:
-            raise ValueError(f"non-integer residual order {term.total_order}")
         nth = term.total_order.numerator
-        if nth not in slots:
-            raise ValueError(f"order {nth} exceeds the classical form (max 2)")
+        if term.total_order.denominator != 1 or nth not in slots:
+            return None
         sign = -1.0 if (eom.direction is Direction.RETROCAUSAL and nth % 2 == 1) else 1.0
         slots[nth] += sign * term.coeff
     for coeff, power in eom.potential.gradient():
         if power != 1:
-            raise ValueError(
-                "potential gradient is not linear in q; cannot reduce to the "
-                "classical oscillator form"
-            )
+            return None
         slots[0] += coeff
     for name, nth in (("mass", 2), ("damping", 1), ("stiffness", 0)):
         if not math.isfinite(slots[nth]):

@@ -223,6 +223,20 @@ class TestDeriveEomCommand:
         assert main(["--config", str(cfg_path)]) == 0
         assert "reduced causal:      1·q'' + 2·q' = 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, body", [
+        ("1*q[1.5]", "1·D^3[q]"),
+        ("1*q[1] - V(poly, 0, 0, 0, 1)", "1·D^2[q] + 3·q^2"),
+    ], ids=["order-3", "anharmonic"])
+    def test_no_classical_form_prints_the_two_equations(self, tmp_path, capsys, text,
+                                                         body):
+        # the library raised on what the CLI's own pre-check let through
+        out = tmp_path / "eom.json"
+        for flags in ((), ("--output", str(out))):
+            assert main(["derive-eom", "--lagrangian", text, *flags]) == 0
+            assert capsys.readouterr() == (
+                f"{body} = 0 (causal)\n{body} = 0 (retrocausal)\n", "")
+        assert sorted(json.loads(out.read_text())) == ["causal", "retrocausal"]
+
     def test_dsl_error_is_computation_failure(self, capsys):
         assert main(["derive-eom", "--lagrangian", "1*q[1] + 1*q[1]"]) == 1
         err = capsys.readouterr().err
@@ -369,6 +383,15 @@ class TestEigensolveCommand:
                      "--count", "1", "--n", "500", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert abs(doc["energies"][0] - math.pi**2 / 2.0) <= 0.01
+
+    def test_double_well_doublets_are_kept(self, capsys):
+        # the tunnelling doublets are equal in float64, and a strictly
+        # ascending check on the energies exited 1 here
+        assert main(["eigensolve", "--potential", "poly, 0, 0, -20, 0, 1", "--a", "-7",
+                     "--b", "7", "--n", "2000", "--count", "4"]) == 0
+        energies = json.loads(capsys.readouterr().out)["energies"]
+        assert len(energies) == 4 and np.all(np.diff(energies) >= 0)
+        assert energies[0] == energies[1] and energies[2] == energies[3]
 
 
 class TestDampedwaveCommand:
@@ -673,19 +696,26 @@ def test_derive_eom_across_its_size_range(monkeypatch, capsys):
         assert captured.err == f"error: {error}\n"
 
 
-def test_failed_shot_prints_only_the_error_line():
+@pytest.mark.parametrize("argv, error", [
     # the per-mode power printed numpy's overflow and invalid-value
     # RuntimeWarnings ahead of the error line; at xi^2 = 1.69e308 the RK4
     # stages overflow
+    (["dampedwave", "--xi", "1.3e154", "--well", "1", "--count", "1"],
+     "dampedwave.damped_well_modes: shooting cross-check failed for mode 1: "
+     "|psi(L)| = nan"),
+    # squaring x overflowed in the potential, with numpy's two-line warning
+    (["eigensolve", "--potential", "harmonic, 0.09", "--n", "17", "--count", "0",
+      "--a=-1.4082101870394402e+292", "--b=-0.617"],
+     "eigensolver.build_hamiltonian: potential 'harmonic' is not evaluable on the grid"),
+], ids=["failed-shot", "overflowing-potential"])
+def test_overflow_prints_only_the_error_line(argv, error):
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["retromech.cli"].__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "retromech", "dampedwave", "--xi", "1.3e154",
-                           "--well", "1", "--count", "1"],
+    done = subprocess.run([sys.executable, "-m", "retromech", *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 1 and done.stdout == ""
-    assert done.stderr == ("error: dampedwave.damped_well_modes: shooting cross-check "
-                           "failed for mode 1: |psi(L)| = nan\n")
+    assert done.stderr == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("argv, origin", [

@@ -11,6 +11,7 @@ from retromech.core import Grid, Regime, UnitsConfig, classify_regime
 from retromech.dampedwave import (
     SHOOTING_BOUND,
     SHOOTING_KH,
+    SHOOTING_MIN_STEPS,
     DampedWaveParams,
     _shooting_steps,
     characteristic_roots,
@@ -48,7 +49,7 @@ def per_mode_rk4_increment(coeffs, h):
                      h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0])
 
 
-def mpmath_residuals(xi, length, count, shooting_points=3001):
+def mpmath_residuals(xi, length, count):
     """|psi(L)| of each mode from a 60-digit power of the same rounded RK4
     step P = I + D, over the step counts the library takes, so only the
     power's own rounding is left out."""
@@ -58,7 +59,7 @@ def mpmath_residuals(xi, length, count, shooting_points=3001):
     residuals = []
     with mpmath.workdps(60):
         for k2 in wavenumbers2.tolist():
-            steps = _shooting_steps(math.sqrt(k2), length, shooting_points - 1)
+            steps = _shooting_steps(math.sqrt(k2), length)
             d = per_mode_rk4_increment((2.0 * xi, k2), length / steps)
             power = (mpmath.eye(2) + mpmath.matrix(d.tolist())) ** steps
             residuals.append(float(abs(power[0, 1])))
@@ -258,12 +259,18 @@ class TestDampedWell:
         # is rounding noise, hence the absolute floor.
         floor = 4.0 * np.finfo(np.float64).eps
         for length in (1e-9, 1e-7, 0.3, 1.0, 7.0, 50.0):
-            for points in (2, 3001):
-                exact = mpmath_residuals(xi, length, count, points)
-                modes = damped_well_modes(xi, length, count=count,
-                                          shooting_points=points)
-                error = np.abs(modes.shooting_residuals - exact)
-                assert np.all(error <= 0.05 * exact + floor), (length, points)
+            exact = mpmath_residuals(xi, length, count)
+            modes = damped_well_modes(xi, length, count=count)
+            error = np.abs(modes.shooting_residuals - exact)
+            assert np.all(error <= 0.05 * exact + floor), length
+
+    @pytest.mark.parametrize("length, first", [(7.0, 17), (50.0, 10)])
+    def test_error_model_sizes_the_higher_modes_of_long_wells(self, length, first):
+        # the 60-digit comparison above covers steps the error model sets,
+        # not only the floor, from these modes up
+        above = [n for n in range(1, 31)
+                 if _shooting_steps(n * math.pi / length, length) > SHOOTING_MIN_STEPS]
+        assert above == list(range(first, 31))
 
     @pytest.mark.parametrize("xi, length, count", [(0.5, 1.0, 40), (0.1, 50.0, 30)])
     def test_residuals_within_5_percent_of_the_60_digit_power(self, xi, length, count):
@@ -303,19 +310,20 @@ class TestDampedWell:
         assert "mode 2:" in str(blocked.value)
 
     def test_short_wells_keep_kh_within_the_cap(self):
-        # the error model alone took 1 to 4 steps for modes 1 to 4 of a
-        # 3e-9 well (k h = 3.7), and 3000 steps for mode 2703 of a 1e-9
-        # well (k h = 2.83 > 2 sqrt(2), outside RK4's stability interval)
-        for length, points, modes in ((3e-9, 2, (1, 2, 3, 4)),
-                                      (1e-9, 3001, (954, 955, 2703, 5000))):
-            for n in modes:
+        # the floor and the error model alone took 3000 steps for mode 2703
+        # of a 1e-9 well (k h = 2.83 > 2 sqrt(2), outside RK4's stability
+        # interval)
+        for length in (3e-9, 1e-9):
+            for n in (1, 954, 955, 2703, 5000):
                 k = n * math.pi / length
-                steps = _shooting_steps(k, length, points - 1)
-                assert steps == max(points - 1, math.ceil(k * length / SHOOTING_KH))
+                steps = _shooting_steps(k, length)
+                assert steps == max(SHOOTING_MIN_STEPS,
+                                    math.ceil(k * length / SHOOTING_KH))
                 assert k * length / steps <= SHOOTING_KH
         # from a length of 6e-7 up, the error model alone sets N
-        assert _shooting_steps(1e4 * math.pi, 1e-3, 1) == math.ceil(
-            10 * math.pi * (1e-3 / (60.0 * SHOOTING_BOUND)) ** 0.25)
+        steps = _shooting_steps(1e6 * math.pi, 1e-3)
+        assert steps == math.ceil(1e3 * math.pi * (1e-3 / (60.0 * SHOOTING_BOUND)) ** 0.25)
+        assert steps > SHOOTING_MIN_STEPS
 
     @pytest.mark.parametrize("xi, length", [(1e160, 1.0), (0.0, 1e-170)])
     def test_overflowing_energies_rejected(self, xi, length):

@@ -10,7 +10,9 @@ offset, where the scanner built their exact fraction.
 
 The gradient dispatches are frozen too, with the well's message edited to
 the one ``Potential.gradient`` raises; a polynomial gradient or a reduced
-stiffness that overflows is now rejected where the old code gave inf.
+stiffness that overflows is now rejected where the old code gave inf, and
+an equation whose dV/dq is not linear reduces to ``None`` where the old
+code raised.
 """
 
 import math
@@ -301,7 +303,8 @@ def _assert_same(new, old):
 def _reached(outcome):
     """Which rule decided a parse: 'ok', 'degenerate', or the error's rule."""
     if outcome[0] == "ok":
-        return "degenerate" if getattr(outcome[1], "is_degenerate", False) else "ok"
+        spec = outcome[1]
+        return "degenerate" if isinstance(spec, LagrangianSpec) and not spec.terms else "ok"
     return next(rule for rule in _RULES if rule in outcome[1])
 
 
@@ -310,12 +313,31 @@ _RULES = ("doubles to a non-finite number", "doubles to zero", "non-finite numbe
           "harmonic constant", "well length")
 _TOKEN_SOUP = st.lists(_GARBAGE | _WS).map("".join)
 
+# hypothesis also draws literals from the source of every loaded local
+# module, so a change anywhere in the package moves the draws; one example
+# per rule keeps every rule reached, whatever is drawn
+_LAGRANGIAN_EXAMPLES = ("1*q[1]", "0*q[1]", "1*q[1e308]", "1*q[1e-400]", "1e400*q[1]",
+                        "1*q[-1]", "1*q[1] + 1*q[1]", "1*q[1] +", "1*q[1] - V(free) x",
+                        "1*q[1] - V(harmonic, -1)", "1*q[1] - V(well, 0)")
+_POTENTIAL_EXAMPLES = ("free", "harmonic, 1e400", "harmonic", "free x", "harmonic, -1",
+                       "well, 0")
+
+
+def _with_examples(texts):
+    """Decorate a ``text`` test with one ``hypothesis.example`` per text."""
+    def decorate(test):
+        for text in texts:
+            test = hypothesis.example(text=text)(test)
+        return test
+    return decorate
+
 
 def test_lagrangian_parser_matches_frozen_scanner():
     reached = set()
 
     @hypothesis.settings(max_examples=600)
     @hypothesis.given(text=_mutated(_LAGRANGIAN) | _TOKEN_SOUP)
+    @_with_examples(_LAGRANGIAN_EXAMPLES)
     def compare(text):
         new = _outcome(parse_lagrangian, text)
         old = _outcome(frozen_parse_lagrangian, text)
@@ -338,7 +360,7 @@ def test_lagrangian_parser_matches_frozen_scanner():
 
     compare()
     # a comparison is only as good as the rules its texts reach
-    assert reached == {"ok", "degenerate", *_RULES[:7]}
+    assert reached == {"ok", "degenerate", *_RULES}
 
 
 def test_potential_parser_matches_frozen_scanner():
@@ -346,6 +368,7 @@ def test_potential_parser_matches_frozen_scanner():
 
     @hypothesis.settings(max_examples=400)
     @hypothesis.given(text=_mutated(_POTENTIAL) | _TOKEN_SOUP)
+    @_with_examples(_POTENTIAL_EXAMPLES)
     def compare(text):
         new = _outcome(parse_potential, text)
         reached.add(_reached(new))
@@ -382,8 +405,9 @@ def test_gradient_renders_and_reduces_as_before():
     reached = set()
 
     # hypothesis also draws literals from the source of every loaded local
-    # module, so which modules a run has imported moves the draws; these two
-    # examples reach both overflow branches whatever is drawn
+    # module, so which modules a run has imported moves the draws; these
+    # examples reach both overflow branches and a nonlinear gradient
+    # whatever is drawn
     @hypothesis.settings(max_examples=400)
     @hypothesis.given(potential=_POTENTIALS,
                       stiffness=st.sampled_from([None, 4.0, -1.5, 1e308]),
@@ -392,6 +416,8 @@ def test_gradient_renders_and_reduces_as_before():
                         direction=Direction.CAUSAL)
     @hypothesis.example(potential=HarmonicPotential(1e308), stiffness=1e308,
                         direction=Direction.RETROCAUSAL)
+    @hypothesis.example(potential=PolynomialPotential((0.0, 0.0, 0.0, 1.0)), stiffness=4.0,
+                        direction=Direction.CAUSAL)
     def compare(potential, stiffness, direction):
         terms = (EomTerm(1.0, Fraction(2)),)
         if stiffness is not None:
@@ -406,8 +432,12 @@ def test_gradient_renders_and_reduces_as_before():
         def frozen_stiffness():
             return (stiffness or 0.0) + frozen_linear_gradient_coeff(potential)
 
+        def reduced_stiffness():
+            ode = reduce_integer_orders(eom)
+            return None if ode is None else ode.stiffness_coeff
+
         rendered = _result(render_eom, eom)
-        new = _result(lambda: reduce_integer_orders(eom).stiffness_coeff)
+        new = _result(reduced_stiffness)
         old = _result(frozen_stiffness)
         if rendered[0] == "ValueError" and " term overflows: " in rendered[1]:
             # the new rejection of a gradient coefficient power * c that
@@ -423,7 +453,12 @@ def test_gradient_renders_and_reduces_as_before():
             reached.add("stiffness overflows")
             assert old == ("ok", "inf")  # the new rejection of an overflowed sum
             return
+        if new == ("ok", "None"):
+            # no classical form, where the old code raised
+            reached.add("not linear")
+            assert old[0] == "ValueError" and "not linear" in old[1]
+            return
         assert new == old
 
     compare()
-    assert reached == {"gradient overflows", "stiffness overflows"}
+    assert reached == {"gradient overflows", "stiffness overflows", "not linear"}
