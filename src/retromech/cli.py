@@ -19,7 +19,9 @@ a temporary sibling and renamed on success, so failures leave no partial
 output. Exit codes: 0 success, 1 computation failure, 2 usage error.
 
 A JSON config file mirroring the flag names (plus ``command``) can seed
-any run; explicit flags override file values.
+any run. Each value is parsed as its flag would be, with the same types
+and choices; ``null`` leaves a flag unset, and explicit flags override
+file values.
 
 Each handler imports the modules it uses, so parsing, ``--version``,
 usage errors and ``derive-eom`` load no numpy.
@@ -269,10 +271,9 @@ def _add_output_flags(p, default_format, choices=("csv", "json")):
 
 def _float_text(token):
     """A number as its text: argparse still rejects what ``float()`` cannot
-    read, and ``derive-eom --alpha X`` then means exactly ``q[X]``. A config
-    file's JSON number becomes the shortest text that reads back as it."""
-    value = float(token)
-    return token if isinstance(token, str) else repr(value)
+    read, and ``derive-eom --alpha X`` then means exactly ``q[X]``."""
+    float(token)
+    return token
 
 
 _float_text.__name__ = "float"  # argparse names the type in its error
@@ -311,8 +312,8 @@ def build_parser():
 
     p = commands["fracdiff"] = sub.add_parser(
         "fracdiff", help="sample a fractional derivative")
-    p.add_argument("--alpha", type=float, default=None, help="derivative order")
-    p.add_argument("--fn", choices=sorted(_FN_TABLE), default=None,
+    p.add_argument("--alpha", type=float, required=True, help="derivative order")
+    p.add_argument("--fn", choices=sorted(_FN_TABLE), required=True,
                    help="built-in sample function")
     p.add_argument("--scheme", choices=sorted(_SCHEMES), default="gl")
     p.add_argument("--direction", choices=("causal", "retrocausal"),
@@ -322,8 +323,8 @@ def build_parser():
 
     p = commands["derive-eom"] = sub.add_parser(
         "derive-eom", help="derive both equations of motion")
-    p.add_argument("--lagrangian", default=None, help="lagrangian DSL text")
-    p.add_argument("--alpha", type=_float_text, default=None,
+    p.add_argument("--lagrangian", required=True, help="lagrangian DSL text")
+    p.add_argument("--alpha", type=_float_text,
                    help="number substituted as written for the order "
                         "placeholder 'a' in q[...] before parsing")
     _add_output_flags(p, "json", choices=("json",))
@@ -342,7 +343,7 @@ def build_parser():
 
     p = commands["eigensolve"] = sub.add_parser(
         "eigensolve", help="solve a potential's spectrum")
-    p.add_argument("--potential", default=None,
+    p.add_argument("--potential", required=True,
                    help="descriptor: free | harmonic, K | poly, C0, C1, ... "
                         "| well, L")
     p.add_argument("--count", type=int, default=3, help="number of eigenpairs")
@@ -353,9 +354,10 @@ def build_parser():
 
     p = commands["dampedwave"] = sub.add_parser(
         "dampedwave", help="damped free wave / well modes")
-    p.add_argument("--xi", type=float, default=None, help="damping factor")
-    p.add_argument("--B", type=float, default=None,
-                   help="damping coefficient; xi = m^2 c / (2 hbar B)")
+    damping = p.add_mutually_exclusive_group(required=True)
+    damping.add_argument("--xi", type=float, help="damping factor")
+    damping.add_argument("--B", type=float,
+                         help="damping coefficient; xi = m^2 c / (2 hbar B)")
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--c-light", type=float, default=1.0)
     p.add_argument("--hbar", type=float, default=1.0)
@@ -373,20 +375,14 @@ def build_parser():
     return parser, commands
 
 
-_REQUIRED = {
-    "fracdiff": ("alpha", "fn"),
-    "derive-eom": ("lagrangian",),
-    "eigensolve": ("potential",),
-}
-
-
 def parse_args(argv) -> RunConfig:
     """Turn argv (plus an optional JSON config) into a RunConfig.
 
-    Usage problems (unknown flag, missing required parameter, malformed
-    number) terminate with exit code 2 via argparse. Config file values
-    become the defaults of the chosen subcommand, so explicit flags always
-    win.
+    Usage problems (unknown flag or config key, missing required flag,
+    malformed number, bad choice) terminate with exit code 2 via argparse.
+    Config file values go through argparse as the flags they name, ahead of
+    the explicit flags, so they get the same types and choices and an
+    explicit flag always wins.
     """
     argv = list(argv)
     parser, commands = build_parser()
@@ -425,28 +421,22 @@ def parse_args(argv) -> RunConfig:
         parser.error(f"unknown command {command!r}")
 
     subparser = commands[command]
-    if config_values:
-        actions = {action.dest: action for action in subparser._actions}
-        file_defaults = {}
-        for key, value in config_values.items():
-            if key == "command":
-                continue
-            dest = key.replace("-", "_")
-            if dest not in actions:
-                parser.error(f"unknown config key {key!r} for command {command!r}")
-            converter = actions[dest].type
-            if converter is not None and value is not None:
-                try:
-                    value = converter(value)
-                except (TypeError, ValueError):
-                    parser.error(f"malformed value for config key {key!r}: {value!r}")
-            file_defaults[dest] = value
-        subparser.set_defaults(**file_defaults)
+    flags = {flag: action.nargs != 0 for action in subparser._actions
+             for flag in action.option_strings}
+    # a config entry is one "--flag=value" token ahead of the explicit flags,
+    # so argparse converts and checks it as the flag, and an explicit flag
+    # wins as the later occurrence; null means not given
+    tokens = []
+    for key, value in config_values.items():
+        if key == "command" or value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if not flags.get(flag):
+            parser.error(f"unknown config key {key!r} for command {command!r}")
+        tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
 
     # argparse takes "-2.5e+69" for an option (its negative-number pattern
     # has no exponent), so a number after a value-taking flag is attached
-    flags = {flag: action.nargs != 0 for action in subparser._actions
-             for flag in action.option_strings}
     joined = []
     for arg in pruned:
         if joined and _takes_value(flags, joined[-1]) and _is_number(arg):
@@ -454,25 +444,15 @@ def parse_args(argv) -> RunConfig:
         else:
             joined.append(arg)
 
-    namespace = parser.parse_args([command] + joined)
-    options = vars(namespace)
+    options = vars(parser.parse_args([command] + tokens + joined))
     options.pop("config", None)
     options.pop("command", None)
-
-    for dest in _REQUIRED.get(command, ()):
-        if options.get(dest) is None:
-            parser.error(f"missing required parameter --{dest.replace('_', '-')}")
     if command == "eigensolve":
-        text = str(options.get("potential") or "").strip()
-        needs_domain = text.startswith("free") or text.startswith("poly")
-        if needs_domain and (options.get("a") is None or options.get("b") is None):
-            parser.error("--a and --b are required for free and polynomial "
-                         "potentials")
-    if command == "dampedwave":
-        if options.get("xi") is None and options.get("B") is None:
-            parser.error("one of --xi or --B is required")
-        if options.get("xi") is not None and options.get("B") is not None:
-            parser.error("--xi and --B are mutually exclusive")
+        lone = (options["a"] is None) != (options["b"] is None)
+        needs_domain = options["potential"].strip().startswith(("free", "poly"))
+        if lone or needs_domain and options["a"] is None:
+            subparser.error("--a and --b go together, and free and polynomial "
+                            "potentials require them")
     return RunConfig(command=command, options=options)
 
 
@@ -482,7 +462,7 @@ def _load_config(parser, path):
             doc = json.load(handle)
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer over 4300 digits
         parser.error(f"malformed config file {path}: {exc}")
     if not isinstance(doc, dict):
         parser.error(f"config file {path} must hold a JSON object")
@@ -602,7 +582,7 @@ def _cmd_eigensolve(opts):
     potential = _wrap("lagrangian.parse_potential", lagrangian.parse_potential,
                       opts["potential"])
     units = _wrap("core.UnitsConfig", UnitsConfig, opts["hbar"], opts["mass"])
-    if opts["a"] is not None and opts["b"] is not None:
+    if opts["a"] is not None:  # parse_args takes --a and --b together
         grid = _build_grid(opts)
     else:
         grid = _wrap("eigensolver.default_grid", eigensolver.default_grid,

@@ -137,12 +137,18 @@ def classify_regime(c1: float, c0: float) -> Regime:
     """Regime of y'' + c1 y' + c0 y = 0 by the sign of the discriminant
     c1^2 - 4 c0, with a relative band around zero treated as critical.
 
-    Takes the same coefficient pair as :func:`integrate_second_order`.
+    Takes the same coefficient pair as :func:`integrate_second_order`. The
+    discriminant is taken in half form, (c1/2)^2 - c0, with correctly
+    rounded products, so it stays finite wherever (c1/2)^2 does; past that
+    it raises ``OverflowError``.
     """
     if c1 == 0:
         return Regime.UNDAMPED
-    disc = c1**2 - 4.0 * c0
-    band = CRITICAL_BAND * max(c1**2, 4.0 * c0)
+    half = 0.5 * c1
+    disc = half * half - c0
+    if not math.isfinite(disc):
+        raise OverflowError(f"discriminant of (c1, c0) = ({c1!r}, {c0!r}) overflows")
+    band = CRITICAL_BAND * max(half * half, c0)
     if abs(disc) <= band:
         return Regime.CRITICAL
     return Regime.UNDERDAMPED if disc < 0 else Regime.OVERDAMPED

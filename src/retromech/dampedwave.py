@@ -74,10 +74,14 @@ class DampedWaveParams:
     units: UnitsConfig = NATURAL_UNITS
 
     def __post_init__(self):
-        if not (np.isfinite(self.xi) and self.xi >= 0):
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
+        # products overflow to inf where xi**2 and k_wave**2 would raise
+        if not (self.xi >= 0 and math.isfinite(self.xi * self.xi)):
+            raise ValueError(f"xi must be >= 0 with a finite square, got {self.xi}")
         if not (np.isfinite(self.energy) and self.energy > 0):
             raise ValueError(f"energy must be positive, got {self.energy}")
+        if not math.isfinite(self.k_wave * self.k_wave):
+            raise ValueError(f"wavenumber k = sqrt(2 m E) / hbar must have a finite "
+                             f"square, got {self.k_wave}")
 
     @property
     def k_wave(self) -> float:
@@ -237,9 +241,10 @@ def damped_well_modes(xi: float, length: float,
     P - I (:func:`core.increment_power`).
 
     ``count`` is an ``int`` or ``np.integer`` >= 0 (not a ``bool``).
-    Raises ``ValueError`` for a bad ``xi``, ``length`` or ``count`` or for
-    energies or shooting step counts that overflow, and ``RuntimeError``
-    naming the lowest mode whose residual misses the bound.
+    Raises ``ValueError`` for a bad ``xi``, ``length`` or ``count``, for
+    energies or shooting step counts that overflow, or where the lowest
+    mode whose residual misses the bound left the float range in its shot,
+    and ``RuntimeError`` naming that mode where its residual is finite.
     """
     # xi * xi overflows to inf where xi**2 would raise
     if not (xi >= 0 and math.isfinite(xi * xi)):
@@ -274,6 +279,9 @@ def damped_well_modes(xi: float, length: float,
         missed = np.flatnonzero(~(shots <= SHOOTING_BOUND))
         if missed.size:
             i = start + missed[0]
+            if not np.isfinite(residuals[i]):
+                raise ValueError(f"shooting mode {i + 1} at xi = {xi} and length "
+                                 f"{length} leaves the float range")
             raise RuntimeError(
                 f"shooting cross-check failed for mode {i + 1}: "
                 f"|psi(L)| = {residuals[i]:.3e}"

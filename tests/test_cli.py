@@ -1,7 +1,9 @@
 import decimal
+import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -77,9 +79,15 @@ class TestParseArgs:
         assert err.value.code == 2
         assert "ambiguous option: --c could match --c-light, --count" in capsys.readouterr().err
 
-    def test_free_potential_needs_domain(self):
+    @pytest.mark.parametrize("argv", [
+        ["--potential", "free"],
+        ["--potential", "harmonic, 1", "--a", "0"],
+        ["--potential", "well, 1", "--b", "3"],
+    ], ids=["free", "lone-a", "lone-b"])
+    def test_domain_needs_both_ends(self, argv):
+        # a lone --a or --b was dropped: the default grid replaced it
         with pytest.raises(SystemExit) as err:
-            parse_args(["eigensolve", "--potential", "free"])
+            parse_args(["eigensolve", *argv])
         assert err.value.code == 2
 
     def test_dampedwave_needs_xi_or_b(self):
@@ -99,18 +107,62 @@ class TestParseArgs:
         assert cfg.options["k"] == 4.0
         assert cfg.options["n"] == 101
 
+    @pytest.mark.parametrize("doc, dest, value", [
+        ({"command": "oscillate", "k": None}, "k", 1.0),
+        ({"command": "dampedwave", "xi": 1, "B": None, "c_light": None}, "c_light", 1.0),
+    ], ids=["k", "B-and-c_light"])
+    def test_null_config_value_leaves_the_default(self, tmp_path, doc, dest, value):
+        # null became the flag's value, and failed later
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert parse_args(["--config", str(cfg_path)]).options[dest] == value
+
     def test_flags_override_config(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"command": "oscillate", "k": 4.0}))
         cfg = parse_args(["oscillate", "--config", str(cfg_path), "--k", "9.0"])
         assert cfg.options["k"] == 9.0
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ('{"command": "oscillate", "bogus": 1}', "unknown config key 'bogus'"),
+        ('{"command": "oscillate", "help": true}', "unknown config key 'help'"),
+        ('{"command": "oscillate", "direction": "bogus"}', "argument --direction: invalid"),
+        ('{"command": "oscillate", "format": "xml"}', "argument --format: invalid choice"),
+        ('{"command": "fracdiff", "alpha": 0.5, "fn": "bogus"}', "argument --fn: invalid"),
+        ('{"command": "oscillate", "direction": ["causal"]}', "argument --direction: "),
+        ('{"command": "oscillate", "n": 5.7}', "argument --n: invalid int value: '5.7'"),
+        ('{"command": "oscillate", "n": true}', "argument --n: invalid int value: 'true'"),
+        ('{"command": "oscillate", "k": 1' + "0" * 5000 + "}", "malformed config file"),
+    ], ids=["unknown-key", "help", "bad-choice", "bad-format", "bad-fn", "list-for-choice",
+            "float-for-int", "bool-for-int", "over-4300-digits"])
+    def test_config_value_rejected_as_its_flag(self, tmp_path, capsys, text, message):
+        # each ran (the choices unchecked, n = 5.7 as 5, true as 1), or
+        # ended in a traceback at run time or in the JSON reader
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"command": "oscillate", "bogus": 1}))
+        cfg_path.write_text(text)
         with pytest.raises(SystemExit) as err:
             parse_args(["--config", str(cfg_path)])
         assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, code, error", [
+        ({"command": "eigensolve", "potential": 5}, 1, "lagrangian.parse_potential"),
+        ({"command": "derive-eom", "lagrangian": 5}, 1, "lagrangian.parse_lagrangian"),
+        ({"command": "oscillate", "n": 5, "output": 5}, 0, None),
+        ({"command": "oscillate", "k": 10**400}, 1, "oscillator.OscillatorParams"),
+    ], ids=["potential", "lagrangian", "output", "huge-integer"])
+    def test_config_number_for_any_flag_runs_or_names_its_error(
+            self, tmp_path, monkeypatch, capsys, doc, code, error):
+        # each ended in a TypeError or OverflowError traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        assert main(["--config", "run.json"]) == code
+        captured = capsys.readouterr()
+        if error is None:
+            assert captured.err == "" and (tmp_path / "5").read_text().startswith("t,q,")
+        else:
+            assert captured.err.startswith(f"error: {error}: ")
+            assert captured.err.count("\n") == 1
 
 
 class TestFracdiffCommand:
@@ -216,12 +268,19 @@ class TestDeriveEomCommand:
 
         assert run("q[a]", "--alpha", token) == run(f"q[{token}]")
 
-    def test_alpha_from_a_config_number(self, tmp_path, capsys):
+    @pytest.mark.parametrize("alpha, text, code", [
+        (0.5, "1*q[1] + 2*q[a]", 0),
+        (1, "2*q[a] + 1*q[", 1),
+    ], ids=["float", "integer"])
+    def test_alpha_from_a_config_number(self, tmp_path, capsys, alpha, text, code):
+        # a JSON integer was substituted as 1.0, which moved the error offset
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"command": "derive-eom", "alpha": 0.5,
-                                        "lagrangian": "1*q[1] + 2*q[a]"}))
-        assert main(["--config", str(cfg_path)]) == 0
-        assert "reduced causal:      1·q'' + 2·q' = 0" in capsys.readouterr().out
+        cfg_path.write_text(json.dumps({"command": "derive-eom", "alpha": alpha,
+                                        "lagrangian": text}))
+        assert main(["--config", str(cfg_path)]) == code
+        from_file = capsys.readouterr()
+        assert main(["derive-eom", "--lagrangian", text, "--alpha", str(alpha)]) == code
+        assert from_file == capsys.readouterr()
 
     @pytest.mark.parametrize("text, body", [
         ("1*q[1.5]", "1·D^3[q]"),
@@ -699,15 +758,28 @@ def test_derive_eom_across_its_size_range(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, error", [
     # the per-mode power printed numpy's overflow and invalid-value
     # RuntimeWarnings ahead of the error line; at xi^2 = 1.69e308 the RK4
-    # stages overflow
+    # stages overflow, which read as a missed residual of nan
     (["dampedwave", "--xi", "1.3e154", "--well", "1", "--count", "1"],
-     "dampedwave.damped_well_modes: shooting cross-check failed for mode 1: "
-     "|psi(L)| = nan"),
+     "dampedwave.damped_well_modes: shooting mode 1 at xi = 1.3e+154 and length 1.0 "
+     "leaves the float range"),
+    # c1**2 and k_wave**2 raised "(34, 'Numerical result out of range')", and
+    # xi = 1e308 printed numpy's warnings first
+    (["dampedwave", "--xi", "1e155"],
+     "dampedwave.DampedWaveParams: xi must be >= 0 with a finite square, got 1e+155"),
+    (["dampedwave", "--xi", "1e308"],
+     "dampedwave.DampedWaveParams: xi must be >= 0 with a finite square, got 1e+308"),
+    (["dampedwave", "--xi", "1", "--hbar", "1e-10", "--energy", "1e300"],
+     "dampedwave.DampedWaveParams: wavenumber k = sqrt(2 m E) / hbar must have a "
+     "finite square, got 1.414213562373095e+160"),
+    (["dampedwave", "--xi", "1e154", "--format", "json"],
+     "dampedwave.solve_damped_free: the RK4 march for (c1, c0) = (2e+154, 1.0) leaves "
+     "the float range at t = 0.005 (step 1 of 2000)"),
     # squaring x overflowed in the potential, with numpy's two-line warning
     (["eigensolve", "--potential", "harmonic, 0.09", "--n", "17", "--count", "0",
       "--a=-1.4082101870394402e+292", "--b=-0.617"],
      "eigensolver.build_hamiltonian: potential 'harmonic' is not evaluable on the grid"),
-], ids=["failed-shot", "overflowing-potential"])
+], ids=["failed-shot", "xi-square", "xi-max", "wavenumber-square", "march",
+        "overflowing-potential"])
 def test_overflow_prints_only_the_error_line(argv, error):
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["retromech.cli"].__file__)))
@@ -723,7 +795,7 @@ def test_overflow_prints_only_the_error_line(argv, error):
       "--n", "600"], "fracops.causal_frac_deriv"),
     (["eigensolve", "--potential", "well,1e-320", "--n", "100"],
      "eigensolver.build_hamiltonian"),
-    (["dampedwave", "--xi", "1e200", "--n", "11"], "dampedwave.solve_damped_free"),
+    (["dampedwave", "--xi", "1e200", "--n", "11"], "dampedwave.DampedWaveParams"),
 ], ids=["fracdiff-overflow", "eigensolve-zero-division", "dampedwave-overflow"])
 def test_arithmetic_errors_name_the_module(capsys, argv, origin):
     # each ended in a Python traceback before ArithmeticError was mapped
@@ -870,3 +942,26 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
     assert lines[-1] == f"{n - 1}/{n} checks passed"
     assert len(lines) == n + 1
     assert captured.err == "error: verify: 1 check(s) failed\n"
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # every retromech line of README's "Command line" section, as written;
+    # the config lines read the document the comment shows
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        section = handle.read().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.splitlines()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"command": "oscillate", "k": 4.0}))
+    examples = [(i, line) for i, line in enumerate(lines) if line.startswith("retromech ")]
+    assert len(examples) == 10
+    for i, line in examples:
+        argv = shlex.split(line, comments=True)[1:]
+        assert main(argv) == 0, line
+        captured = capsys.readouterr()
+        assert captured.err == "", line
+        if argv[0] == "derive-eom":
+            shown = itertools.takewhile(lambda text: text.startswith("# "), lines[i + 1:])
+            assert captured.out.splitlines() == [text[2:] for text in shown]
+            assert len(captured.out.splitlines()) == 4

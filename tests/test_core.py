@@ -306,6 +306,15 @@ class TestRegime:
         assert classify_regime(2.0, 1.0 + 1e-9) is Regime.UNDERDAMPED
         assert classify_regime(2e6, 1e12 * (1.0 - 1e-14)) is Regime.CRITICAL
 
+    def test_half_form_classifies_where_the_square_of_c1_overflows(self):
+        # c1**2 raised OverflowError from 1.35e154 on; (c1/2)^2 stays finite
+        # up to twice that
+        assert classify_regime(2.6e154, 1.0) is Regime.OVERDAMPED
+        assert classify_regime(2.6e154, 1.69e308) is Regime.CRITICAL
+        assert classify_regime(-2.6e154, 1.7e308) is Regime.UNDERDAMPED
+        with pytest.raises(OverflowError, match="discriminant"):
+            classify_regime(1e200, 1.0)
+
     def test_values_are_the_report_strings(self):
         assert [r.value for r in Regime] == ["undamped", "underdamped", "critical",
                                              "overdamped"]

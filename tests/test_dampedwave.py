@@ -99,6 +99,16 @@ class TestParams:
         with pytest.raises(ValueError):
             DampedWaveParams(0.1, -1.0)
 
+    @pytest.mark.parametrize("xi, energy, units, name", [
+        (1e155, 0.5, UnitsConfig(), "xi"),
+        (float("nan"), 0.5, UnitsConfig(), "xi"),
+        (1.0, 1e300, UnitsConfig(hbar=1e-10), "wavenumber"),
+    ], ids=["xi", "xi-nan", "wavenumber"])
+    def test_squares_must_be_finite(self, xi, energy, units, name):
+        # xi**2 and k_wave**2 raised OverflowError inside the solve
+        with pytest.raises(ValueError, match=f"^{name} .* finite square"):
+            DampedWaveParams(xi, energy, units)
+
 
 class TestClassification:
     def test_examples(self):

@@ -3,6 +3,7 @@
 
 import contextlib
 import io
+import json
 import os
 import re
 import tempfile
@@ -13,7 +14,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from retromech.cli import _FN_TABLE, _SCHEMES, _csv, main  # noqa: E402
+from retromech.cli import (  # noqa: E402
+    _FN_TABLE,
+    _SCHEMES,
+    _csv,
+    build_parser,
+    main,
+    parse_args,
+)
 from retromech.core import Grid, GridFunction, UnstableIntegrationError  # noqa: E402
 from retromech.dampedwave import (  # noqa: E402
     DampedWaveParams,
@@ -272,6 +280,71 @@ def test_cli_csv_is_deterministic_and_exact(command, rows, data):
     expected = np.column_stack(columns()).astype(np.float64)
     assert parsed.shape == expected.shape
     assert np.array_equal(parsed.view(np.uint64), expected.view(np.uint64))
+
+
+# --------------------------------------------------------------------------
+# config files: each value is parsed as the flag it names
+
+#: Each subcommand's value-taking flags.
+_VALUE_FLAGS = {
+    name: [action for action in sub._actions if action.option_strings and action.nargs != 0]
+    for name, sub in build_parser()[1].items()}
+
+#: Every JSON type, and numbers as strings.
+_JSON_VALUES = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6) | st.floats().map(repr)
+                | st.lists(st.integers(), max_size=2)
+                | st.dictionaries(st.text(max_size=2), st.floats(), max_size=1))
+
+
+def _typed_values(action):
+    """Values the flag takes, so that whole documents often parse."""
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is None:
+        return st.text(max_size=6)
+    if action.type is int:
+        return st.integers()
+    return st.floats() | st.integers() | st.floats().map(repr)
+
+
+@st.composite
+def _config_document(draw):
+    command = draw(st.sampled_from(sorted(_VALUE_FLAGS)))
+    doc = {"command": command}
+    given = [action for action in _VALUE_FLAGS[command] if draw(st.booleans())]
+    wild = draw(st.sampled_from([None, *given]))  # takes a value of any JSON type
+    for action in given:
+        name = action.option_strings[0][2:]
+        key = draw(st.sampled_from([name, name.replace("-", "_")]))
+        doc[key] = draw(_JSON_VALUES if action is wild else _typed_values(action))
+    return doc
+
+
+def _parsed(argv):
+    """repr of the RunConfig, or the exit code argparse stopped with."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return repr(parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@hypothesis.settings(max_examples=40)
+@hypothesis.given(doc=_config_document())
+def test_config_values_parse_as_the_flags_they_name(doc):
+    # a config value took its own path, which skipped choices and
+    # converted JSON numbers and null its own way
+    argv = [doc["command"]] + [
+        f"--{key.replace('_', '-')}={value if isinstance(value, str) else json.dumps(value)}"
+        for key, value in doc.items() if key != "command" and value is not None]
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "run.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        from_file = _parsed(["--config", path])
+    assert from_file == _parsed(argv)
+    assert isinstance(from_file, str) or from_file == 2
 
 
 # --------------------------------------------------------------------------
