@@ -496,13 +496,13 @@ def _cmd_fracdiff(opts):
     from .core import GridFunction
     grid = _build_grid(opts)
     order = _wrap("fracops.FracOrder", fracops.FracOrder, opts["alpha"])
+    t = _wrap("core.Grid.points", grid.points)
     with np.errstate(over="ignore", invalid="ignore"):  # fracops rejects inf/nan
-        f = GridFunction(grid, _FN_TABLE[opts["fn"]](grid.points()))
+        f = GridFunction(grid, _FN_TABLE[opts["fn"]](t))
     deriv = (fracops.causal_frac_deriv if opts["direction"] == "causal"
              else fracops.retrocausal_frac_deriv)
     out = _wrap(f"fracops.{opts['direction']}_frac_deriv", deriv, f, order,
                 _SCHEMES[opts["scheme"]])
-    t = grid.points()
     if opts["format"] == "csv":
         return _csv(["t", "deriv"], [t, out.samples.real])
     return _json({
@@ -608,14 +608,11 @@ def _cmd_dampedwave(opts):
     import numpy as np
 
     from . import dampedwave
-    from .core import UnitsConfig
+    from .core import UnitsConfig, characteristic_roots
     units = _wrap("core.UnitsConfig", UnitsConfig,
                   opts["hbar"], opts["m"], opts["c_light"])
-    if opts["B"] is not None:
-        xi = _wrap("dampedwave.xi_from_params", dampedwave.xi_from_params,
-                   opts["m"], opts["c_light"], opts["hbar"], opts["B"])
-    else:
-        xi = opts["xi"]
+    xi = opts["xi"] if opts["B"] is None else _wrap(
+        "dampedwave.xi_from_params", dampedwave.xi_from_params, opts["B"], units)
     if opts["well"] is not None:
         modes = _wrap("dampedwave.damped_well_modes", dampedwave.damped_well_modes,
                       xi, opts["well"], units, opts["count"])
@@ -635,15 +632,13 @@ def _cmd_dampedwave(opts):
                 params, grid, opts["psi0"], opts["dpsi0"])
     if opts["format"] == "csv":
         psi = sol.closed_form.samples
-        x = grid.points()
         return _csv(["x", "Re(psi)", "Im(psi)", "abs(psi)"],
-                    [x, psi.real, psi.imag, np.abs(psi)])
-    roots = dampedwave.characteristic_roots(params)
+                    [grid.points(), psi.real, psi.imag, np.abs(psi)])
     return _json({
         "xi": params.xi,
         "k": params.k_wave,
         "regime": sol.regime.value,
-        "roots": [[r.real, r.imag] for r in roots],
+        "roots": [[r.real, r.imag] for r in characteristic_roots(*params.coeffs)],
         "max_discrepancy": sol.max_discrepancy,
     })
 

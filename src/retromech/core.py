@@ -1,6 +1,6 @@
 """Shared substrate: uniform sample grids, grid functions, operator
-directions, unit systems, the damping-regime classifier, and the
-fixed-step RK4 propagator used by the time- and space-domain solvers.
+directions, unit systems, the damping-regime classifier and roots, and
+the fixed-step RK4 propagator used by the time- and space-domain solvers.
 
 Every ODE the toolkit integrates is linear with constant coefficients,
 y'' = -c1 y' - c0 y, so an RK4 step is one 2x2 matrix and a march is a
@@ -27,6 +27,7 @@ __all__ = [
     "CRITICAL_BAND",
     "Regime",
     "classify_regime",
+    "characteristic_roots",
     "UnstableIntegrationError",
     "MARCH_BLOCK",
     "rk4_increment",
@@ -111,9 +112,15 @@ class UnitsConfig:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "mass", "c_light"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive, got {value}")
+            check_positive(name, getattr(self, name))
+
+
+def check_positive(name: str, value: float, *, zero_ok: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and > 0 (>= 0 with ``zero_ok``)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0 or value == 0 and not zero_ok:
+        raise ValueError(f"{name} must be {'>= 0' if zero_ok else 'positive'}, got {value}")
 
 
 NATURAL_UNITS = UnitsConfig()
@@ -152,6 +159,21 @@ def classify_regime(c1: float, c0: float) -> Regime:
     if abs(disc) <= band:
         return Regime.CRITICAL
     return Regime.UNDERDAMPED if disc < 0 else Regime.OVERDAMPED
+
+
+def characteristic_roots(c1: float, c0: float) -> tuple:
+    """Complex roots -c1/2 + s and -c1/2 - s, s = sqrt((c1/2)^2 - c0), of
+    lambda^2 + c1 lambda + c0. Of a real pair, the root that would cancel
+    is c0 over the other, divided on the real part to keep its imaginary
+    zero (Vieta; Higham, Accuracy and Stability of Num. Alg., 2nd ed., 1.8)."""
+    half = 0.5 * c1
+    s = cmath.sqrt(half * half - c0)
+    l1, l2 = -half + s, -half - s
+    if s.imag == 0 and half > 0:
+        l1 = complex(c0 / l2.real, l1.imag)
+    elif s.imag == 0 and half < 0:
+        l2 = complex(c0 / l1.real, l2.imag)
+    return l1, l2
 
 
 class UnstableIntegrationError(RuntimeError):
@@ -302,26 +324,24 @@ def _check_step_growth(coeffs, h: float, d, grid: Grid) -> None:
     """Raise :class:`UnstableIntegrationError` when the RK4 step P = I + d
     has spectral radius above 1 beyond roundoff while the exact flow over
     a step does not grow, max Re(h lambda) <= 0 over the roots of
-    lambda^2 + c1 lambda + c0 (Hairer & Wanner, Solving ODEs II, IV.2).
-    With h signed this covers backward marches too. The march then grows
-    where the equation decays or oscillates: h is too large, not the
-    problem unstable. This is the march's one stability check; where the
-    exact solution grows, the march may grow with it."""
+    lambda^2 + c1 lambda + c0 (Hairer & Wanner, Solving ODEs II, IV.2):
+    h c1 >= 0 and c0 >= 0 (Routh-Hurwitz), a sign test exact at any
+    magnitude and, with h signed, in either direction.
+    The march then grows where the equation decays or oscillates: h is too
+    large, not the problem unstable. This is the march's one stability
+    check; where the exact solution grows, the march may grow with it."""
     c1, c0 = coeffs
-    root = cmath.sqrt(c1 * c1 - 4.0 * c0)
-    if max((h * (-c1 + root)).real, (h * (-c1 - root)).real) > 0:
+    if h * c1 < 0 or c0 < 0:
         return  # the exact solution grows too, and the march may grow with it
     (d00, d01), (d10, d11) = d
-    half = 0.5 * (d00 + d11)
-    spread = cmath.sqrt(half * half - (d00 * d11 - d01 * d10))
     # |1 + mu|^2 - 1 = 2 Re mu + |mu|^2 for each eigenvalue mu of d; the
     # entries of d carry a few units of roundoff each, hence the bound.
     # A step whose entries overflow leaves excess inf or nan: it grows too.
-    excess = max(2.0 * mu.real + abs(mu) * abs(mu) for mu in (half + spread,
-                                                             half - spread))
+    excess = max(2.0 * mu.real + abs(mu) * abs(mu)
+                 for mu in characteristic_roots(-(d00 + d11), d00 * d11 - d01 * d10))
     scale = 1.0 + max(abs(d00), abs(d01), abs(d10), abs(d11))
     if math.isfinite(excess):
-        if excess <= 16.0 * np.finfo(np.float64).eps * scale * scale:
+        if excess <= 16.0 * math.ulp(1.0) * scale * scale:
             return
         growth = f"grows the solution by {(1.0 + excess) ** 0.5:.6g} per step"
     else:

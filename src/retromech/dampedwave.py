@@ -5,7 +5,7 @@ damped-oscillator ODE in space, psi'' + 2 xi psi' + k^2 psi = 0 with
 k = sqrt(2 m E)/hbar, and the same equation governs both the forward- and
 backward-phase functions: unlike the classical oscillator pair, neither
 side is unstable. The module solves the free equation twice over
-(characteristic roots and the shared RK4 propagator with coefficients
+(``core``'s characteristic roots and RK4 propagator with coefficients
 (2 xi, k^2), cross-checked), classifies the damping regime, and works out
 the hard-wall well whose mode energies pick up a uniform xi^2 shift,
 confirmed by RK4 shooting: psi(L) from (psi, psi') = (0, 1) is one entry
@@ -17,7 +17,6 @@ interval.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,6 +28,8 @@ from .core import (
     GridFunction,
     Regime,
     UnitsConfig,
+    characteristic_roots,
+    check_positive,
     classify_regime,
     increment_power,
     integrate_second_order,
@@ -40,7 +41,6 @@ __all__ = [
     "DampedFreeSolution",
     "DampedWellModes",
     "xi_from_params",
-    "characteristic_roots",
     "solve_damped_free",
     "damped_well_modes",
     "envelope_decay_rate",
@@ -77,8 +77,7 @@ class DampedWaveParams:
         # products overflow to inf where xi**2 and k_wave**2 would raise
         if not (self.xi >= 0 and math.isfinite(self.xi * self.xi)):
             raise ValueError(f"xi must be >= 0 with a finite square, got {self.xi}")
-        if not (np.isfinite(self.energy) and self.energy > 0):
-            raise ValueError(f"energy must be positive, got {self.energy}")
+        check_positive("energy", self.energy)
         if not math.isfinite(self.k_wave * self.k_wave):
             raise ValueError(f"wavenumber k = sqrt(2 m E) / hbar must have a finite "
                              f"square, got {self.k_wave}")
@@ -94,22 +93,11 @@ class DampedWaveParams:
         return 2.0 * self.xi, self.k_wave**2
 
 
-def xi_from_params(m: float, c_light: float, hbar: float, B: float) -> float:
-    """Damping factor m^2 c / (2 hbar B).
-
-    B = 0 is rejected: the undamped limit is xi -> 0 via B -> infinity,
-    not B = 0.
-    """
-    for name, value in (("m", m), ("c_light", c_light), ("hbar", hbar), ("B", B)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive, got {value}")
-    return m * m * c_light / (2.0 * hbar * B)
-
-
-def characteristic_roots(params: DampedWaveParams) -> tuple:
-    """Roots -xi +/- sqrt(xi^2 - k^2) of lambda^2 + 2 xi lambda + k^2."""
-    root = cmath.sqrt(complex(params.xi**2 - params.k_wave**2))
-    return (-params.xi + root, -params.xi - root)
+def xi_from_params(B: float, units: UnitsConfig = NATURAL_UNITS) -> float:
+    """Damping factor m^2 c / (2 hbar B), m, c and hbar read from ``units``.
+    B = 0 is rejected: the undamped limit xi -> 0 is B -> infinity."""
+    check_positive("B", B)
+    return units.mass * units.mass * units.c_light / (2.0 * units.hbar * B)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,22 +120,20 @@ class DampedFreeSolution:
 
 def _closed_form(params: DampedWaveParams, grid: Grid, psi0: complex,
                  dpsi0: complex, regime: Regime) -> np.ndarray:
-    """(c1 + c2 x) exp(lam x) or a exp(l1 x) + b exp(l2 x), built in place
-    in one complex array and a second for the other exponential; each
-    operation keeps the operand order of the plain expression, so the bits
-    are the same."""
+    """(psi0 + (dpsi0 - lam psi0) x) exp(lam x) or a exp(l1 x) + b exp(l2 x),
+    built in place in one complex array and a second for the other
+    exponential; each operation keeps the operand order of the plain
+    expression, so the bits are the same."""
     x = grid.points()
     x -= grid.a
     if regime is Regime.CRITICAL:
         lam = -params.xi
-        c1 = psi0
-        c2 = dpsi0 - lam * psi0
-        out = np.multiply(c2, x)
-        np.add(c1, out, out=out)
+        out = np.multiply(dpsi0 - lam * psi0, x)
+        np.add(psi0, out, out=out)
         x *= lam
         np.multiply(out, np.exp(x, out=x), out=out)
         return out
-    l1, l2 = characteristic_roots(params)
+    l1, l2 = characteristic_roots(*params.coeffs)
     a = (dpsi0 - l2 * psi0) / (l1 - l2)
     b = psi0 - a
     out = np.multiply(l1, x)
@@ -162,18 +148,21 @@ def _closed_form(params: DampedWaveParams, grid: Grid, psi0: complex,
 def solve_damped_free(params: DampedWaveParams, grid: Grid,
                       psi0: complex = 1.0, dpsi0: complex = 0.0) -> DampedFreeSolution:
     """Solve psi'' + 2 xi psi' + k^2 psi = 0 from (psi0, psi0') at grid.a,
-    both in closed form and by RK4."""
+    both in closed form and by RK4; ``ValueError`` where they are not finite."""
     psi0 = complex(psi0)
     dpsi0 = complex(dpsi0)
     regime = classify_regime(*params.coeffs)
-    closed = _closed_form(params, grid, psi0, dpsi0, regime)
-    closed.setflags(write=False)
-    numeric = integrate_second_order(params.coeffs, psi0, dpsi0, grid)[0]
-    # block by block: max, abs and subtraction are exact per element, so
-    # the value is the full-grid one without two more full-grid arrays
-    b = _DISCREPANCY_BLOCK
-    disagreement = float(np.max([np.max(np.abs(closed[i:i + b] - numeric[i:i + b]))
-                                 for i in range(0, grid.n, b)]))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        closed = _closed_form(params, grid, psi0, dpsi0, regime)
+        closed.setflags(write=False)
+        numeric = integrate_second_order(params.coeffs, psi0, dpsi0, grid)[0]
+        # block by block: max, abs and subtraction are exact per element, so
+        # the value is the full-grid one without two more full-grid arrays
+        b = _DISCREPANCY_BLOCK
+        disagreement = float(np.max([np.max(np.abs(closed[i:i + b] - numeric[i:i + b]))
+                                     for i in range(0, grid.n, b)]))
+    if not math.isfinite(disagreement):
+        raise ValueError(f"closed form for (c1, c0) = {params.coeffs!r} is not finite")
     return DampedFreeSolution(params=params, grid=grid, regime=regime,
                               closed_form=GridFunction(grid, closed),
                               rk4=GridFunction(grid, numeric),
@@ -249,13 +238,12 @@ def damped_well_modes(xi: float, length: float,
     # xi * xi overflows to inf where xi**2 would raise
     if not (xi >= 0 and math.isfinite(xi * xi)):
         raise ValueError(f"xi must be >= 0 with a finite square, got {xi}")
-    if not (np.isfinite(length) and length > 0):
-        raise ValueError(f"length must be positive, got {length}")
+    check_positive("length", length)
     if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
             or count < 0):
         raise ValueError(f"count must be an integer >= 0, got {count!r}")
     modes = np.arange(1, count + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, checked below
         wavenumbers2 = (modes * math.pi / length) ** 2 + xi**2
         energies = (units.hbar**2 / (2.0 * units.mass)) * wavenumbers2
     if not np.all(np.isfinite(energies)):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, GridFunction, integrate_second_order
+from .core import Grid, GridFunction, check_positive, integrate_second_order
 
 __all__ = [
     "OscillatorParams",
@@ -49,12 +49,9 @@ class OscillatorParams:
     v0: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.m) and self.m > 0):
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if not (np.isfinite(self.C) and self.C >= 0):
-            raise ValueError(f"damping must be >= 0, got {self.C}")
-        if not (np.isfinite(self.k) and self.k >= 0):
-            raise ValueError(f"stiffness must be >= 0, got {self.k}")
+        check_positive("mass", self.m)
+        check_positive("damping", self.C, zero_ok=True)
+        check_positive("stiffness", self.k, zero_ok=True)
         if not (np.isfinite(self.q0) and np.isfinite(self.v0)):
             raise ValueError("boundary state must be finite")
 

@@ -21,7 +21,7 @@ import random
 import numpy as np
 
 from . import dampedwave, eigensolver, fracops, lagrangian, oscillator
-from .core import Grid, GridFunction, Regime, classify_regime
+from .core import Grid, GridFunction, Regime, characteristic_roots, classify_regime
 
 __all__ = ["run_all", "CHECKS"]
 
@@ -198,12 +198,9 @@ def check_render_roundtrip():
 
 
 def _underdamped_exact(p, t):
-    gamma = p.C / (2.0 * p.m)
-    omega_d = math.sqrt(p.k / p.m - gamma**2)
-    return np.exp(-gamma * t) * (
-        p.q0 * np.cos(omega_d * t)
-        + (p.v0 + gamma * p.q0) / omega_d * np.sin(omega_d * t)
-    )
+    l1, l2 = characteristic_roots(*p.coeffs)
+    a = (p.v0 - l2 * p.q0) / (l1 - l2)
+    return (a * np.exp(l1 * t) + (p.q0 - a) * np.exp(l2 * t)).real
 
 
 def check_oscillator_oracles():

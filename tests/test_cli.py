@@ -211,6 +211,15 @@ class TestFracdiffCommand:
         assert not out.exists()
         assert "fracops.causal_frac_deriv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unallocatable_grid_names_its_points(self, capsys, fmt):
+        # grid.points() ran outside the error mapping and ended in a
+        # ValueError traceback
+        assert main(["fracdiff", "--alpha", "0.5", "--fn", "t", "--n=1" + "0" * 30,
+                     "--format", fmt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: core.Grid.points: ") and err.count("\n") == 1
+
     def test_retrocausal_direction_wired(self, tmp_path):
         out = tmp_path / "retro.csv"
         assert main(["fracdiff", "--alpha", "1", "--fn", "t", "--n", "64",
@@ -484,12 +493,24 @@ class TestDampedwaveCommand:
         assert roots == pytest.approx([-2 + math.sqrt(3), -2 - math.sqrt(3)])
         assert doc["max_discrepancy"] <= 1e-6
 
+    def test_small_overdamped_root_does_not_cancel(self, capsys):
+        # -xi + sqrt(xi^2 - k^2) cancelled to 0.0; the root is -k^2 / (2 xi)
+        assert main(["dampedwave", "--xi", "1e8", "--energy", "0.5", "--b", "1e-8",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["roots"] == [[-5e-09, 0.0],
+                                                                 [-2e8, 0.0]]
+
     def test_b_flag_feeds_xi(self, tmp_path):
         out = tmp_path / "viaB.json"
         assert main(["dampedwave", "--B", "1", "--energy", "0.5",
                      "--n", "501", "--b", "5", "--format", "json",
                      "--output", str(out)]) == 0
         assert json.loads(out.read_text())["xi"] == 0.5
+        # m^2 c / (2 hbar B) reads m, c and hbar from the validated units
+        assert main(["dampedwave", "--B", "1", "--m", "2", "--hbar", "0.5",
+                     "--c-light", "3", "--energy", "0.5", "--n", "11", "--b", "1e-3",
+                     "--format", "json", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["xi"] == 12.0
 
     def test_well_modes_json(self, tmp_path):
         out = tmp_path / "modes.json"
@@ -771,14 +792,56 @@ def test_derive_eom_across_its_size_range(monkeypatch, capsys):
     (["dampedwave", "--xi", "1", "--hbar", "1e-10", "--energy", "1e300"],
      "dampedwave.DampedWaveParams: wavenumber k = sqrt(2 m E) / hbar must have a "
      "finite square, got 1.414213562373095e+160"),
+    # the march left the float range: c1 * c1 overflowed, which the guard
+    # read as a growing exact solution
     (["dampedwave", "--xi", "1e154", "--format", "json"],
-     "dampedwave.solve_damped_free: the RK4 march for (c1, c0) = (2e+154, 1.0) leaves "
-     "the float range at t = 0.005 (step 1 of 2000)"),
+     "dampedwave.solve_damped_free: RK4 step h = 0.005 (n = 2001) is outside the "
+     "stability region for (c1, c0) = (2e+154, 1.0): the step overflows the float "
+     "range where the exact one does not grow"),
+    # the same misreading let these exit 0, the step growing 291-fold
+    (["oscillate", "--c", "2e154", "--b", "1e-153", "--n", "3"],
+     "oscillator.solve_causal: RK4 step h = 5e-154 (n = 3) is outside the stability "
+     "region for (c1, c0) = (2e+154, 1.0): the step grows the solution by 291 per "
+     "step where the exact one does not grow"),
+    (["oscillate", "--c", "2e154", "--b", "1e-153", "--n", "3", "--direction",
+      "retrocausal"],
+     "oscillator.solve_retrocausal: RK4 step h = -5e-154 (n = 3) is outside the "
+     "stability region for (c1, c0) = (-2e+154, 1.0): the step grows the solution by "
+     "291 per step where the exact one does not grow"),
+    (["dampedwave", "--xi", "1e154", "--energy", "1e-300", "--b", "1e-153", "--n", "3"],
+     "dampedwave.solve_damped_free: RK4 step h = 5e-154 (n = 3) is outside the "
+     "stability region for (c1, c0) = (2e+154, 2.0000000000000004e-300): the step "
+     "grows the solution by 291 per step where the exact one does not grow"),
+    # the closed form overflowed: numpy's warnings came first, or NaN samples
+    # and a NaN discrepancy went out with exit 0
+    (["dampedwave", "--xi=0", "--energy=1e+205", "--b=1e+206", "--n=2"],
+     "dampedwave.solve_damped_free: RK4 step h = 1e+206 (n = 2) is outside the "
+     "stability region for (c1, c0) = (0.0, 2e+205): the step overflows the float "
+     "range where the exact one does not grow"),
+    (["dampedwave", "--xi", "0", "--energy", "2", "--psi0", "1e308", "--n", "11"],
+     "dampedwave.solve_damped_free: closed form for (c1, c0) = (0.0, 4.0) is not finite"),
+    (["dampedwave", "--xi", "1", "--energy", "0.5", "--psi0", "1e308", "--dpsi0",
+      "1e308", "--n", "11", "--format", "json"],
+     "dampedwave.solve_damped_free: closed form for (c1, c0) = (2.0, 1.0) is not finite"),
+    # hbar^2 underflowed to 0 against an infinite wavenumber^2, and numpy
+    # warned of the invalid product first
+    (["dampedwave", "--xi=2.4964447344604243e-148", "--well=5.2760977447347973e-278",
+      "--count=1", "--m=5.869552978503408e+296", "--hbar=8.340902549359914e-74"],
+     "dampedwave.damped_well_modes: mode energies overflow at length "
+     "5.2760977447347973e-278 and count 1"),
+    # the guard's bound scale * scale overflowed in numpy and printed a
+    # RuntimeWarning ahead of the error line
+    (["oscillate", "--m=0.09158861472000893", "--c=2.765006294456904e-61",
+      "--k=6.121163878455648e+269", "--b=9.497896769040283e-118", "--n", "3"],
+     "oscillator.OscillatorTrajectory.energy: energy overflows at t = 4.74895e-118"),
     # squaring x overflowed in the potential, with numpy's two-line warning
     (["eigensolve", "--potential", "harmonic, 0.09", "--n", "17", "--count", "0",
       "--a=-1.4082101870394402e+292", "--b=-0.617"],
      "eigensolver.build_hamiltonian: potential 'harmonic' is not evaluable on the grid"),
 ], ids=["failed-shot", "xi-square", "xi-max", "wavenumber-square", "march",
+        "step-causal", "step-retrocausal", "step-dampedwave", "closed-form-warnings",
+        "closed-form-undamped", "closed-form-critical", "well-energy-invalid",
+        "guard-bound",
         "overflowing-potential"])
 def test_overflow_prints_only_the_error_line(argv, error):
     src = os.path.dirname(os.path.dirname(os.path.abspath(
@@ -788,6 +851,28 @@ def test_overflow_prints_only_the_error_line(argv, error):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["oscillate", "--k", "1e400"], "oscillator.OscillatorParams: stiffness must be "
+     "finite, got inf"),
+    (["oscillate", "--m", "inf"], "oscillator.OscillatorParams: mass must be finite, "
+     "got inf"),
+    (["oscillate", "--c", "nan"], "oscillator.OscillatorParams: damping must be "
+     "finite, got nan"),
+    (["dampedwave", "--xi", "1", "--hbar", "inf"], "core.UnitsConfig: hbar must be "
+     "finite, got inf"),
+    (["dampedwave", "--B", "nan"], "dampedwave.xi_from_params: B must be finite, "
+     "got nan"),
+    (["dampedwave", "--xi", "1", "--energy", "inf"], "dampedwave.DampedWaveParams: "
+     "energy must be finite, got inf"),
+    (["dampedwave", "--xi", "1", "--well", "inf"], "dampedwave.damped_well_modes: "
+     "length must be finite, got inf"),
+], ids=["k", "m", "c", "hbar", "B", "energy", "length"])
+def test_non_finite_value_is_named_not_finite(capsys, argv, error):
+    # each read "must be positive" or "must be >= 0", which inf is
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("argv, origin", [

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from retromech.core import (
     UnitsConfig,
     UnstableIntegrationError,
     _increment_powers,
+    characteristic_roots,
     classify_regime,
     increment_power,
     integrate_second_order,
@@ -117,10 +119,15 @@ class TestUnits:
         assert (units.hbar, units.mass, units.c_light) == (1.0, 1.0, 1.0)
 
     def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^hbar must be positive, got 0.0$"):
             UnitsConfig(hbar=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mass must be positive, got -1.0$"):
             UnitsConfig(mass=-1.0)
+        # inf and nan read "must be positive", which inf is
+        for name in ("hbar", "mass", "c_light"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                    UnitsConfig(**{name: value})
 
 
 # y'' = y is the pair (c1, c0) = (0, -1)
@@ -238,6 +245,10 @@ class TestIntegrator:
         ((-0.6, 25.0), Grid(0.0, 6.0, 11), True),
         # 1.004 per step grows only 1.5-fold in 100 steps
         ((0.0, 1.0), Grid(0.0, 283.0, 101), False),
+        # c1 * c1 overflowed, which read as a growing exact solution and
+        # let the step grow 291-fold unchecked
+        ((2e154, 1.0), Grid(0.0, 1e-153, 3), False),
+        ((-2e154, 1.0), Grid(0.0, 1e-153, 3), True),
     ])
     def test_step_outside_stability_region_raises(self, coeffs, grid, backward):
         with warnings.catch_warnings():
@@ -318,6 +329,58 @@ class TestRegime:
     def test_values_are_the_report_strings(self):
         assert [r.value for r in Regime] == ["undamped", "underdamped", "critical",
                                              "overdamped"]
+
+
+def _root_residual_in_eps(c1, c0, root):
+    """|l^2 + c1 l + c0| over eps (|l|^2 + |c1 l| + |c0|), the residual
+    taken exactly in rationals and only then rounded."""
+    a, b = Fraction(root.real), Fraction(root.imag)
+    c1, c0 = Fraction(c1), Fraction(c0)
+    residual = math.hypot(float(a * a - b * b + c1 * a + c0), float((2 * a + c1) * b))
+    size = abs(root)
+    return residual / (math.ulp(1.0) * (size * size + abs(c1) * size + abs(c0)))
+
+
+class TestCharacteristicRoots:
+    def test_roots_match_regimes(self):
+        under = characteristic_roots(1.0, 1.0)
+        assert under[0].imag > 0 and under[1].imag < 0
+        assert under[0].real == pytest.approx(-0.5)
+        over = characteristic_roots(4.0, 1.0)
+        assert over[0].imag == 0 and over[1].imag == 0
+        assert over[0].real == pytest.approx(-2.0 + math.sqrt(3.0))
+        assert over[1].real == pytest.approx(-2.0 - math.sqrt(3.0))
+
+    def test_small_overdamped_root_does_not_cancel(self):
+        # -c1/2 + s read -0.2679491924311228, one ulp off -(2 - sqrt 3), and
+        # 0.0 for the root -c0/c1 = -5e-9 of (2e8, 1)
+        assert characteristic_roots(4.0, 1.0)[0] == complex(-0.2679491924311227, 0.0)
+        assert characteristic_roots(2e8, 1.0) == (complex(-5e-9, 0.0),
+                                                  complex(-2e8, 0.0))
+        assert characteristic_roots(-2e8, 1.0) == (complex(2e8, 0.0),
+                                                   complex(5e-9, 0.0))
+
+    def test_complex_pair_is_minus_half_plus_and_minus_s(self):
+        l1, l2 = characteristic_roots(0.0, 4.0)
+        assert (l1, l2) == (2j, -2j)
+        l1, l2 = characteristic_roots(-1.0, 1.0)
+        assert l1 == complex(0.5, math.sqrt(0.75)) and l2 == l1.conjugate()
+
+    def test_backward_error_is_a_few_units_of_roundoff(self):
+        # c1 of either sign and c0 log-uniform over 1e-150 .. 1e150, a
+        # quarter of the pairs within 1e-6 of a double root and an eighth
+        # with c0 < 0; -c1/2 +/- s alone reaches 4.5e15 eps on such draws
+        rng = np.random.default_rng(20)
+        count = 10000
+        c1 = 10.0 ** rng.uniform(-150, 150, count) * rng.choice([-1.0, 1.0], count)
+        c0 = 10.0 ** rng.uniform(-150, 150, count)
+        near = np.arange(count) % 4 == 0
+        c0[near] = (0.5 * c1[near]) ** 2 * (1.0 + rng.uniform(-1e-6, 1e-6, near.sum()))
+        c0[np.arange(count) % 8 == 1] *= -1.0
+        worst = max(_root_residual_in_eps(a, b, root)
+                    for a, b in zip(c1.tolist(), c0.tolist())
+                    for root in characteristic_roots(a, b))
+        assert worst <= 2.0
 
 
 def test_direction_values():

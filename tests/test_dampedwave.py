@@ -14,7 +14,6 @@ from retromech.dampedwave import (
     SHOOTING_MIN_STEPS,
     DampedWaveParams,
     _shooting_steps,
-    characteristic_roots,
     damped_well_modes,
     envelope_decay_rate,
     solve_damped_free,
@@ -68,21 +67,26 @@ def mpmath_residuals(xi, length, count):
 
 class TestXiFromParams:
     def test_unit_values(self):
-        assert xi_from_params(1, 1, 1, 1) == 0.5
+        assert xi_from_params(1) == 0.5
 
     def test_large_b_approaches_undamped(self):
-        assert xi_from_params(1, 1, 1, 1e12) == pytest.approx(5e-13)
+        assert xi_from_params(1e12) == pytest.approx(5e-13)
 
     def test_mixed_values(self):
-        assert xi_from_params(2, 1, 1, 4) == 0.5
+        assert xi_from_params(4, UnitsConfig(mass=2.0)) == 0.5
+        assert xi_from_params(1, UnitsConfig(hbar=0.5, mass=3.0, c_light=2.0)) == 18.0
 
     def test_b_zero_rejected(self):
         with pytest.raises(ValueError, match="B must be positive"):
-            xi_from_params(1, 1, 1, 0)
+            xi_from_params(0)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            xi_from_params(-1, 1, 1, 1)
+        with pytest.raises(ValueError, match="^B must be positive, got -1.0$"):
+            xi_from_params(-1.0)
+        for B in (math.inf, math.nan):
+            # inf read "B must be positive", which it is
+            with pytest.raises(ValueError, match=f"^B must be finite, got {B}$"):
+                xi_from_params(B)
 
 
 class TestParams:
@@ -98,6 +102,10 @@ class TestParams:
             DampedWaveParams(0.1, 0.0)
         with pytest.raises(ValueError):
             DampedWaveParams(0.1, -1.0)
+        for energy in (math.inf, math.nan):
+            # inf read "energy must be positive", which it is
+            with pytest.raises(ValueError, match=f"^energy must be finite, got {energy}$"):
+                DampedWaveParams(0.1, energy)
 
     @pytest.mark.parametrize("xi, energy, units, name", [
         (1e155, 0.5, UnitsConfig(), "xi"),
@@ -118,14 +126,6 @@ class TestClassification:
         assert classify(DampedWaveParams(0.5, 0.5)) is Regime.UNDERDAMPED
         assert classify(DampedWaveParams(2.0, 0.5)) is Regime.OVERDAMPED
 
-    def test_roots_match_regimes(self):
-        under = characteristic_roots(DampedWaveParams(0.5, 0.5))
-        assert under[0].imag > 0 and under[1].imag < 0
-        assert under[0].real == pytest.approx(-0.5)
-        over = characteristic_roots(DampedWaveParams(2.0, 0.5))
-        assert over[0].imag == 0 and over[1].imag == 0
-        assert over[0].real == pytest.approx(-2.0 + math.sqrt(3.0))
-        assert over[1].real == pytest.approx(-2.0 - math.sqrt(3.0))
 
 
 class TestFreeSolution:
@@ -247,6 +247,9 @@ class TestDampedWell:
             damped_well_modes(-0.1, 1.0)
         with pytest.raises(ValueError):
             damped_well_modes(0.1, 0.0)
+        for length in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^length must be finite, got {length}$"):
+                damped_well_modes(0.1, length)
 
     @pytest.mark.parametrize("count", [2.5, True, -1])
     def test_count_must_be_a_non_negative_integer(self, count):

@@ -60,6 +60,13 @@ class TestClassification:
             OscillatorParams(1.0, 0, -1, 1, 0)
         with pytest.raises(ValueError):
             OscillatorParams(1.0, 0, 1, float("nan"), 0)
+        # inf read "stiffness must be >= 0, got inf", a rule inf keeps
+        for slot, name in enumerate(("mass", "damping", "stiffness")):
+            for value in (math.inf, -math.inf, math.nan):
+                args = [1.0, 0.0, 1.0, 1.0, 0.0]
+                args[slot] = value
+                with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                    OscillatorParams(*args)
 
 
 class TestCausal:

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,50 @@ def test_cli_csv_is_deterministic_and_exact(command, rows, data):
     expected = np.column_stack(columns()).astype(np.float64)
     assert parsed.shape == expected.shape
     assert np.array_equal(parsed.view(np.uint64), expected.view(np.uint64))
+
+
+# --------------------------------------------------------------------------
+# the argv contract: exit 0 with finite output and an empty stderr, or
+# exit 1 with one line naming the module and the call that failed
+
+_ERROR_LINE = re.compile(r"error: [a-z]+\.[A-Za-z_.]+: [^\n]*\n")
+_NON_FINITE = re.compile(rb"\b(?:nan|inf|NaN|Infinity)\b")
+
+
+def _magnitude(zero=False):
+    """Log-uniform floats over most of the float range, and 0 with ``zero``."""
+    drawn = _powers_of_ten(-300.0, 300.0).map(repr)
+    return st.just("0") | drawn if zero else drawn
+
+
+@st.composite
+def _damped_argv(draw):
+    n = f"--n={draw(st.integers(2, 40))}"
+    b = f"--b={draw(_magnitude())}"
+    if draw(st.booleans()):
+        direction = draw(st.sampled_from(["causal", "retrocausal"]))
+        return ["oscillate", f"--m={draw(_magnitude())}", f"--c={draw(_magnitude(True))}",
+                f"--k={draw(_magnitude(True))}", b, n, "--direction", direction]
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    return ["dampedwave", f"--xi={draw(_magnitude(True))}",
+            f"--energy={draw(_magnitude())}", b, n, "--format", fmt]
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(argv=_damped_argv())
+def test_damped_commands_exit_zero_quietly_or_one_with_a_named_line(argv):
+    # the two subcommands whose stability guard and roots are shared by
+    # core; numpy's RuntimeWarnings count as output on stderr
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code, stdout = _run_cli(argv)
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err.getvalue() == "" and not _NON_FINITE.search(stdout)
+    else:
+        assert code == 1 and _ERROR_LINE.fullmatch(err.getvalue()), err.getvalue()
 
 
 # --------------------------------------------------------------------------
