@@ -16,7 +16,11 @@ of rows, each stacked from slices of the output columns and formatted
 with array operations to exactly the bytes of ``%.17g``, so neither the
 whole text nor the whole table is ever held. Files are written to
 a temporary sibling and renamed on success, so failures leave no partial
-output. Exit codes: 0 success, 1 computation failure, 2 usage error.
+output. Exit codes: 0 success, 1 computation failure (one line naming
+the library call, ``error: module.callee: detail``), 2 usage error. The
+token after a value-taking flag is its value, whatever it looks like:
+``--lagrangian "-1*q[1]"`` reads as ``--lagrangian=-1*q[1]``. ``--`` is
+never a value.
 
 A JSON config file mirroring the flag names (plus ``command``) can seed
 any run. Each value is parsed as its flag would be, with the same types
@@ -82,19 +86,10 @@ _PERCENT_MASKS = _ZERO_MASKS + 2
 def _csv(header: list, columns: list):
     """Header line plus one row per sample, every value as ``%.17g``, as
     an iterator of bytes, one block of rows at a time. Each block is
-    stacked from slices of the columns, so the whole table never exists.
-    Raises ``ValueError`` at once when the columns differ in length."""
-    rows = len(columns[0])
-    if any(len(column) != rows for column in columns):
-        raise ValueError(f"CSV columns differ in length: "
-                         f"{[len(column) for column in columns]}")
-    return _csv_blocks(header, columns, rows)
-
-
-def _csv_blocks(header, columns, rows):
+    stacked from slices of the columns, so the whole table never exists."""
     import numpy as np
     yield (",".join(header) + "\n").encode()
-    for start in range(0, rows, _CSV_BLOCK_ROWS):
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS]
                                  for column in columns])
         yield _format_rows(block.astype(np.float64, copy=False))
@@ -279,14 +274,6 @@ def _float_text(token):
 _float_text.__name__ = "float"  # argparse names the type in its error
 
 
-def _is_number(token):
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 def _takes_value(flags, token):
     """Whether argparse reads ``token`` as a flag that takes a value, given
     ``flags`` (option string -> takes a value): a flag spelled in full, or
@@ -384,27 +371,22 @@ def parse_args(argv) -> RunConfig:
     the explicit flags, so they get the same types and choices and an
     explicit flag always wins.
     """
-    argv = list(argv)
     parser, commands = build_parser()
 
     # peel --config off so the file can supply the command itself
     config_values: dict = {}
     pruned = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
+    args = iter(argv)
+    for arg in args:
         if arg == "--config":
-            if i + 1 >= len(argv):
+            path = next(args, None)
+            if path is None:
                 parser.error("argument --config: expected one argument")
-            config_values = _load_config(parser, argv[i + 1])
-            i += 2
-            continue
-        if arg.startswith("--config="):
+            config_values = _load_config(parser, path)
+        elif arg.startswith("--config="):
             config_values = _load_config(parser, arg.split("=", 1)[1])
-            i += 1
-            continue
-        pruned.append(arg)
-        i += 1
+        else:
+            pruned.append(arg)
 
     command = None
     if pruned and not pruned[0].startswith("-"):
@@ -435,11 +417,11 @@ def parse_args(argv) -> RunConfig:
             parser.error(f"unknown config key {key!r} for command {command!r}")
         tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
 
-    # argparse takes "-2.5e+69" for an option (its negative-number pattern
-    # has no exponent), so a number after a value-taking flag is attached
+    # the token after a value-taking flag is its value, whatever it looks
+    # like: argparse alone takes "-2.5e+69" or "-1*q[1]" for an option
     joined = []
     for arg in pruned:
-        if joined and _takes_value(flags, joined[-1]) and _is_number(arg):
+        if joined and _takes_value(flags, joined[-1]):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -447,6 +429,9 @@ def parse_args(argv) -> RunConfig:
     options = vars(parser.parse_args([command] + tokens + joined))
     options.pop("config", None)
     options.pop("command", None)
+    empty = [key for key, value in options.items() if value == []]
+    if empty:  # argparse drops a "--" value, leaving an empty list
+        subparser.error(f"argument --{empty[0].replace('_', '-')}: expected one argument")
     if command == "eigensolve":
         lone = (options["a"] is None) != (options["b"] is None)
         needs_domain = options["potential"].strip().startswith(("free", "poly"))
@@ -473,20 +458,23 @@ def _load_config(parser, path):
 # command handlers
 
 
-def _wrap(origin: str, fn, *args, **kwargs):
-    """Run a module call, mapping its errors to a CommandError naming it.
-    The library's own errors subclass these: ``ParseError`` is a
-    ValueError, ``UnstableIntegrationError`` and ``SpectrumError`` are
-    RuntimeErrors."""
+def _wrap(fn, *args, **kwargs):
+    """Run a library call, mapping its errors to a CommandError that names
+    ``fn`` as ``module.qualname`` (the function a wrapper's ``__wrapped__``
+    points to, where it has one). The library's own errors subclass these:
+    ``ParseError`` is a ValueError, ``UnstableIntegrationError`` and
+    ``SpectrumError`` are RuntimeErrors."""
     try:
         return fn(*args, **kwargs)
     except (ValueError, ArithmeticError, IndexError, RuntimeError) as exc:
-        raise CommandError(f"{origin}: {exc}") from exc
+        callee = getattr(fn, "__wrapped__", fn)
+        module = callee.__module__.rpartition(".")[2]
+        raise CommandError(f"{module}.{callee.__qualname__}: {exc}") from exc
 
 
 def _build_grid(opts):
     from .core import Grid
-    return _wrap("core.Grid", Grid, opts["a"], opts["b"], opts["n"])
+    return _wrap(Grid, opts["a"], opts["b"], opts["n"])
 
 
 def _cmd_fracdiff(opts):
@@ -495,14 +483,13 @@ def _cmd_fracdiff(opts):
     from . import fracops
     from .core import GridFunction
     grid = _build_grid(opts)
-    order = _wrap("fracops.FracOrder", fracops.FracOrder, opts["alpha"])
-    t = _wrap("core.Grid.points", grid.points)
+    order = _wrap(fracops.FracOrder, opts["alpha"])
+    t = _wrap(grid.points)
     with np.errstate(over="ignore", invalid="ignore"):  # fracops rejects inf/nan
         f = GridFunction(grid, _FN_TABLE[opts["fn"]](t))
     deriv = (fracops.causal_frac_deriv if opts["direction"] == "causal"
              else fracops.retrocausal_frac_deriv)
-    out = _wrap(f"fracops.{opts['direction']}_frac_deriv", deriv, f, order,
-                _SCHEMES[opts["scheme"]])
+    out = _wrap(deriv, f, order, _SCHEMES[opts["scheme"]])
     if opts["format"] == "csv":
         return _csv(["t", "deriv"], [t, out.samples.real])
     return _json({
@@ -523,21 +510,17 @@ def _cmd_derive_eom(opts):
         # CLI convenience: a bare 'a' (or 'alpha') order placeholder gets the
         # number; the core grammar itself stays purely numeric
         text = re.sub(r"q\[\s*(?:alpha|a)\s*\]", f"q[{opts['alpha']}]", text)
-    spec = _wrap("lagrangian.parse_lagrangian", lagrangian.parse_lagrangian, text)
-    causal = _wrap("lagrangian.derive_causal_eom",
-                   lagrangian.derive_causal_eom, spec)
-    retro = _wrap("lagrangian.derive_retrocausal_eom",
-                  lagrangian.derive_retrocausal_eom, spec)
+    spec = _wrap(lagrangian.parse_lagrangian, text)
+    causal = _wrap(lagrangian.derive_causal_eom, spec)
+    retro = _wrap(lagrangian.derive_retrocausal_eom, spec)
     lines = [lagrangian.render_eom(causal), lagrangian.render_eom(retro)]
     doc = {
         "causal": lagrangian.eom_to_json_dict(causal),
         "retrocausal": lagrangian.eom_to_json_dict(retro),
     }
-    ode_c = _wrap("lagrangian.reduce_integer_orders",
-                  lagrangian.reduce_integer_orders, causal)
+    ode_c = _wrap(lagrangian.reduce_integer_orders, causal)
     if ode_c is not None:
-        ode_r = _wrap("lagrangian.reduce_integer_orders",
-                      lagrangian.reduce_integer_orders, retro)
+        ode_r = _wrap(lagrangian.reduce_integer_orders, retro)
         lines.append("reduced causal:      " + lagrangian.render_eom(ode_c))
         lines.append("reduced retrocausal: " + lagrangian.render_eom(ode_r))
         doc["reduced"] = {
@@ -555,12 +538,12 @@ def _cmd_derive_eom(opts):
 def _cmd_oscillate(opts):
     from . import oscillator
     grid = _build_grid(opts)
-    params = _wrap("oscillator.OscillatorParams", oscillator.OscillatorParams,
-                   opts["m"], opts["c"], opts["k"], opts["q0"], opts["v0"])
+    params = _wrap(oscillator.OscillatorParams, opts["m"], opts["c"], opts["k"],
+                   opts["q0"], opts["v0"])
     solve = (oscillator.solve_causal if opts["direction"] == "causal"
              else oscillator.solve_retrocausal)
-    traj = _wrap(f"oscillator.solve_{opts['direction']}", solve, params, grid)
-    energy = _wrap("oscillator.OscillatorTrajectory.energy", traj.energy)
+    traj = _wrap(solve, params, grid)
+    energy = _wrap(traj.energy)
     t = grid.points()
     if opts["format"] == "csv":
         return _csv(["t", "q", "qdot", "energy"],
@@ -579,18 +562,14 @@ def _cmd_oscillate(opts):
 def _cmd_eigensolve(opts):
     from . import eigensolver, lagrangian
     from .core import UnitsConfig
-    potential = _wrap("lagrangian.parse_potential", lagrangian.parse_potential,
-                      opts["potential"])
-    units = _wrap("core.UnitsConfig", UnitsConfig, opts["hbar"], opts["mass"])
+    potential = _wrap(lagrangian.parse_potential, opts["potential"])
+    units = _wrap(UnitsConfig, opts["hbar"], opts["mass"])
     if opts["a"] is not None:  # parse_args takes --a and --b together
         grid = _build_grid(opts)
     else:
-        grid = _wrap("eigensolver.default_grid", eigensolver.default_grid,
-                     potential, opts["n"], units)
-    ham = _wrap("eigensolver.build_hamiltonian", eigensolver.build_hamiltonian,
-                potential, grid, units)
-    sol = _wrap("eigensolver.solve_spectrum", eigensolver.solve_spectrum,
-                ham, opts["count"])
+        grid = _wrap(eigensolver.default_grid, potential, opts["n"], units)
+    ham = _wrap(eigensolver.build_hamiltonian, potential, grid, units)
+    sol = _wrap(eigensolver.solve_spectrum, ham, opts["count"])
     if opts["format"] == "csv":
         header = ["x"] + [f"psi_{n}" for n in range(sol.count)]
         columns = [grid.points()] + [psi.samples for psi in sol.eigenfunctions]
@@ -609,13 +588,11 @@ def _cmd_dampedwave(opts):
 
     from . import dampedwave
     from .core import UnitsConfig, characteristic_roots
-    units = _wrap("core.UnitsConfig", UnitsConfig,
-                  opts["hbar"], opts["m"], opts["c_light"])
+    units = _wrap(UnitsConfig, opts["hbar"], opts["m"], opts["c_light"])
     xi = opts["xi"] if opts["B"] is None else _wrap(
-        "dampedwave.xi_from_params", dampedwave.xi_from_params, opts["B"], units)
+        dampedwave.xi_from_params, opts["B"], units)
     if opts["well"] is not None:
-        modes = _wrap("dampedwave.damped_well_modes", dampedwave.damped_well_modes,
-                      xi, opts["well"], units, opts["count"])
+        modes = _wrap(dampedwave.damped_well_modes, xi, opts["well"], units, opts["count"])
         if opts["format"] == "csv":
             n = np.arange(1, len(modes.energies) + 1, dtype=np.float64)
             return _csv(["n", "energy"], [n, modes.energies])
@@ -625,11 +602,9 @@ def _cmd_dampedwave(opts):
             "energies": modes.energies.tolist(),
             "shooting_residuals": modes.shooting_residuals.tolist(),
         })
-    params = _wrap("dampedwave.DampedWaveParams", dampedwave.DampedWaveParams,
-                   xi, opts["energy"], units)
+    params = _wrap(dampedwave.DampedWaveParams, xi, opts["energy"], units)
     grid = _build_grid(opts)
-    sol = _wrap("dampedwave.solve_damped_free", dampedwave.solve_damped_free,
-                params, grid, opts["psi0"], opts["dpsi0"])
+    sol = _wrap(dampedwave.solve_damped_free, params, grid, opts["psi0"], opts["dpsi0"])
     if opts["format"] == "csv":
         psi = sol.closed_form.samples
         return _csv(["x", "Re(psi)", "Im(psi)", "abs(psi)"],

@@ -50,6 +50,12 @@ __all__ = [
 #: shooting cross-check inside the well-mode computation is enforced.
 SHOOTING_BOUND = 1e-8
 
+#: A shot may also miss by this many eps L: each rounded step's phase error
+#: of about eps k h, times the amplitude 1/k, adds up to eps L over the well
+#: (1.3 to 3.4 eps L measured from L = 1e7 to 1e10). So the bound is
+#: SHOOTING_BOUND up to L = 5.6e6 and grows with L beyond.
+SHOOTING_ROUNDING = 8.0
+
 #: Modes shot per stacked pass, which bounds the pass's working arrays at
 #: any count the caller asks for. On a 2-vCPU Xeon, count 200000 peaks at
 #: 37 MB RSS in blocks of 4096 (the per-mode loop: 35 MB) and at 103 MB as
@@ -224,16 +230,19 @@ def damped_well_modes(xi: float, length: float,
     :func:`_shooting_steps`: at least :data:`SHOOTING_MIN_STEPS`, and enough
     that k h <= :data:`SHOOTING_KH`, so every shot lies inside RK4's
     stability region. Every residual |psi(L)| must be at most
-    :data:`SHOOTING_BOUND`. Modes are shot :data:`SHOOTING_BLOCK` at a
-    time, each block as one (modes, 2, 2) stack of increments P - I
-    (:func:`core.rk4_increment`) raised by the march's stacked power on
-    P - I (:func:`core.increment_power`).
+    :data:`SHOOTING_BOUND`, or :data:`SHOOTING_ROUNDING` eps L where that
+    is larger. Where xi L passes about 745, exp(-xi L) underflows and every
+    residual is exactly 0, which checks nothing. Modes are shot
+    :data:`SHOOTING_BLOCK` at a time, each block as one (modes, 2, 2) stack
+    of increments P - I (:func:`core.rk4_increment`) raised by the march's
+    stacked power on P - I (:func:`core.increment_power`).
 
     ``count`` is an ``int`` or ``np.integer`` >= 0 (not a ``bool``).
-    Raises ``ValueError`` for a bad ``xi``, ``length`` or ``count``, for
-    energies or shooting step counts that overflow, or where the lowest
-    mode whose residual misses the bound left the float range in its shot,
-    and ``RuntimeError`` naming that mode where its residual is finite.
+    Raises ``ValueError`` for a bad ``xi``, ``length`` or ``count``, for an
+    hbar whose square overflows, for energies or shooting step counts that
+    overflow, or where the lowest mode whose residual misses the bound left
+    the float range in its shot, and ``RuntimeError`` naming that mode
+    where its residual is finite.
     """
     # xi * xi overflows to inf where xi**2 would raise
     if not (xi >= 0 and math.isfinite(xi * xi)):
@@ -242,13 +251,18 @@ def damped_well_modes(xi: float, length: float,
     if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
             or count < 0):
         raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    try:
+        hbar2 = units.hbar**2
+    except OverflowError:  # a product would overflow to inf; ** raises
+        raise ValueError(f"hbar must have a finite square, got {units.hbar}") from None
     modes = np.arange(1, count + 1, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, checked below
         wavenumbers2 = (modes * math.pi / length) ** 2 + xi**2
-        energies = (units.hbar**2 / (2.0 * units.mass)) * wavenumbers2
+        energies = (hbar2 / (2.0 * units.mass)) * wavenumbers2
     if not np.all(np.isfinite(energies)):
         raise ValueError(f"mode energies overflow at length {length} and count {count}")
     energies.setflags(write=False)
+    bound = max(SHOOTING_BOUND, SHOOTING_ROUNDING * np.finfo(np.float64).eps * length)
     residuals = np.empty(count)
     for start in range(0, count, SHOOTING_BLOCK):
         block = wavenumbers2[start:start + SHOOTING_BLOCK]
@@ -264,7 +278,7 @@ def damped_well_modes(xi: float, length: float,
             # psi(L) from (psi, psi') = (0, 1) is the (0, 1) entry of P^steps - I
             shots = np.abs(increment_power(increments, steps)[:, 0, 1])
         residuals[start:start + len(shots)] = shots
-        missed = np.flatnonzero(~(shots <= SHOOTING_BOUND))
+        missed = np.flatnonzero(~(shots <= bound))
         if missed.size:
             i = start + missed[0]
             if not np.isfinite(residuals[i]):

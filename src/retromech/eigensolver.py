@@ -205,7 +205,8 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
     (LAPACK Users' Guide, 3rd ed., section 4.7). An absolute bound would
     fail on a fine grid, where ||H|| grows like h^-2. Eigenfunctions are
     sign-fixed to a positive leading lobe so downstream phase checks are
-    deterministic.
+    deterministic, and states of exactly equal energy are ordered by
+    :func:`count_interior_nodes`.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -241,6 +242,13 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
             psi = -psi
         psi.setflags(write=False)
         functions.append(GridFunction(hamiltonian.grid, psi))
+    # dstein picks any basis of a doubled eigenspace: order each run of
+    # exactly equal energies by node count, as Sturm's oscillation theorem
+    # orders distinct ones
+    ends = [0, *(np.flatnonzero(np.diff(energies)) + 1).tolist(), count]
+    for start, end in zip(ends, ends[1:]):
+        if end - start > 1:
+            functions[start:end] = sorted(functions[start:end], key=count_interior_nodes)
     return EigenSolution(energies, tuple(functions), hamiltonian.potential,
                          hamiltonian.units, hamiltonian.grid)
 

@@ -72,6 +72,41 @@ class TestParseArgs:
         assert apart == parse_args([*argv, f"{flag}={text}"]).options
         assert float(apart[dest]) == value
 
+    @pytest.mark.parametrize("argv, dest, value", [
+        (["derive-eom", "--lagrangian", "-1*q[1]"], "lagrangian", "-1*q[1]"),
+        (["derive-eom", "--lag", "-1e5*q[1]+2*q[0]"], "lagrangian", "-1e5*q[1]+2*q[0]"),
+        (["eigensolve", "--potential", "-x"], "potential", "-x"),
+        (["oscillate", "--output", "-x.csv"], "output", "-x.csv"),
+    ], ids=["lagrangian", "lagrangian-prefix", "potential", "output"])
+    def test_the_token_after_a_value_flag_is_its_value(self, argv, dest, value):
+        # argparse read a token starting with '-' as a flag and exited 2
+        # with "expected one argument"
+        assert parse_args(argv).options[dest] == value
+
+    @pytest.mark.parametrize("argv, text", [
+        (["fracdiff", "--alpha", "1", "--fn", "-x"], "argument --fn: invalid choice: '-x'"),
+        (["oscillate", "--m", "--help"], "argument --m: invalid float value: '--help'"),
+    ], ids=["choice", "float"])
+    def test_a_flag_like_value_is_checked_as_the_value(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        assert err.value.code == 2
+        assert text in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["oscillate", "--out", "--"], "--output"),
+        (["oscillate", "--output=--"], "--output"),
+        (["dampedwave", "--xi", "1", "--c-light=--"], "--c-light"),
+        (["derive-eom", "--lagrangian", "--"], "--lagrangian"),
+    ], ids=["apart", "joined", "dest-with-dash", "lagrangian"])
+    def test_double_dash_is_no_value(self, capsys, argv, flag):
+        # argparse read "--flag=--" as an empty list, which raised a
+        # TypeError in the handler
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        assert err.value.code == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+
     def test_ambiguous_prefix_keeps_argparse_error(self, capsys):
         # "--c" could be --c-light or --count, so no value is attached to it
         with pytest.raises(SystemExit) as err:
@@ -617,12 +652,6 @@ def test_csv_holds_one_block_not_the_table():
     assert peak < 2 * rows * 8
 
 
-def test_csv_rejects_columns_of_unequal_length():
-    # raised by the call itself, before any byte (or output file) exists
-    with pytest.raises(ValueError, match=r"differ in length: \[3, 4\]"):
-        _csv(["a", "b"], [np.zeros(3), np.zeros(4)])
-
-
 class TestJsonDeterminism:
     def test_repeated_json_runs_are_byte_identical(self, tmp_path):
         args = ["eigensolve", "--potential", "harmonic, 1.0", "--count", "3",
@@ -888,6 +917,68 @@ def test_arithmetic_errors_name_the_module(capsys, argv, origin):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {origin}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, origin", [
+    (["oscillate", "--n", "1"], "core.Grid"),
+    (["fracdiff", "--alpha", "3", "--fn", "t"], "fracops.FracOrder"),
+    (["fracdiff", "--alpha", "0.5", "--fn", "t", "--n=1" + "0" * 30], "core.Grid.points"),
+    (["fracdiff", "--alpha", "2", "--fn", "t", "--b", "1e300", "--n", "600"],
+     "fracops.causal_frac_deriv"),
+    (["fracdiff", "--alpha", "2", "--fn", "t", "--b", "1e300", "--n", "600",
+      "--direction", "retrocausal"], "fracops.retrocausal_frac_deriv"),
+    (["derive-eom", "--lagrangian", "1*q[1] +"], "lagrangian.parse_lagrangian"),
+    (["derive-eom", "--lagrangian", "1*q[1] - V(well, 1)"],
+     "lagrangian.derive_causal_eom"),
+    (["derive-eom", "--lagrangian", "1*q[1] + 1.7e308*q[0] - V(poly, 0, 0, 8e307)"],
+     "lagrangian.reduce_integer_orders"),
+    (["oscillate", "--m", "0"], "oscillator.OscillatorParams"),
+    (["oscillate", "--c", "2e154", "--b", "1e-153", "--n", "3"], "oscillator.solve_causal"),
+    (["oscillate", "--c", "2e154", "--b", "1e-153", "--n", "3", "--direction",
+      "retrocausal"], "oscillator.solve_retrocausal"),
+    (["oscillate", "--m=0.09158861472000893", "--c=2.765006294456904e-61",
+      "--k=6.121163878455648e+269", "--b=9.497896769040283e-118", "--n", "3"],
+     "oscillator.OscillatorTrajectory.energy"),
+    (["eigensolve", "--potential", "bogus"], "lagrangian.parse_potential"),
+    (["eigensolve", "--potential", "well, 1", "--hbar", "0"], "core.UnitsConfig"),
+    (["eigensolve", "--potential", "harmonic, 0"], "eigensolver.default_grid"),
+    (["eigensolve", "--potential", "well,1e-320", "--n", "100"],
+     "eigensolver.build_hamiltonian"),
+    (["eigensolve", "--potential", "well,1e-152", "--n", "100"],
+     "eigensolver.solve_spectrum"),
+    (["dampedwave", "--xi", "1", "--hbar", "0"], "core.UnitsConfig"),
+    (["dampedwave", "--B", "0"], "dampedwave.xi_from_params"),
+    (["dampedwave", "--xi", "1", "--well", "inf"], "dampedwave.damped_well_modes"),
+    (["dampedwave", "--xi", "1e155"], "dampedwave.DampedWaveParams"),
+    (["dampedwave", "--xi", "0", "--energy", "2", "--psi0", "1e308", "--n", "11"],
+     "dampedwave.solve_damped_free"),
+], ids=["grid", "frac-order", "grid-points", "causal-frac-deriv",
+        "retrocausal-frac-deriv", "parse-lagrangian", "derive-causal-eom",
+        "reduce-integer-orders", "oscillator-params", "solve-causal",
+        "solve-retrocausal", "trajectory-energy", "parse-potential",
+        "eigensolve-units", "default-grid", "build-hamiltonian", "solve-spectrum",
+        "dampedwave-units", "xi-from-params", "damped-well-modes",
+        "damped-wave-params", "solve-damped-free"])
+def test_every_reachable_call_names_its_origin(capsys, argv, origin):
+    # one failing run per wrapped library call; the retrocausal derivation
+    # and its reduction fail only after their causal twins have
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {origin}: ")
+
+
+def test_a_wrapped_call_is_named_as_the_function_it_wraps(capsys, monkeypatch):
+    # a wrapper that sets __wrapped__, as a tracing span does, names the
+    # library function and not itself
+    from retromech import dampedwave
+    inner = dampedwave.damped_well_modes
+
+    def wrapper(*args, **kwargs):
+        return inner(*args, **kwargs)
+
+    wrapper.__wrapped__ = inner
+    monkeypatch.setattr(dampedwave, "damped_well_modes", wrapper)
+    assert main(["dampedwave", "--xi", "1", "--well", "inf"]) == 1
+    assert capsys.readouterr().err.startswith("error: dampedwave.damped_well_modes: ")
 
 
 @pytest.mark.parametrize("alpha, scheme, direction", [

@@ -298,16 +298,27 @@ class TestDampedWell:
         modes = damped_well_modes(xi, length, count=count)
         assert np.max(modes.shooting_residuals) <= SHOOTING_BOUND
 
-    def test_failed_shot_names_the_mode_the_exact_power_misses(self):
-        # at L = 1e10 the rounded step itself misses from mode 2 on
+    def test_failed_shot_names_the_mode_the_exact_power_misses(self, monkeypatch):
+        # at L = 1e10 the rounded step itself misses the absolute bound from
+        # mode 2 on
         exact = mpmath_residuals(0.0, 1e10, 3)
         assert exact[0] <= SHOOTING_BOUND < exact[1]
+        monkeypatch.setattr(dampedwave, "SHOOTING_ROUNDING", 0.0)
         with pytest.raises(RuntimeError, match=r"failed for mode 2: \|psi\(L\)\| = "):
             damped_well_modes(0.0, 1e10, count=3)
 
+    @pytest.mark.parametrize("length, count", [(1e8, 5), (1e10, 3), (1e100, 1)])
+    def test_bound_grows_with_the_well_length(self, length, count):
+        # the rounded step misses by about eps L, which the absolute bound
+        # failed at mode 5 of L = 1e8 (1.397e-08) and mode 2 of L = 1e10
+        residuals = damped_well_modes(0.0, length, count=count).shooting_residuals
+        assert SHOOTING_BOUND < np.max(residuals) <= 8.0 * np.finfo(np.float64).eps * length
+
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_shooting_in_blocks_matches_one_block(self, monkeypatch, block):
-        # the block edges fall inside every case
+        # the block edges fall inside every case; with the bound kept
+        # absolute, L = 1e10 misses from mode 2 on
+        monkeypatch.setattr(dampedwave, "SHOOTING_ROUNDING", 0.0)
         cases = [(0.5, 1.0, 30), (0.0, 5.0, 200), (0.0, 1e-9, 9)]
         whole = [damped_well_modes(xi, length, count=count).shooting_residuals
                  for xi, length, count in cases]
@@ -344,6 +355,14 @@ class TestDampedWell:
         # OverflowError, instead of naming the bad parameter
         with pytest.raises(ValueError, match="finite square|overflow"):
             damped_well_modes(xi, length, count=2)
+
+    def test_overflowing_hbar_square_is_named(self, capsys):
+        # hbar**2 raised "(34, 'Numerical result out of range')"
+        with pytest.raises(ValueError, match=r"^hbar must have a finite square, got 1e\+200$"):
+            damped_well_modes(1.0, 1.0, UnitsConfig(hbar=1e200))
+        assert main(["dampedwave", "--xi", "1", "--well", "1", "--hbar", "1e200"]) == 1
+        assert capsys.readouterr().err == ("error: dampedwave.damped_well_modes: hbar must "
+                                           "have a finite square, got 1e+200\n")
 
     def test_overflowing_step_count_rejected(self):
         # math.ceil of the infinite step count raised "cannot convert float

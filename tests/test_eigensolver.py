@@ -116,6 +116,20 @@ class TestSpectrum:
         for n, psi in enumerate(well_solution.eigenfunctions):
             assert count_interior_nodes(psi) == n
 
+    @pytest.mark.parametrize("n", [501, 2000, 4000])
+    def test_tied_doublets_are_ordered_by_node_count(self, n):
+        # the double well's doublets are equal in float64, and dstein's basis
+        # of each came out as 1, 0, 2, 3 (n = 2000), 0, 1, 3, 2 (4000) and
+        # 1, 0, 3, 2 (501) nodes
+        ham = build_hamiltonian(PolynomialPotential((0.0, 0.0, -20.0, 0.0, 1.0)),
+                                Grid(-7.0, 7.0, n))
+        sol = solve_spectrum(ham, 4)
+        assert sol.energies[0] == sol.energies[1] and sol.energies[2] == sol.energies[3]
+        assert [count_interior_nodes(psi) for psi in sol.eigenfunctions] == [0, 1, 2, 3]
+        energies = scipy.linalg.eigh_tridiagonal(ham.diag, ham.offdiag, eigvals_only=True,
+                                                 select="i", select_range=(0, 3))
+        assert np.array_equal(sol.energies, energies)
+
     def test_rayleigh_quotient_consistency(self, well_solution):
         ham = build_hamiltonian(WELL, well_solution.grid)
         for n in range(well_solution.count):

@@ -297,24 +297,107 @@ def _magnitude(zero=False):
     return st.just("0") | drawn if zero else drawn
 
 
+def _signed(zero=False):
+    """:func:`_magnitude` of either sign."""
+    return st.tuples(st.sampled_from(["", "-"]), _magnitude(zero)).map("".join)
+
+
+def _order():
+    """Derivative orders, classical or not, as text."""
+    return st.sampled_from(["0", "0.5", "1", "1.5", "2", "3"]) | st.floats(0.0, 3.0).map(repr)
+
+
+def _lagrangian():
+    """Lagrangian texts whose terms have coefficients of either sign, so a
+    text may start with '-'."""
+    term = st.tuples(_signed(), _order()).map(lambda t: f"{t[0]}*q[{t[1]}]")
+    coeffs = st.lists(_signed(True), min_size=1, max_size=3).map(", ".join)
+    potential = (st.just("") | st.just(" - V(free)")
+                 | _signed(True).map(" - V(harmonic, {})".format)
+                 | coeffs.map(" - V(poly, {})".format)
+                 | _magnitude().map(" - V(well, {})".format))
+    return st.tuples(st.lists(term, min_size=1, max_size=3).map(" + ".join),
+                     potential).map("".join)
+
+
+def _potential(draw):
+    """An eigensolve descriptor, and whether it needs --a and --b."""
+    kind = draw(st.sampled_from(["free", "harmonic", "poly", "well"]))
+    if kind == "free":
+        return "free", True
+    if kind == "poly":
+        coeffs = draw(st.lists(_signed(True), min_size=1, max_size=4))
+        return ", ".join(["poly", *coeffs]), True
+    value = draw(_signed(True) if kind == "harmonic" else _magnitude())
+    return f"{kind}, {value}", False
+
+
 @st.composite
-def _damped_argv(draw):
-    n = f"--n={draw(st.integers(2, 40))}"
-    b = f"--b={draw(_magnitude())}"
-    if draw(st.booleans()):
-        direction = draw(st.sampled_from(["causal", "retrocausal"]))
-        return ["oscillate", f"--m={draw(_magnitude())}", f"--c={draw(_magnitude(True))}",
-                f"--k={draw(_magnitude(True))}", b, n, "--direction", direction]
-    fmt = draw(st.sampled_from(["csv", "json"]))
-    return ["dampedwave", f"--xi={draw(_magnitude(True))}",
-            f"--energy={draw(_magnitude())}", b, n, "--format", fmt]
+def _cli_argv(draw, commands):
+    """A subcommand from ``commands`` with drawn values over most of the
+    float range for its value flags, each spelled ``--flag=value`` or as
+    two tokens; every argv is free of usage errors."""
+    command = draw(st.sampled_from(commands))
+    argv = [command]
+
+    def flag(name, values):
+        value = draw(values)
+        argv.extend([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+
+    def choice(name, *values):
+        flag(name, st.sampled_from(values))
+
+    def ends():
+        # b > a but where a + width leaves the float range
+        a = draw(_signed(True))
+        flag("--a", st.just(a))
+        flag("--b", _magnitude().map(lambda width: repr(float(a) + float(width))))
+
+    n = st.integers(2, 40).map(str)
+    if command == "oscillate":
+        flag("--m", _magnitude())
+        flag("--c", _magnitude(True))
+        flag("--k", _magnitude(True))
+        flag("--q0", _signed(True))
+        flag("--v0", _signed(True))
+        choice("--direction", "causal", "retrocausal")
+    elif command == "dampedwave":
+        flag("--xi", _magnitude(True))
+        flag("--energy", _magnitude())
+        flag("--psi0", _signed(True))
+        flag("--dpsi0", _signed(True))
+        choice("--format", "csv", "json")
+    elif command == "fracdiff":
+        flag("--alpha", _order())
+        choice("--fn", *sorted(_FN_TABLE))
+        choice("--scheme", *sorted(_SCHEMES))
+        choice("--direction", "causal", "retrocausal")
+        ends()
+        choice("--format", "csv", "json")
+    elif command == "eigensolve":
+        potential, needs_domain = _potential(draw)
+        argv.extend(["--potential", potential])
+        flag("--count", st.integers(0, 4).map(str))
+        if draw(st.booleans()):
+            flag("--hbar", _magnitude())
+            flag("--mass", _magnitude())
+        if needs_domain or draw(st.booleans()):
+            ends()
+        choice("--format", "csv", "json")
+        n = st.integers(16, 60).map(str)
+    else:
+        flag("--lagrangian", _lagrangian())
+        return argv
+    if command in ("oscillate", "dampedwave"):
+        flag("--b", _magnitude())
+    flag("--n", n)
+    return argv
 
 
-@hypothesis.settings(max_examples=300)
-@hypothesis.given(argv=_damped_argv())
-def test_damped_commands_exit_zero_quietly_or_one_with_a_named_line(argv):
-    # the two subcommands whose stability guard and roots are shared by
-    # core; numpy's RuntimeWarnings count as output on stderr
+def _check_contract(argv):
+    """Exit 0 with finite output and an empty stderr, or exit 1 with one
+    ``error: <module>.<name>: `` line; numpy's RuntimeWarnings count as
+    output on stderr."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err):
@@ -325,6 +408,20 @@ def test_damped_commands_exit_zero_quietly_or_one_with_a_named_line(argv):
         assert err.getvalue() == "" and not _NON_FINITE.search(stdout)
     else:
         assert code == 1 and _ERROR_LINE.fullmatch(err.getvalue()), err.getvalue()
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(argv=_cli_argv(["oscillate", "dampedwave"]))
+def test_damped_commands_exit_zero_quietly_or_one_with_a_named_line(argv):
+    # the two subcommands whose stability guard and roots are shared by core
+    _check_contract(argv)
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(argv=_cli_argv(["fracdiff", "eigensolve", "derive-eom"]))
+def test_other_commands_exit_zero_quietly_or_one_with_a_named_line(argv):
+    # "--lagrangian -1*q[1]" exited 2: argparse read the value as a flag
+    _check_contract(argv)
 
 
 # --------------------------------------------------------------------------
