@@ -12,12 +12,13 @@ Subcommands map one-to-one onto the library modules:
 Outputs are deterministic: identical configurations yield byte-identical
 files (CSV floats use 17 significant digits, JSON uses shortest
 round-trip floats, random checks are seeded). CSV is streamed in blocks
-of rows, each stacked from slices of the output columns and formatted
-with array operations to exactly the bytes of ``%.17g``, so neither the
-whole text nor the whole table is ever held. Files are written to
-a temporary sibling and renamed on success, so failures leave no partial
-output. Exit codes: 0 success, 1 computation failure (one line naming
-the library call, ``error: module.callee: detail``), 2 usage error. The
+of whole rows, at most 16384 values or one row, each stacked from slices
+of the output columns and formatted with array operations to exactly the
+bytes of ``%.17g``, so neither the whole text nor the whole table is ever
+held. Files are written to a temporary sibling and renamed on success, so
+failures leave no partial output. Exit codes: 0 success, 1 computation
+failure (one line naming the library call, ``error: module.callee:
+detail``), 2 usage error. The
 token after a value-taking flag is its value, whatever it looks like:
 ``--lagrangian "-1*q[1]"`` reads as ``--lagrangian=-1*q[1]``. ``--`` is
 never a value.
@@ -64,9 +65,9 @@ class RunConfig:
 # deterministic formatting and output
 
 
-#: Rows formatted per block; only one block's text and temporaries are
-#: held at a time.
-_CSV_BLOCK_ROWS = 4096
+#: Values formatted per block, in whole rows; only one block's text and
+#: temporaries are held at a time, whatever the table's width.
+_CSV_BLOCK_VALUES = 16384
 
 #: Bytes of a value's slot in :func:`_format_rows`. As ``uint32`` words:
 #: 0 the separator before the value and ``"-0."``, 1 the leading digit as
@@ -75,12 +76,9 @@ _CSV_BLOCK_ROWS = 4096
 #: and up to three zeros when |x| < 1, then the integer digits from the
 #: first copy, and the point and the fraction's digits from the second.
 _SLOT = 44
-#: Mask rows of +0 and -0, after the 2 * 21 * 17 fixed-notation rows: the
-#: separator, the sign for -0, and the ``"0"`` of the slot's first word.
-_ZERO_MASKS = 2 * 21 * 17
-#: Mask row of an empty text from a %-operation; a text of length L takes
-#: the row L further on.
-_PERCENT_MASKS = _ZERO_MASKS + 2
+#: Mask row of an empty text from a %-operation, after the 2 * 21 * 17
+#: fixed-notation rows; a text of length L takes the row L further on.
+_PERCENT_MASKS = 2 * 21 * 17
 
 
 def _csv(header: list, columns: list):
@@ -89,9 +87,9 @@ def _csv(header: list, columns: list):
     stacked from slices of the columns, so the whole table never exists."""
     import numpy as np
     yield (",".join(header) + "\n").encode()
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS]
-                                 for column in columns])
+    rows = max(1, _CSV_BLOCK_VALUES // len(columns))
+    for start in range(0, len(columns[0]), rows):
+        block = np.column_stack([column[start:start + rows] for column in columns])
         yield _format_rows(block.astype(np.float64, copy=False))
 
 
@@ -111,8 +109,8 @@ def _csv_tables():
              + (i == 0))
     words = np.frombuffer(b",-0.\n-0.   .", np.uint32)
     # fixed-notation layouts by sign, exponent of the leading digit (-4..16)
-    # and significant digits (1..17), then +0 and -0, then text of 0..24
-    # bytes from a %-operation; b is the byte's place in the slot
+    # and significant digits (1..17), then text of 0..24 bytes from a
+    # %-operation; b is the byte's place in the slot
     neg = np.arange(2)[:, None, None, None]
     exp10 = np.arange(-4, 17)[None, :, None, None]
     count = np.arange(1, 18)[None, None, :, None]
@@ -124,9 +122,8 @@ def _csv_tables():
              | small & ((b == 2) | (b == 3) | (b >= exp10 + 8) & (b <= 6))
              | first
              | ~small & ((b == 27) & (count - 1 > exp10) | second))
-    zero = (b == 0) | (b == 2) | (b == 1) & (np.arange(2)[:, None] == 1)
     percent = b <= np.arange(25)[:, None]
-    masks = np.concatenate((fixed.reshape(-1, _SLOT), zero, percent))
+    masks = np.concatenate((fixed.reshape(-1, _SLOT), percent))
     return powers, high, powers - high, digits, zeros, words, masks
 
 
@@ -144,8 +141,9 @@ def _format_rows(block) -> bytes:
     """``%.17g`` text of a 2-D float64 block as comma-separated lines.
 
     Values that ``%.17g`` prints in fixed notation, and zeros, are
-    formatted with array operations. Non-finite values and values printed
-    in exponent notation go through one %-operation for the block.
+    formatted with array operations; a zero is the one digit 0 at
+    exponent 0. Non-finite values and values printed in exponent notation
+    go through one %-operation for the block.
     """
     import numpy as np
     powers, high, low, digits, zeros, words, masks = _csv_tables()
@@ -171,6 +169,7 @@ def _format_rows(block) -> bytes:
         k[off] += np.where(small[off], 1, -1)
         hi[off], lo[off] = _times_power_of_ten(a[off], k[off], powers, high, low)
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    d[zero] = 0
     exp10 = 16 - k  # exponent of the leading digit
     upper, lower = np.divmod(d, 10**8)
     lead, upper = np.divmod(upper, 10**8)
@@ -191,7 +190,6 @@ def _format_rows(block) -> bytes:
     slots[:, 6] = words[2]
     negative = np.signbit(x)
     layout = negative * (21 * 17) + (exp10 + 4) * 17 + (16 - trailing)
-    layout[zero] = _ZERO_MASKS + negative[zero]
     text = slots.view(np.uint8)
     other = np.flatnonzero(~(fixed | zero))
     if len(other):

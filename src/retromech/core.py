@@ -1,10 +1,10 @@
 """Shared substrate: uniform sample grids, grid functions, operator
-directions, unit systems, the damping-regime classifier and roots, and
-the fixed-step RK4 propagator used by the time- and space-domain solvers.
+directions, unit systems, the damping-regime classifier, roots and closed
+form, and the fixed-step RK4 propagator of the time and space solvers.
 
 Every ODE the toolkit integrates is linear with constant coefficients,
-y'' = -c1 y' - c0 y, so an RK4 step is one 2x2 matrix and a march is a
-sequence of its powers."""
+y'' = -c1 y' - c0 y, so it has one closed form, an RK4 step is one 2x2
+matrix and a march is a sequence of its powers."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ __all__ = [
     "Regime",
     "classify_regime",
     "characteristic_roots",
+    "closed_form",
     "UnstableIntegrationError",
     "MARCH_BLOCK",
     "rk4_increment",
@@ -174,6 +175,36 @@ def characteristic_roots(c1: float, c0: float) -> tuple:
     elif s.imag == 0 and half < 0:
         l2 = complex(c0 / l1.real, l2.imag)
     return l1, l2
+
+
+def closed_form(coeffs, y0, v0, grid: Grid) -> np.ndarray:
+    """Exact solution of y'' + c1 y' + c0 y = 0, ``coeffs = (c1, c0)``, from
+    (y, y') = (y0, v0) at ``grid.a``, as a complex array: with x = t - a,
+    (y0 + (v0 - lam y0) x) exp(lam x), lam = -c1/2, where
+    :func:`classify_regime` finds critical damping, and otherwise
+    A exp(l1 x) + (y0 - A) exp(l2 x), A = (v0 - l2 y0) / (l1 - l2), over the
+    :func:`characteristic_roots`. Built in place, one more array holding the
+    second exponential, in the plain expression's operand order and bits;
+    samples past the float range are inf or nan, under numpy's error state."""
+    y0, v0 = complex(y0), complex(v0)
+    x = grid.points()
+    x -= grid.a
+    if classify_regime(*coeffs) is Regime.CRITICAL:
+        lam = -0.5 * coeffs[0]
+        out = np.multiply(v0 - lam * y0, x)
+        np.add(y0, out, out=out)
+        x *= lam
+        np.multiply(out, np.exp(x, out=x), out=out)
+        return out
+    l1, l2 = characteristic_roots(*coeffs)
+    a = (v0 - l2 * y0) / (l1 - l2)
+    out = np.multiply(l1, x)
+    np.multiply(a, np.exp(out, out=out), out=out)
+    second = np.multiply(l2, x)
+    del x
+    np.multiply(y0 - a, np.exp(second, out=second), out=second)
+    out += second
+    return out
 
 
 class UnstableIntegrationError(RuntimeError):

@@ -5,9 +5,9 @@ damped-oscillator ODE in space, psi'' + 2 xi psi' + k^2 psi = 0 with
 k = sqrt(2 m E)/hbar, and the same equation governs both the forward- and
 backward-phase functions: unlike the classical oscillator pair, neither
 side is unstable. The module solves the free equation twice over
-(``core``'s characteristic roots and RK4 propagator with coefficients
-(2 xi, k^2), cross-checked), classifies the damping regime, and works out
-the hard-wall well whose mode energies pick up a uniform xi^2 shift,
+(``core``'s closed form and RK4 propagator with coefficients (2 xi, k^2),
+cross-checked), classifies the damping regime, and works out the
+hard-wall well whose mode energies pick up a uniform xi^2 shift,
 confirmed by RK4 shooting: psi(L) from (psi, psi') = (0, 1) is one entry
 of P^N - I for the RK4 step P, raised by the march's own stacked power on
 P - I (``core.increment_power``), and every mode's step and power are one
@@ -28,9 +28,9 @@ from .core import (
     GridFunction,
     Regime,
     UnitsConfig,
-    characteristic_roots,
     check_positive,
     classify_regime,
+    closed_form,
     increment_power,
     integrate_second_order,
     rk4_increment,
@@ -110,7 +110,7 @@ def xi_from_params(B: float, units: UnitsConfig = NATURAL_UNITS) -> float:
 class DampedFreeSolution:
     """Free-particle solution carried along both routes.
 
-    ``closed_form`` evaluates the characteristic-root formula;
+    ``closed_form`` holds :func:`core.closed_form`'s exact solution;
     ``rk4`` integrates the same initial-value problem numerically. Their
     maximum pointwise disagreement is recorded so neither route ever
     stands alone.
@@ -124,33 +124,6 @@ class DampedFreeSolution:
     max_discrepancy: float
 
 
-def _closed_form(params: DampedWaveParams, grid: Grid, psi0: complex,
-                 dpsi0: complex, regime: Regime) -> np.ndarray:
-    """(psi0 + (dpsi0 - lam psi0) x) exp(lam x) or a exp(l1 x) + b exp(l2 x),
-    built in place in one complex array and a second for the other
-    exponential; each operation keeps the operand order of the plain
-    expression, so the bits are the same."""
-    x = grid.points()
-    x -= grid.a
-    if regime is Regime.CRITICAL:
-        lam = -params.xi
-        out = np.multiply(dpsi0 - lam * psi0, x)
-        np.add(psi0, out, out=out)
-        x *= lam
-        np.multiply(out, np.exp(x, out=x), out=out)
-        return out
-    l1, l2 = characteristic_roots(*params.coeffs)
-    a = (dpsi0 - l2 * psi0) / (l1 - l2)
-    b = psi0 - a
-    out = np.multiply(l1, x)
-    np.multiply(a, np.exp(out, out=out), out=out)
-    second = np.multiply(l2, x)
-    del x
-    np.multiply(b, np.exp(second, out=second), out=second)
-    out += second
-    return out
-
-
 def solve_damped_free(params: DampedWaveParams, grid: Grid,
                       psi0: complex = 1.0, dpsi0: complex = 0.0) -> DampedFreeSolution:
     """Solve psi'' + 2 xi psi' + k^2 psi = 0 from (psi0, psi0') at grid.a,
@@ -159,7 +132,7 @@ def solve_damped_free(params: DampedWaveParams, grid: Grid,
     dpsi0 = complex(dpsi0)
     regime = classify_regime(*params.coeffs)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        closed = _closed_form(params, grid, psi0, dpsi0, regime)
+        closed = closed_form(params.coeffs, psi0, dpsi0, grid)
         closed.setflags(write=False)
         numeric = integrate_second_order(params.coeffs, psi0, dpsi0, grid)[0]
         # block by block: max, abs and subtraction are exact per element, so
@@ -240,9 +213,10 @@ def damped_well_modes(xi: float, length: float,
     ``count`` is an ``int`` or ``np.integer`` >= 0 (not a ``bool``).
     Raises ``ValueError`` for a bad ``xi``, ``length`` or ``count``, for an
     hbar whose square overflows, for energies or shooting step counts that
-    overflow, or where the lowest mode whose residual misses the bound left
-    the float range in its shot, and ``RuntimeError`` naming that mode
-    where its residual is finite.
+    overflow, or where the lowest mode whose residual misses the bound (or
+    whose step count is 0 * inf) has k^2 below the normal float range, as
+    from L = 2.1e154 at xi = 0, or left the float range in its shot, and
+    ``RuntimeError`` naming that mode where its residual is finite.
     """
     # xi * xi overflows to inf where xi**2 would raise
     if not (xi >= 0 and math.isfinite(xi * xi)):
@@ -263,6 +237,9 @@ def damped_well_modes(xi: float, length: float,
         raise ValueError(f"mode energies overflow at length {length} and count {count}")
     energies.setflags(write=False)
     bound = max(SHOOTING_BOUND, SHOOTING_ROUNDING * np.finfo(np.float64).eps * length)
+    # raised where k^2, rounded below the normal range or to 0, fails a shot
+    underflow = (f"squared wavenumber (n pi / L)^2 + xi^2 underflows the normal float "
+                 f"range at xi = {xi} and length {length}")
     residuals = np.empty(count)
     for start in range(0, count, SHOOTING_BLOCK):
         block = wavenumbers2[start:start + SHOOTING_BLOCK]
@@ -271,6 +248,8 @@ def damped_well_modes(xi: float, length: float,
         except OverflowError:  # math.ceil of an infinite step count
             raise ValueError(f"shooting step count overflows at xi = {xi} and "
                              f"length {length}") from None
+        except ValueError:  # math.ceil of 0 * inf: k^2 underflowed to 0
+            raise ValueError(underflow) from None
         h = np.array([length / n for n in steps], dtype=np.float64)
         # near the float range the stages overflow; the bound below reports it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -281,6 +260,8 @@ def damped_well_modes(xi: float, length: float,
         missed = np.flatnonzero(~(shots <= bound))
         if missed.size:
             i = start + missed[0]
+            if wavenumbers2[i] < np.finfo(np.float64).tiny:
+                raise ValueError(underflow)
             if not np.isfinite(residuals[i]):
                 raise ValueError(f"shooting mode {i + 1} at xi = {xi} and length "
                                  f"{length} leaves the float range")

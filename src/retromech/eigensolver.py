@@ -315,8 +315,6 @@ def superposition_density(solution: EigenSolution, coeffs, t: float) -> GridFunc
         raise ValueError(f"coefficients must have unit norm, got {norm!r}")
     psi = np.zeros(solution.grid.n, dtype=np.complex128)
     for n, cn in enumerate(c):
-        if cn == 0:
-            continue
         phase = cmath.exp(-1j * solution.energies[n] * t / solution.units.hbar)
         psi += cn * phase * solution.eigenfunctions[n].samples
     return GridFunction(solution.grid, _frozen(psi * np.conj(psi)).real)

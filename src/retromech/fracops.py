@@ -10,11 +10,11 @@ Two independent discretizations are provided for non-integer orders:
   finite differencing of the resulting fractional integral.
 
 Both non-integer schemes reduce to one causal convolution of the samples
-with a length-n kernel. It is evaluated directly up to n = 512 and by
-real FFTs on a triangular split above, batched by depth, so a
-non-integer order costs O(n log^2 n) and the rounding of each output
-stays tied to the samples before it (fast convolution quadrature:
-Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).
+with a length-n kernel, split into direct sums of at most 512 samples
+and real FFT products batched by depth, so a non-integer order costs
+O(n log^2 n) and the rounding of each output stays tied to the samples
+before it (fast convolution quadrature: Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6 (1985) 532).
 
 Integer orders bypass the fractional kernels entirely and use plain
 central/one-sided finite differences, so orders 0, 1 and 2 behave exactly
@@ -123,13 +123,10 @@ def _integer_deriv(y: np.ndarray, h: float, m: int) -> np.ndarray:
     return _fd_second(y, h)
 
 
-#: Longest sample convolved directly, and the size of the direct sums the
-#: split FFT splits down to. On a 2-core host the split costs at most
-#: 0.05 ms more than the direct sum up to n = 1024, where both take
-#: 0.16 ms, 0.08 ms more at 1280, and less from n = 1792 on (0.50 against
-#: 0.59 ms at 2048). Base blocks of 768 run even with 512 from n = 2048
-#: to 16384, and 1024 runs 15-25 % slower. Any other value changes the
-#: rounding of every output above it.
+#: Largest direct sum (leaf) that the split in :func:`_causal_convolve`
+#: stops at. On a 2-core host leaves of 768 run even with 512 from
+#: n = 2048 to 16384, and 1024 runs 15-25 % slower. Any other value
+#: changes the rounding of every output above it.
 _DIRECT_MAX = 512
 
 
@@ -137,15 +134,16 @@ def _causal_convolve(y: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """First ``len(y)`` terms of the full convolution of ``y`` with the
     real ``kernel`` of the same length.
 
-    Above ``_DIRECT_MAX`` samples the lower-triangular Toeplitz product is
-    split as in Hairer, Lubich & Schlichte: a block of m samples splits
-    into diagonal triangles of (m + 1) // 2 and m // 2 samples, down to
-    direct sums of at most ``_DIRECT_MAX``, and the square that maps the
+    The lower-triangular Toeplitz product is split as in Hairer, Lubich &
+    Schlichte: a block of m > ``_DIRECT_MAX`` samples splits into diagonal
+    triangles of (m + 1) // 2 and m // 2 samples, down to direct sums
+    (leaves) of at most ``_DIRECT_MAX``, and the square that maps the
     block's first half onto its second half is one zero-padded FFT
-    product. The squares are batched by depth: the blocks of one depth
-    have at most two sizes, and each size takes one kernel transform and
-    one row-wise transform pair for all of its blocks, so the O(n log^2 n)
-    cost comes in a few FFT calls per depth. Depths are added deepest
+    product. A sample of at most ``_DIRECT_MAX`` values is one leaf. The
+    squares are batched by depth: the blocks of one depth have at most two
+    sizes, and each size takes one kernel transform and one row-wise
+    transform pair for all of its blocks, so the O(n log^2 n) cost comes
+    in a few FFT calls per depth. Depths are added deepest
     first, so each output sums its terms in the order of a recursion over
     the same split. An FFT spreads its rounding evenly over its outputs,
     at a few ulps of the largest input times sum|kernel|; since every
@@ -157,10 +155,7 @@ def _causal_convolve(y: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     of the float range from overflowing in the transform's sums where the
     direct sum would not.
     """
-    n = len(y)
-    if n <= _DIRECT_MAX:
-        return np.convolve(y, kernel)[:n]
-    levels, leaves, blocks = [], [], [(0, n)]
+    levels, leaves, blocks = [], [], [(0, len(y))]
     while blocks:  # each level maps a block size to the starts of its blocks
         level = {}
         for s, m in blocks:

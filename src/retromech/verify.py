@@ -21,7 +21,7 @@ import random
 import numpy as np
 
 from . import dampedwave, eigensolver, fracops, lagrangian, oscillator
-from .core import Grid, GridFunction, Regime, characteristic_roots, classify_regime
+from .core import Grid, GridFunction, Regime, classify_regime, closed_form
 
 __all__ = ["run_all", "CHECKS"]
 
@@ -197,12 +197,6 @@ def check_render_roundtrip():
 # oscillator
 
 
-def _underdamped_exact(p, t):
-    l1, l2 = characteristic_roots(*p.coeffs)
-    a = (p.v0 - l2 * p.q0) / (l1 - l2)
-    return (a * np.exp(l1 * t) + (p.q0 - a) * np.exp(l2 * t)).real
-
-
 def check_oscillator_oracles():
     grid = Grid(0.0, 2.0 * math.pi, 6284)
     t = grid.points()
@@ -210,7 +204,8 @@ def check_oscillator_oracles():
     under = oscillator.OscillatorParams(1.0, 0.3, 4.0, 1.0, 0.0)
     crit = oscillator.OscillatorParams(1.0, 2.0, 1.0, 1.0, -1.0)
     cases = ((free, np.cos(t), Regime.UNDAMPED),
-             (under, _underdamped_exact(under, t), Regime.UNDERDAMPED),
+             (under, closed_form(under.coeffs, under.q0, under.v0, grid).real,
+              Regime.UNDERDAMPED),
              (crit, np.exp(-t), Regime.CRITICAL))
     for p, exact, regime in cases:
         traj = oscillator.solve_causal(p, grid)
@@ -248,9 +243,9 @@ def check_rk4_order():
     errs = []
     for n in (501, 1001):
         grid = Grid(0.0, 2.0, n)
-        t = grid.points()
         traj = oscillator.solve_causal(p, grid)
-        errs.append(np.max(np.abs(traj.position.samples - _underdamped_exact(p, t))))
+        exact = closed_form(p.coeffs, p.q0, p.v0, grid).real
+        errs.append(np.max(np.abs(traj.position.samples - exact)))
     order = math.log2(errs[0] / errs[1])
     _require(order >= 3.7, order)
 

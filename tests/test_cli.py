@@ -617,10 +617,15 @@ def test_ties_are_halfway():
         assert len(digits) == 18 and digits[-1] == 5
 
 
-@pytest.mark.parametrize("width", [1, 2, 4])
-@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097])
-def test_csv_matches_per_value_formatting(width, rows):
-    # row counts on both sides of the 4096-row formatting block
+#: Rows per CSV block by table width: 16384 values, in whole rows.
+CSV_BLOCK_ROWS = {1: 16384, 2: 8192, 4: 4096, 21: 780}
+
+
+@pytest.mark.parametrize("width", sorted(CSV_BLOCK_ROWS))
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_csv_matches_per_value_formatting(width, offset):
+    # no rows, then row counts on both sides of the width's block
+    rows = 0 if offset is None else CSV_BLOCK_ROWS[width] + offset
     rng = np.random.default_rng(rows + width)
     columns = [np.resize(np.roll(CSV_EDGE_VALUES, 3 * j), rows) for j in range(width)]
     columns[-1] = columns[-1] * rng.choice([1.0, 1e-7, 0.725], size=rows)
@@ -628,10 +633,12 @@ def test_csv_matches_per_value_formatting(width, rows):
     assert b"".join(_csv(header, columns)) == per_value_csv(header, columns).encode()
 
 
-def test_csv_streams_blocks_of_rows():
-    columns = [np.arange(2 * 4096 + 1.0), np.full(2 * 4096 + 1, 0.25)]
-    chunks = list(_csv(["a", "b"], columns))
-    assert [chunk.count(b"\n") for chunk in chunks] == [1, 4096, 4096, 1]
+@pytest.mark.parametrize("width, rows", [*CSV_BLOCK_ROWS.items(), (16385, 1)])
+def test_csv_streams_blocks_of_rows(width, rows):
+    # a row wider than a block is a block of its own
+    columns = [np.arange(2 * rows + 1.0)] + [np.full(2 * rows + 1, 0.25)] * (width - 1)
+    chunks = list(_csv([f"c{j}" for j in range(width)], columns))
+    assert [chunk.count(b"\n") for chunk in chunks] == [1, rows, rows, 1]
     assert all(isinstance(chunk, bytes) for chunk in chunks)
 
 

@@ -17,10 +17,12 @@ from retromech.core import (
     _increment_powers,
     characteristic_roots,
     classify_regime,
+    closed_form,
     increment_power,
     integrate_second_order,
     rk4_increment,
 )
+from retromech.dampedwave import DampedWaveParams, solve_damped_free
 
 
 def reference_march(coeffs, y0, v0, grid, *, backward=False, amplitude_limit=None):
@@ -381,6 +383,48 @@ class TestCharacteristicRoots:
                     for a, b in zip(c1.tolist(), c0.tolist())
                     for root in characteristic_roots(a, b))
         assert worst <= 2.0
+
+
+def _damped_cos_sin(rate, omega, y0, v0):
+    """exp(rate x) (y0 cos(omega x) + (v0 - rate y0) / omega sin(omega x))."""
+    return lambda x: np.exp(rate * x) * (y0 * np.cos(omega * x)
+                                         + (v0 - rate * y0) / omega * np.sin(omega * x))
+
+
+# (c1, c0, regime, exact solution from (y0, v0) = (1.5, -0.5) at x = t - a)
+CLOSED_FORM_CASES = [
+    (0.0, 4.0, Regime.UNDAMPED, _damped_cos_sin(0.0, 2.0, 1.5, -0.5)),
+    (2.0, 5.0, Regime.UNDERDAMPED, _damped_cos_sin(-1.0, 2.0, 1.5, -0.5)),
+    (2.0, 1.0, Regime.CRITICAL, lambda x: (1.5 + x) * np.exp(-x)),
+    # roots -1 and -2: A + B = 1.5, -A - 2B = -0.5
+    (3.0, 2.0, Regime.OVERDAMPED, lambda x: 2.5 * np.exp(-x) - np.exp(-2.0 * x)),
+    # the anti-damped (retrocausal) side, c1 < 0: roots 1 +- 2i, 1 and 2
+    (-2.0, 5.0, Regime.UNDERDAMPED, _damped_cos_sin(1.0, 2.0, 1.5, -0.5)),
+    (-2.0, 1.0, Regime.CRITICAL, lambda x: (1.5 - 2.0 * x) * np.exp(x)),
+    (-3.0, 2.0, Regime.OVERDAMPED, lambda x: 3.5 * np.exp(x) - 2.0 * np.exp(2.0 * x)),
+]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("c1, c0, regime, exact", CLOSED_FORM_CASES)
+    @pytest.mark.parametrize("a", [0.0, -1.25])
+    def test_matches_hand_written_solutions(self, c1, c0, regime, exact, a):
+        grid = Grid(a, a + 3.0, 301)
+        out = closed_form((c1, c0), 1.5, -0.5, grid)
+        assert classify_regime(c1, c0) is regime
+        assert out.dtype == np.complex128
+        reference = exact(grid.points() - a)
+        assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("xi, energy", [(0.0, 0.5), (0.3, 2.0), (1.0, 0.5),
+                                            (2.0, 0.5)])
+    def test_is_the_damped_free_solution_bit_for_bit(self, xi, energy):
+        # undamped, underdamped, critical (c1 = 2, c0 = 1) and overdamped
+        params = DampedWaveParams(xi, energy)
+        grid = Grid(-1.0, 9.0, 1001)
+        sol = solve_damped_free(params, grid, 0.75 - 0.25j, 1.5)
+        assert np.array_equal(sol.closed_form.samples,
+                              closed_form(params.coeffs, 0.75 - 0.25j, 1.5, grid))
 
 
 def test_direction_values():

@@ -371,6 +371,23 @@ class TestDampedWell:
                                              r"and length 1e\+200"):
             damped_well_modes(1e150, 1e200, count=1)
 
+    @pytest.mark.parametrize("length, named", [("1e156", True), ("1e200", True),
+                                               ("1e308", True), ("2.2e154", False),
+                                               ("1e155", False)])
+    def test_underflowing_wavenumber_square_is_named(self, capsys, length, named):
+        # at xi = 0, (pi / L)^2 is subnormal from L = 2.1e154 and 0 from
+        # 1.4e162. The first three missed their shot (|psi(L)| = 5.878e+142
+        # and 1.000e+200) or took 0 * inf steps ("cannot convert float NaN
+        # to integer"); the last two still land their shot.
+        code = main(["dampedwave", "--xi", "0", "--well", length, "--count", "1"])
+        err = capsys.readouterr().err
+        if named:
+            assert (code, err) == (1, "error: dampedwave.damped_well_modes: squared "
+                                      "wavenumber (n pi / L)^2 + xi^2 underflows the normal "
+                                      f"float range at xi = 0.0 and length {float(length)}\n")
+        else:
+            assert (code, err) == (0, "")
+
 
 def test_well_modes_across_their_size_range(capsys):
     # no well grows, so no run may miss its residual bound; the error model

@@ -41,8 +41,8 @@ lists of such reports, one per change, oldest first.
   job parameters) runs once per tree through that tree's
   ``bench/launcher.py``, which starts it with ``posix_spawn`` and reads
   its ``wait4`` rusage, so a job's peak is its own and not its
-  spawner's. The two trees' exit codes, stdout and output files must be
-  byte-identical. ``bench/`` is only read.
+  spawner's. The two trees' exit codes, stdout, stderr and output files
+  must be byte-identical. ``bench/`` is only read.
 * ``bench``: ``python3 bench/run.py --workload W --seed S --seconds 20
   --trace T`` run from each root, one pair per seed; keeps every run's
   report.
@@ -196,7 +196,7 @@ def _read_bytes(path):
 
 def _run_job(launcher, job, tmp):
     """Run one workload job through ``launcher``; returns its peak RSS in
-    MiB and its (exit code, stdout, output file) bytes."""
+    MiB and its (exit code, stdout, stderr, output file) bytes."""
     out, err, path = (os.path.join(tmp, f"job.{ext}") for ext in ("out", "err", "file"))
     argv = [sys.executable, "-m", "retromech", *job.argv]
     argv += ["--output", path] if job.output else []
@@ -205,7 +205,8 @@ def _run_job(launcher, job, tmp):
     launcher.stdin.flush()
     reply = json.loads(launcher.stdout.readline())
     wrote = _read_bytes(path) if job.output else None
-    return reply["maxrss_kib"] / 1024, (reply["code"], _read_bytes(out), wrote)
+    result = (reply["code"], _read_bytes(out), _read_bytes(err), wrote)
+    return reply["maxrss_kib"] / 1024, result
 
 
 def jobs_rss(args):
