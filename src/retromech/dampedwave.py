@@ -69,6 +69,12 @@ SHOOTING_MIN_STEPS = 3000
 _DISCREPANCY_BLOCK = 4096
 
 
+def _check_xi(xi: float) -> None:
+    # xi * xi overflows to inf where xi**2 would raise
+    if not (xi >= 0 and math.isfinite(xi * xi)):
+        raise ValueError(f"xi must be >= 0 with a finite square, got {xi}")
+
+
 @dataclass(frozen=True)
 class DampedWaveParams:
     """Damping factor xi (inverse length) and energy E > 0; the
@@ -80,10 +86,9 @@ class DampedWaveParams:
     units: UnitsConfig = NATURAL_UNITS
 
     def __post_init__(self):
-        # products overflow to inf where xi**2 and k_wave**2 would raise
-        if not (self.xi >= 0 and math.isfinite(self.xi * self.xi)):
-            raise ValueError(f"xi must be >= 0 with a finite square, got {self.xi}")
+        _check_xi(self.xi)
         check_positive("energy", self.energy)
+        # k_wave * k_wave overflows to inf where k_wave**2 would raise
         if not math.isfinite(self.k_wave * self.k_wave):
             raise ValueError(f"wavenumber k = sqrt(2 m E) / hbar must have a finite "
                              f"square, got {self.k_wave}")
@@ -218,9 +223,7 @@ def damped_well_modes(xi: float, length: float,
     from L = 2.1e154 at xi = 0, or left the float range in its shot, and
     ``RuntimeError`` naming that mode where its residual is finite.
     """
-    # xi * xi overflows to inf where xi**2 would raise
-    if not (xi >= 0 and math.isfinite(xi * xi)):
-        raise ValueError(f"xi must be >= 0 with a finite square, got {xi}")
+    _check_xi(xi)
     check_positive("length", length)
     if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
             or count < 0):

@@ -259,6 +259,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _phase(energy: float, t: float, hbar: float) -> complex:
+    """exp(-i E t / hbar); ValueError where E t / hbar is not finite."""
+    angle = -1j * energy * t / hbar
+    if not cmath.isfinite(angle):
+        raise ValueError(f"phase E t / hbar is not finite at E = {energy}, t = {t}, "
+                         f"hbar = {hbar}")
+    return cmath.exp(angle)
+
+
 @dataclass(frozen=True, eq=False)
 class WaveFunctionPair:
     """One spatial eigenfunction with its two opposite time phases.
@@ -274,7 +283,7 @@ class WaveFunctionPair:
     hbar: float
 
     def psi_plus(self, t: float) -> GridFunction:
-        phase = cmath.exp(-1j * self.energy * t / self.hbar)
+        phase = _phase(self.energy, t, self.hbar)
         samples = self.spatial.samples.astype(np.complex128) * phase
         return GridFunction(self.spatial.grid, _frozen(samples))
 
@@ -315,7 +324,7 @@ def superposition_density(solution: EigenSolution, coeffs, t: float) -> GridFunc
         raise ValueError(f"coefficients must have unit norm, got {norm!r}")
     psi = np.zeros(solution.grid.n, dtype=np.complex128)
     for n, cn in enumerate(c):
-        phase = cmath.exp(-1j * solution.energies[n] * t / solution.units.hbar)
+        phase = _phase(solution.energies[n], t, solution.units.hbar)
         psi += cn * phase * solution.eigenfunctions[n].samples
     return GridFunction(solution.grid, _frozen(psi * np.conj(psi)).real)
 

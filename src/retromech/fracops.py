@@ -103,24 +103,16 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod((k - 1.0 - alpha) / k)))
 
 
-def _fd_first(y: np.ndarray, h: float) -> np.ndarray:
-    return np.gradient(y, h, edge_order=2)
-
-
-def _fd_second(y: np.ndarray, h: float) -> np.ndarray:
+def _integer_deriv(y: np.ndarray, h: float, m: int) -> np.ndarray:
+    if m == 0:
+        return y
+    if m == 1:
+        return np.gradient(y, h, edge_order=2)
     out = np.empty_like(y)
     out[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h**2
     out[0] = (2.0 * y[0] - 5.0 * y[1] + 4.0 * y[2] - y[3]) / h**2
     out[-1] = (2.0 * y[-1] - 5.0 * y[-2] + 4.0 * y[-3] - y[-4]) / h**2
     return out
-
-
-def _integer_deriv(y: np.ndarray, h: float, m: int) -> np.ndarray:
-    if m == 0:
-        return y
-    if m == 1:
-        return _fd_first(y, h)
-    return _fd_second(y, h)
 
 
 #: Largest direct sum (leaf) that the split in :func:`_causal_convolve`
@@ -215,10 +207,6 @@ def _product_trapezoid_integral(y: np.ndarray, h: float, mu: float) -> np.ndarra
     return out
 
 
-def _as_order(order) -> FracOrder:
-    return order if isinstance(order, FracOrder) else FracOrder(float(order))
-
-
 def _validate(f: GridFunction, order: FracOrder) -> None:
     if not np.isfinite(f.samples).all():
         raise ValueError("non-finite (NaN or inf) samples rejected")
@@ -238,7 +226,7 @@ def causal_frac_deriv(f: GridFunction, order,
     plain finite-difference derivative of that order. A result that
     overflows to inf or NaN raises ValueError instead of being returned.
     """
-    order = _as_order(order)
+    order = order if isinstance(order, FracOrder) else FracOrder(float(order))
     _validate(f, order)
     h = f.grid.h
     with np.errstate(all="ignore"):

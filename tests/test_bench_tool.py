@@ -1,0 +1,65 @@
+"""Smoke tests of the A/B harness ``tools/bench_dampedwave.py``: its
+``diff`` worker, the grouping of differing outcomes and the corpus it
+reads from ``tests/test_cli.py``."""
+
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_dampedwave", os.path.join(ROOT, "tools", "bench_dampedwave.py"))
+tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tool)
+
+
+def test_a_tree_against_itself_shows_no_difference():
+    lists = [["derive-eom", "--lagrangian", "1*q[1] + 0.5*q[0.5]"],
+             ["derive-eom", "--lagrangian", "1*q[1]", "--output", "eom.json"],
+             ["--config", "run.json", "--n", "101"],
+             ["oscillate", "--bogus"],
+             ["eigensolve", "--potential", "well, 1", "--n", "0"]]
+    runs = [tool._run_lists(ROOT, lists) for _ in range(2)]
+    assert [outcome["code"] for outcome in runs[0]] == [0, 0, 0, 2, 1]
+    assert list(runs[0][1]["files"]) == ["eom.json", "run.json"]
+    assert runs[0][4]["text"].startswith("error: eigensolver.default_grid: ")
+    assert tool._differences(list(zip(lists, *runs))) == {
+        "compared": 5, "differing": 0, "groups": {}}
+
+
+def _outcome(code, stdout="a", stderr="", files=(), text=""):
+    return {"code": code, "stdout": stdout, "stderr": stderr, "files": dict(files),
+            "text": text}
+
+
+def test_differences_are_grouped_by_command_exit_codes_and_streams():
+    runs = [
+        (["oscillate", "--k", "1"], _outcome(0), _outcome(0)),
+        (["oscillate", "--k", "2"], _outcome(1, text="old"), _outcome(1, text="new")),
+        (["oscillate", "--k", "3"], _outcome(1, text="x"), _outcome(1, text="y")),
+        (["fracdiff"], _outcome(0, files={"f": "1"}),
+         _outcome(1, stdout="", files={"f": "2"}, text="error")),
+        (["fracdiff", "--n=1"], _outcome("raised ValueError"), _outcome(1)),
+        ([], _outcome(2), _outcome(2, stdout="b")),
+    ]
+    for argv, parent, change in runs[1:3]:
+        parent["stderr"], change["stderr"] = parent["text"], change["text"]
+    assert tool._differences(runs) == {
+        "compared": 6, "differing": 5, "groups": {
+            ": exit 2 -> 2, stdout": {"count": 1, "runs": [
+                {"argv": [], "parent": "", "change": ""}]},
+            "fracdiff: exit 0 -> 1, stdout+files": {"count": 1, "runs": [
+                {"argv": ["fracdiff"], "parent": "", "change": "error"}]},
+            "fracdiff: exit raised ValueError -> 1, same streams": {"count": 1, "runs": [
+                {"argv": ["fracdiff", "--n=1"], "parent": "", "change": ""}]},
+            "oscillate: exit 1 -> 1, stderr": {"count": 2, "runs": [
+                {"argv": ["oscillate", "--k", "2"], "parent": "old", "change": "new"},
+                {"argv": ["oscillate", "--k", "3"], "parent": "x", "change": "y"}]}}}
+
+
+def test_mark_reader_finds_the_pinned_argv_lists():
+    # a refactor of the marks must not silently empty the diff corpus
+    lists = tool._marked_lists()
+    assert len(lists) >= 90
+    assert ["oscillate", "--k", "1e400"] in lists
+    assert all(isinstance(argv, list) and all(isinstance(token, str) for token in argv)
+               for argv in lists)

@@ -383,6 +383,21 @@ class TestSuperposition:
         with pytest.raises(ValueError, match="unit norm"):
             superposition_density(well_solution, [1.0, 1.0], 0.0)
 
+    def test_phase_that_leaves_the_float_range_is_named(self, well_solution):
+        # E t / hbar overflowed at t = 1e308, and both densities came out
+        # NaN without an error; at 1e306 they still integrate to one
+        coeffs = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        h = well_solution.grid.h
+        for rho in (density(make_pair(well_solution, 0), 1e306),
+                    superposition_density(well_solution, coeffs, 1e306)):
+            assert abs(np.sum(rho.samples) * h - 1.0) <= 1e-10
+        text = (f"phase E t / hbar is not finite at E = {well_solution.energies[0]}, "
+                "t = 1e+308, hbar = 1.0")
+        with pytest.raises(ValueError, match=re.escape(text)):
+            density(make_pair(well_solution, 0), 1e308)
+        with pytest.raises(ValueError, match=re.escape(text)):
+            superposition_density(well_solution, coeffs, 1e308)
+
 
 class TestEnergyFunctional:
     def test_vanishes_at_eigenpair(self, well_solution):

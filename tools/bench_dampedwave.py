@@ -1,113 +1,81 @@
-"""Before/after timings of two source trees, for the BENCH_*.json files.
+"""A/B harness of two source trees: byte comparison of their CLI runs and
+before/after measurements for the BENCH_*.json files.
 
-    python3 tools/bench_dampedwave.py inprocess PARENT CHANGE [--processes P] > inprocess.json
-    python3 tools/bench_dampedwave.py cli PARENT CHANGE [--pairs N] > cli.json
-    python3 tools/bench_dampedwave.py rss PARENT CHANGE [--pairs N] > rss.json
+    python3 tools/bench_dampedwave.py diff PARENT CHANGE --seeds S0 S1 > diff.json
     python3 tools/bench_dampedwave.py jobs-rss PARENT CHANGE --workload W \\
         --seeds S0 S1 > jobs.json
     python3 tools/bench_dampedwave.py bench PARENT CHANGE --workload W --seeds S0 S1 \\
         [--trace 0|1] > W.json
     python3 tools/bench_dampedwave.py report --what TEXT --layer TEXT \\
         [--claim WORKLOAD METRIC DROP] --bench W.json [W2.json ...] \\
-        --parent-commit REV [--inprocess inprocess.json --cli cli.json \\
-        --rss rss.json --jobs-rss jobs.json] > report.json
+        --parent-commit REV [--jobs-rss jobs.json] > report.json
 
-PARENT and CHANGE are the roots of two source checkouts. Every measuring
-mode pairs the two trees, alternates which side runs first, and prints its
-raw samples as one JSON document; ``report`` summarizes those documents
-into one report, a committed file or one entry of it. ``inprocess``, ``cli`` and ``rss`` time the
-well-mode shooting (BENCH_dampedwave.json); ``bench`` and ``report`` serve
-any layer (BENCH_lagrangian.json comes from them alone). The ``--what``,
-``--layer`` and ``--claim`` each file was made with are its ``what`` and
-``layer`` entries and its ``claim.workload``, ``claim.metric`` and
-``claim.min_drop``; a report made without ``--claim`` claims no gain and
-has ``"claim": null``. BENCH_memory.json and BENCH_dampedwave.json are
-lists of such reports, one per change, oldest first.
+PARENT and CHANGE are the roots of two source checkouts, S0 .. S1 seeds.
+Each mode prints one JSON document; ``jobs-rss`` and ``bench`` run one
+pair per seed, alternating which tree goes first. ``report`` summarizes
+their documents in one report, a committed file or one entry of the lists
+BENCH_memory.json and BENCH_dampedwave.json (oldest first), with the
+``what``, ``layer`` and ``claim`` its flags give (``null``: no gain).
 
-* ``inprocess``: each of P processes loads both ``src/`` trees side by
-  side (as the packages ``parent`` and ``change``) and times
-  ``dampedwave.damped_well_modes(0.5, 1.0, count=C)`` for C in 5, 20, 200,
-  2000 and 20000, call by call. A sample is the mean of enough calls to
-  fill about 20 ms.
-* ``cli``: wall time of ``python -m retromech dampedwave --xi 0 --well 1
-  --count 20000 --output FILE`` in fresh processes; the two trees' files
-  must be byte-identical.
-* ``rss``: peak RSS and call time of one ``damped_well_modes(0.5, 1.0,
-  count=C)`` in a fresh process, for C in 20000 and 200000: the parent, the
-  change, and the change shooting every mode as one stack
-  (``SHOOTING_BLOCK`` raised above C).
-* ``jobs-rss``: each job's own peak RSS. Every job of the CLI workload W
-  (``bench/workloads.py``, one pair per seed S0 .. S1, which draws the
-  job parameters) runs once per tree through that tree's
-  ``bench/launcher.py``, which starts it with ``posix_spawn`` and reads
-  its ``wait4`` rusage, so a job's peak is its own and not its
-  spawner's. The two trees' exit codes, stdout, stderr and output files
-  must be byte-identical. ``bench/`` is only read.
-* ``bench``: ``python3 bench/run.py --workload W --seed S --seconds 20
-  --trace T`` run from each root, one pair per seed; keeps every run's
-  report.
-* ``report``: medians, quartiles and pair wins of every sample set, and,
-  given ``--claim``, whether the claimed gain holds: METRIC of WORKLOAD
-  (trace off) at least DROP lower than the parent's, in at least 90 % of
-  the pairs, with a median gap wider than the parent's IQR.
+* ``diff`` runs argv lists through each tree's ``cli.main``, one
+  interpreter per tree (the hidden mode ``_worker ROOT``), each list in a
+  temporary directory that holds only README's ``run.json``, warnings
+  ``"always"``. The lists come from the checkout this tool runs from, each
+  once: README's ``retromech`` lines; the ``cli_desk`` and ``cli_large``
+  jobs of ``bench/workloads.py`` per seed, and its probes; each ``argv``
+  of a ``pytest.mark.parametrize`` in ``tests/test_cli.py``; and per seed
+  the draws of each ``argv`` property of ``tests/test_properties.py``
+  under ``hypothesis.seed(seed)``, with no example database.
+* ``jobs-rss`` runs the jobs of the CLI workload W through each tree's
+  ``bench/launcher.py``, which reads their ``wait4`` rusage: each job's own
+  peak RSS and its wall time.
+* Both compare outcomes: exit code (an exception that escapes ``main`` is
+  one), stdout, stderr (the tree's root path read as ``ROOT``) and the
+  name and bytes of each file left. They list every run whose outcomes
+  differ, grouped by subcommand, exit-code transition and the streams
+  that differ, with counts, and then exit 1 if any does.
+* ``bench`` keeps the report of ``python3 bench/run.py --workload W --seed
+  S --seconds 20 --trace T`` run from each root.
+* ``report`` gives medians, quartiles and pair wins of every sample set,
+  and, given ``--claim``, whether METRIC of WORKLOAD (trace off) is at
+  least DROP lower than the parent's in 90 % of the pairs or more, with a
+  median gap wider than the parent's IQR.
+
+The ``in_process``, ``cli`` and ``rss`` sections of BENCH_dampedwave.json
+came from modes last present here at commit f408d30. They timed
+``damped_well_modes(0.5, 1.0, count=C)`` call by call, both trees loaded
+in one process; ``dampedwave --xi 0 --well 1 --count 20000 --output F`` in
+fresh processes; and the peak RSS and time of one such call in a fresh
+process, also with every mode shot as one stack.
 """
 
 from __future__ import annotations
 
 import argparse
-import filecmp
+import contextlib
+import hashlib
 import importlib
-import importlib.util
+import inspect
+import io
 import json
 import os
+import pathlib
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
+import traceback
+import warnings
 
-COUNTS = (5, 20, 200, 2000, 20000)
-RSS_COUNTS = (20000, 200000)
 SIDES = ("parent", "change")
+
+#: the checkout this tool runs from, whose files make up the ``diff`` corpus
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: the claimed metric must be lower in at least this share of the pairs
 CLAIM_WINS = 0.9
-
-RSS_CODE = """if True:
-    import resource, sys, time
-    from retromech import dampedwave
-    count, one_stack = int(sys.argv[1]), sys.argv[2] == "1"
-    if one_stack:
-        dampedwave.SHOOTING_BLOCK = count + 1
-    start = time.perf_counter()
-    dampedwave.damped_well_modes(0.5, 1.0, count=count)
-    elapsed = time.perf_counter() - start
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, elapsed)
-"""
-
-
-def _load(alias, root):
-    """Import ROOT/src/retromech as the top-level package ``alias``."""
-    path = os.path.join(root, "src", "retromech", "__init__.py")
-    spec = importlib.util.spec_from_file_location(
-        alias, path, submodule_search_locations=[os.path.dirname(path)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[alias] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{alias}.dampedwave")
-
-
-def _time_call(fn, count):
-    reps = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(reps):
-            fn(0.5, 1.0, count=count)
-        elapsed = time.perf_counter() - start
-        if elapsed >= 0.02:
-            return elapsed / reps
-        reps *= 2
 
 
 def _orders(pairs):
@@ -115,71 +83,136 @@ def _orders(pairs):
     return [SIDES if i % 2 == 0 else SIDES[::-1] for i in range(pairs)]
 
 
-def _worker(parent, change, pairs):
-    """One process: ``pairs`` alternating samples per count."""
-    modules = {"parent": _load("parent", parent), "change": _load("change", change)}
-    out = {str(c): {side: [] for side in SIDES} for c in COUNTS}
-    for count in COUNTS:
-        for side in SIDES:  # warm-up
-            _time_call(modules[side].damped_well_modes, count)
-        for order in _orders(pairs):
-            for side in order:
-                out[str(count)][side].append(
-                    _time_call(modules[side].damped_well_modes, count))
-    return out
-
-
-def inprocess(args):
-    merged = {f"damped_well_modes_count{c}_s": {side: [] for side in SIDES}
-              for c in COUNTS}
-    for _ in range(args.processes):
-        done = subprocess.run(
-            [sys.executable, __file__, "_worker", args.parent, args.change,
-             "--pairs", str(args.pairs)],
-            capture_output=True, text=True, check=True)
-        for count, sides in json.loads(done.stdout).items():
-            for side, values in sides.items():
-                merged[f"damped_well_modes_count{count}_s"][side].extend(values)
-    return {"processes": args.processes, "pairs": args.pairs, "samples": merged}
-
-
 def _env(root):
     return dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
 
 
-def cli(args):
-    argv = [sys.executable, "-m", "retromech", "dampedwave", "--xi", "0",
-            "--well", "1", "--count", "20000", "--output"]
-    times = {side: [] for side in SIDES}
-    roots = {"parent": args.parent, "change": args.change}
-    with tempfile.TemporaryDirectory() as tmp:
-        outputs = {side: os.path.join(tmp, f"{side}.csv") for side in SIDES}
-        for order in _orders(args.pairs):
-            for side in order:
-                start = time.perf_counter()
-                subprocess.run([*argv, outputs[side]], env=_env(roots[side]), check=True)
-                times[side].append(time.perf_counter() - start)
-            if not filecmp.cmp(outputs["parent"], outputs["change"], shallow=False):
-                raise SystemExit("error: the two trees wrote different files")
-    return {"pairs": args.pairs, "samples": {"cli_well_count20000_s": times}}
+def _outcome(root, code, stdout, stderr, files):
+    """A run's exit code, digests of its streams and files, and its stderr text."""
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+    stderr = stderr.replace(os.path.abspath(root).encode(), b"ROOT")
+    return {"code": code, "stdout": digest(stdout), "stderr": digest(stderr),
+            "files": {name: digest(data) for name, data in sorted(files.items())},
+            "text": stderr.decode(errors="replace")}
 
 
-def rss(args):
-    # (name, root, one stack?)
-    runs = [("parent", args.parent, False), ("change", args.change, False),
-            ("change_one_stack", args.change, True)]
-    peak = {f"count{c}": {name: [] for name, _, _ in runs} for c in RSS_COUNTS}
-    call = {f"count{c}": {name: [] for name, _, _ in runs} for c in RSS_COUNTS}
-    for count in RSS_COUNTS:
-        for i in range(args.pairs):
-            for name, root, one_stack in (runs if i % 2 == 0 else runs[::-1]):
-                done = subprocess.run(
-                    [sys.executable, "-c", RSS_CODE, str(count), str(int(one_stack))],
-                    env=_env(root), capture_output=True, text=True, check=True)
-                mb, seconds = map(float, done.stdout.split())
-                peak[f"count{count}"][name].append(mb)
-                call[f"count{count}"][name].append(seconds)
-    return {"pairs": args.pairs, "peak_rss_mb": peak, "call_s": call}
+def _differences(runs):
+    """The (argv, parent outcome, change outcome) triples whose outcomes differ,
+    grouped by subcommand, exit-code transition and the streams that differ."""
+    groups = {}
+    for argv, parent, change in runs:
+        streams = [s for s in ("stdout", "stderr", "files") if parent[s] != change[s]]
+        if parent["code"] == change["code"] and not streams:
+            continue
+        key = (f"{' '.join(argv[:1])}: exit {parent['code']} -> {change['code']}, "
+               f"{'+'.join(streams) or 'same streams'}")
+        groups.setdefault(key, []).append(
+            {"argv": argv, "parent": parent["text"], "change": change["text"]})
+    groups = {key: {"count": len(g), "runs": g} for key, g in sorted(groups.items())}
+    differing = sum(group["count"] for group in groups.values())
+    return {"compared": len(runs), "differing": differing, "groups": groups}
+
+
+def _import(folder, name):
+    """Module ``name`` of this checkout's FOLDER, with ``retromech`` from its src/."""
+    for path in (os.path.join(HERE, "src"), os.path.join(HERE, folder)):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    return importlib.import_module(name)
+
+
+def _job_argv(job):
+    return [*job.argv, *(["--output", job.output] if job.output else [])]
+
+
+def _marked_lists():
+    """Every ``argv`` value of a ``pytest.mark.parametrize`` in tests/test_cli.py."""
+    lists = []
+    for value in vars(_import("tests", "test_cli")).values():
+        for fn in vars(value).values() if inspect.isclass(value) else [value]:
+            marks = [m for m in getattr(fn, "pytestmark", ()) if m.name == "parametrize"]
+            for names, rows in (mark.args for mark in marks):
+                names = names.replace(" ", "").split(",")
+                for row in rows if "argv" in names else ():
+                    # a pytest.param holds its row in ``values``
+                    row = getattr(row, "values", row if len(names) > 1 else (row,))
+                    lists.append(row[names.index("argv")])
+    return [argv for argv in lists if isinstance(argv, list)]
+
+
+def _drawn_lists(seeds):
+    """Per seed, the draws of each ``argv`` property of tests/test_properties.py."""
+    import hypothesis
+    lists = []
+    for test in vars(_import("tests", "test_properties")).values():
+        handle = getattr(test, "hypothesis", None)
+        if not (inspect.isfunction(test) and handle is not None
+                and list(inspect.signature(handle.inner_test).parameters) == ["argv"]):
+            continue
+        inner, handle.inner_test = handle.inner_test, lambda argv: lists.append(argv)
+        try:
+            for seed in seeds:
+                hypothesis.seed(seed)(test)()  # the seed also drops the database
+        finally:
+            handle.inner_test = inner
+    return lists
+
+
+def _corpus(seeds):
+    """The ``diff`` corpus of this checkout, each argv list once."""
+    with open(os.path.join(HERE, "README.md"), encoding="utf-8") as handle:
+        lists = [shlex.split(line, comments=True)[1:] for line in handle
+                 if line.startswith("retromech ")]
+    workloads = _import("bench", "workloads")
+    lists += [list(probe.argv) for probe in workloads.PROBES]
+    for seed in seeds:
+        for workload in workloads.CLI_WORKLOADS.values():
+            lists += [_job_argv(job) for job in workload(workloads.draw(seed))]
+    lists += _marked_lists() + _drawn_lists(seeds)
+    return [list(argv) for argv in dict.fromkeys(map(tuple, lists))]
+
+
+def _worker(args):
+    """Outcomes of the argv lists on stdin (JSON) through the ``cli.main`` of the
+    tree at ``args.root``, each in a directory with only README's ``run.json``."""
+    from retromech.cli import main
+    outcomes = []
+    for argv in json.load(sys.stdin):
+        out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+                    for _ in range(2))
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            os.chdir(tmp)
+            with open("run.json", "w") as handle:
+                json.dump({"command": "oscillate", "k": 4.0}, handle)
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # an escaping exception is an outcome of its own
+                code = f"raised {type(exc).__name__}"
+                err.write("".join(traceback.format_exception_only(exc)))
+            files = {name: pathlib.Path(name).read_bytes() for name in os.listdir()}
+            os.chdir(HERE)
+        outcomes.append(_outcome(args.root, code, out.buffer.getvalue(),
+                                 err.buffer.getvalue(), files))
+    return outcomes
+
+
+def _run_lists(root, lists):
+    """The outcomes of ``lists`` on ROOT's tree, in one interpreter."""
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "_worker", root],
+                          input=json.dumps(lists), capture_output=True, text=True,
+                          env=_env(root), check=True)
+    return json.loads(done.stdout)
+
+
+def diff(args):
+    lists = _corpus(args.seeds)
+    outcomes = [_run_lists(root, lists) for root in (args.parent, args.change)]
+    return {"seeds": args.seeds, "differences": _differences([*zip(lists, *outcomes)])}
 
 
 def _launch(root):
@@ -189,60 +222,54 @@ def _launch(root):
                             stdout=subprocess.PIPE, text=True, cwd=root, env=_env(root))
 
 
-def _read_bytes(path):
-    with open(path, "rb") as handle:
-        return handle.read()
-
-
-def _run_job(launcher, job, tmp):
-    """Run one workload job through ``launcher``; returns its peak RSS in
-    MiB and its (exit code, stdout, stderr, output file) bytes."""
-    out, err, path = (os.path.join(tmp, f"job.{ext}") for ext in ("out", "err", "file"))
-    argv = [sys.executable, "-m", "retromech", *job.argv]
-    argv += ["--output", path] if job.output else []
-    request = {"argv": argv, "stdout": out, "stderr": err, "timeout": 600}
+def _run_job(launcher, root, job, tmp):
+    """The launcher's reply to one workload job, and the job's outcome."""
+    out, err, path = (pathlib.Path(tmp, f"job.{ext}") for ext in ("out", "err", "file"))
+    argv = [sys.executable, "-m", "retromech", *job.argv,
+            *(["--output", str(path)] if job.output else [])]
+    request = {"argv": argv, "stdout": str(out), "stderr": str(err), "timeout": 600}
     launcher.stdin.write(json.dumps(request) + "\n")
     launcher.stdin.flush()
     reply = json.loads(launcher.stdout.readline())
-    wrote = _read_bytes(path) if job.output else None
-    result = (reply["code"], _read_bytes(out), _read_bytes(err), wrote)
-    return reply["maxrss_kib"] / 1024, result
+    files = {job.output: path.read_bytes()} if job.output else {}
+    return reply, _outcome(root, reply["code"], out.read_bytes(), err.read_bytes(), files)
 
 
 def jobs_rss(args):
     roots = {"parent": args.parent, "change": args.change}
     # started before numpy loads here, as bench/run.py starts its launcher
-    launchers = {side: _launch(roots[side]) for side in SIDES}
-    sys.path.insert(0, os.path.join(args.parent, "bench"))
-    import workloads
-    seeds = list(range(args.seeds[0], args.seeds[1] + 1))
-    orders = _orders(len(seeds))
-    peaks = {}
+    launchers = {side: _launch(root) for side, root in roots.items()}
+    workloads = _import("bench", "workloads")
+    orders = _orders(len(args.seeds))
+    samples = {"maxrss_mb": {}, "wall_s": {}}
+    runs = []
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            for seed, order in zip(seeds, orders):
+            for seed, order in zip(args.seeds, orders):
                 jobs = workloads.CLI_WORKLOADS[args.workload](workloads.draw(seed))
                 for job in jobs:
-                    outputs = {}
+                    outcomes = {}
                     for side in order:
-                        peak, outputs[side] = _run_job(launchers[side], job, tmp)
-                        peaks.setdefault(job.name, {s: [] for s in SIDES})[side].append(
-                            peak)
-                    if outputs["parent"] != outputs["change"]:
-                        raise SystemExit(f"error: {job.name} (seed {seed}) differs "
-                                         "between the two trees")
+                        reply, outcomes[side] = _run_job(launchers[side], roots[side],
+                                                         job, tmp)
+                        reply["maxrss_mb"] = reply["maxrss_kib"] / 1024
+                        for key, by_job in samples.items():
+                            by_job.setdefault(job.name, {s: [] for s in SIDES})
+                            by_job[job.name][side].append(reply[key])
+                    runs.append((_job_argv(job), outcomes["parent"], outcomes["change"]))
     finally:
         for launcher in launchers.values():
             launcher.stdin.close()
             launcher.wait()
             launcher.stdout.close()
-    return {"workload": args.workload, "seeds": seeds,
-            "first": [order[0] for order in orders], "maxrss_mb": peaks}
+    return {"workload": args.workload, "seeds": args.seeds,
+            "first": [order[0] for order in orders], **samples,
+            "differences": _differences(runs)}
 
 
 def bench(args):
     roots = {"parent": args.parent, "change": args.change}
-    seeds = list(range(args.seeds[0], args.seeds[1] + 1))
+    seeds = args.seeds
     runs = {side: [] for side in SIDES}
     orders = _orders(len(seeds))
     for seed, order in zip(seeds, orders):
@@ -312,24 +339,10 @@ def _host():
 
 def report(args):
     def read(path):
-        with open(path) as f:
-            return json.load(f)
-    doc = {"what": args.what,
-           "layer": args.layer,
-           "parent_commit": args.parent_commit,
+        return json.loads(pathlib.Path(path).read_text())
+    doc = {"what": args.what, "layer": args.layer, "parent_commit": args.parent_commit,
            "host": _host(),
            "harness": "tools/bench_dampedwave.py; see its docstring for each section"}
-    if args.inprocess:
-        inproc = read(args.inprocess)
-        doc["in_process"] = {
-            "processes": inproc["processes"], "pairs_per_process": inproc["pairs"],
-            **{name: _summary(s["parent"], s["change"])
-               for name, s in inproc["samples"].items()}}
-    if args.cli:
-        times = read(args.cli)
-        doc["cli"] = {"pairs": times["pairs"],
-                      **{name: _summary(s["parent"], s["change"])
-                         for name, s in times["samples"].items()}}
     if args.jobs_rss:
         jobs = read(args.jobs_rss)
         peaks = jobs["maxrss_mb"]
@@ -337,65 +350,50 @@ def report(args):
                           for i in range(len(jobs["seeds"]))] for side in SIDES}
         doc["jobs_rss"] = {"workload": jobs["workload"], "seeds": jobs["seeds"],
                            "first": jobs["first"],
-                           "largest_job_mb": _summary(largest["parent"],
-                                                      largest["change"]),
+                           "largest_job_mb": _summary(*largest.values()),
                            **{name: _summary(runs["parent"], runs["change"])
-                              for name, runs in peaks.items()}}
-    if args.rss:
-        memory = read(args.rss)
-        doc["rss"] = {"runs_each": memory["pairs"],
-                      **{f"{quantity}_median": {
-                          count: {name: statistics.median(values)
-                                  for name, values in runs.items()}
-                          for count, runs in memory[quantity].items()}
-                         for quantity in ("peak_rss_mb", "call_s")},
-                      "samples": {q: memory[q] for q in ("peak_rss_mb", "call_s")}}
-    bench_runs = {}
+                              for name, runs in peaks.items()},
+                           "wall_s": {name: _summary(runs["parent"], runs["change"])
+                                      for name, runs in jobs["wall_s"].items()}}
+    benches = {}
     for path in args.bench:
         run = read(path)
         key = (f"{run['workload']} trace {run['trace']} "
                f"seeds {run['seeds'][0]}-{run['seeds'][-1]}")
-        bench_runs[key] = _bench_summary(run)
-    if args.claim:
-        workload, metric, min_drop = args.claim
-        doc["claim"] = _claim(bench_runs, workload, metric, float(min_drop))
-    else:
-        doc["claim"] = None
-    doc["bench_run"] = bench_runs
+        benches[key] = _bench_summary(run)
+    doc["claim"] = args.claim and _claim(benches, *args.claim[:2], float(args.claim[2]))
+    doc["bench_run"] = benches
     return doc
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("inprocess", "cli", "rss", "jobs-rss", "bench", "_worker"):
+    for mode in ("diff", "jobs-rss", "bench"):
         p = sub.add_parser(mode)
         p.add_argument("parent")
         p.add_argument("change")
-        p.add_argument("--processes", type=int, default=10)
-        p.add_argument("--pairs", type=int, default=11 if mode != "rss" else 3)
         p.add_argument("--workload", default="library_sweep")
         p.add_argument("--seeds", type=int, nargs=2, default=(1101, 1110))
         p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    sub.add_parser("_worker").add_argument("root")
     p = sub.add_parser("report")
     p.add_argument("--what", required=True, help="the change, in one paragraph")
     p.add_argument("--layer", required=True, help="the layer it moves and its spans")
     p.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "DROP"),
                    help="the gain claimed, if any")
-    p.add_argument("--inprocess")
-    p.add_argument("--cli")
-    p.add_argument("--rss")
     p.add_argument("--jobs-rss")
     p.add_argument("--bench", nargs="+", required=True)
     p.add_argument("--parent-commit", required=True)
     args = parser.parse_args()
-    if args.mode == "_worker":
-        result = _worker(args.parent, args.change, args.pairs)
-    else:
-        result = {"inprocess": inprocess, "cli": cli, "rss": rss, "jobs-rss": jobs_rss,
-                  "bench": bench, "report": report}[args.mode](args)
+    if "seeds" in args:
+        args.seeds = list(range(args.seeds[0], args.seeds[1] + 1))
+    result = {"diff": diff, "jobs-rss": jobs_rss, "bench": bench, "report": report,
+              "_worker": _worker}[args.mode](args)
     json.dump(result, sys.stdout, indent=1)
     print()
+    if isinstance(result, dict) and result.get("differences", {}).get("differing"):
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":
