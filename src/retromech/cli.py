@@ -227,22 +227,15 @@ def _emit(chunks, path: str | None) -> None:
 # --------------------------------------------------------------------------
 # argument parsing
 
-def _numpy(name):
-    """numpy's ``name`` applied to an array; numpy loads at the first call."""
-    def apply(t):
-        import numpy as np
-        return getattr(np, name)(t)
-    return apply
-
-
+#: Sample functions of ``(np, t)``: the handler passes numpy, so parsing loads none.
 _FN_TABLE = {
-    "t": lambda t: t,
-    "t^2": lambda t: t**2,
-    "t^3": lambda t: t**3,
-    "sin(t)": _numpy("sin"),
-    "cos(t)": _numpy("cos"),
-    "exp(t)": _numpy("exp"),
-    "const": _numpy("ones_like"),
+    "t": lambda np, t: t,
+    "t^2": lambda np, t: t**2,
+    "t^3": lambda np, t: t**3,
+    "sin(t)": lambda np, t: np.sin(t),
+    "cos(t)": lambda np, t: np.cos(t),
+    "exp(t)": lambda np, t: np.exp(t),
+    "const": lambda np, t: np.ones_like(t),
 }
 
 _SCHEMES = {
@@ -432,11 +425,19 @@ def parse_args(argv) -> RunConfig:
         subparser.error(f"argument --{empty[0].replace('_', '-')}: expected one argument")
     if command == "eigensolve":
         lone = (options["a"] is None) != (options["b"] is None)
-        needs_domain = options["potential"].strip().startswith(("free", "poly"))
-        if lone or needs_domain and options["a"] is None:
+        if lone or options["a"] is None and _needs_domain(options["potential"]):
             subparser.error("--a and --b go together, and free and polynomial "
                             "potentials require them")
     return RunConfig(command=command, options=options)
+
+
+def _needs_domain(text):
+    """Whether ``text`` parses as a potential without a default domain."""
+    from . import lagrangian
+    try:
+        return lagrangian.parse_potential(text).kind in ("free", "poly")
+    except ValueError:  # the handler names the parse error
+        return False
 
 
 def _load_config(parser, path):
@@ -484,7 +485,7 @@ def _cmd_fracdiff(opts):
     order = _wrap(fracops.FracOrder, opts["alpha"])
     t = _wrap(grid.points)
     with np.errstate(over="ignore", invalid="ignore"):  # fracops rejects inf/nan
-        f = GridFunction(grid, _FN_TABLE[opts["fn"]](t))
+        f = GridFunction(grid, _FN_TABLE[opts["fn"]](np, t))
     deriv = (fracops.causal_frac_deriv if opts["direction"] == "causal"
              else fracops.retrocausal_frac_deriv)
     out = _wrap(deriv, f, order, _SCHEMES[opts["scheme"]])
@@ -646,8 +647,11 @@ def run(config: RunConfig) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    except OSError as exc:  # its own text would name the temporary sibling
+        path = config.options.get("output")
+        target = "stdout" if path is None else repr(path)
+        print(f"error: cannot write output to {target}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -663,7 +667,3 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_entry()

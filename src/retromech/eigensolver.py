@@ -171,21 +171,20 @@ def _load_flapack():
     return module
 
 
-def eigh_tridiagonal(d, e, *, select_range):
-    """Eigenpairs ``select_range = (lo, hi)`` (inclusive, ascending) of the
-    symmetric tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
+def eigh_tridiagonal(d, e, *, count):
+    """The lowest ``count`` eigenpairs, ascending, of the symmetric
+    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
 
     Runs what ``scipy.linalg.eigh_tridiagonal(d, e, select="i",
-    select_range=...)`` runs: LAPACK ``dstebz`` bisection in block order,
-    ``dstein`` inverse iteration, then a sort by eigenvalue, so energies
-    and eigenvectors are identical to scipy's bytes. The LAPACK module is
-    loaded on the first call; inputs must be finite, since nothing here
-    checks them. A nonzero LAPACK ``info`` raises :class:`SpectrumError`.
+    select_range=(0, count - 1))`` runs: LAPACK ``dstebz`` bisection in
+    block order, ``dstein`` inverse iteration, then a sort by eigenvalue,
+    so energies and eigenvectors are identical to scipy's bytes. The
+    LAPACK module is loaded on the first call; inputs must be finite,
+    since nothing here checks them. A nonzero LAPACK ``info`` raises
+    :class:`SpectrumError`.
     """
     lapack = _load_flapack()
-    lo, hi = select_range
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1,
-                                               0.0, "B")
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, count, 0.0, "B")
     if info != 0:
         raise SpectrumError(f"LAPACK dstebz bisection failed (info = {info})")
     w = w[:m]
@@ -218,7 +217,7 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
             f"count = {count} exceeds matrix dimension {hamiltonian.dimension}"
         )
     d, e = hamiltonian.diag, hamiltonian.offdiag
-    energies, vectors = eigh_tridiagonal(d, e, select_range=(0, count - 1))
+    energies, vectors = eigh_tridiagonal(d, e, count=count)
     rows = np.abs(d)
     rows[:-1] += np.abs(e)
     rows[1:] += np.abs(e)

@@ -272,9 +272,9 @@ class ComposeHalfResult:
     boundary_ok: bool
 
 
-def compose_half(f: GridFunction, direction: Direction = Direction.CAUSAL,
-                 scheme: Scheme = Scheme.GRUNWALD_LETNIKOV) -> ComposeHalfResult:
-    """Apply the order-1/2 derivative twice along ``direction``.
+def compose_half(f: GridFunction,
+                 direction: Direction = Direction.CAUSAL) -> ComposeHalfResult:
+    """Apply the order-1/2 Grunwald-Letnikov derivative twice along ``direction``.
 
     Approximates d/dt for the causal sweep and -d/dt for the retrocausal
     one. The half kernel is singular where the sweep starts, so a
@@ -285,6 +285,6 @@ def compose_half(f: GridFunction, direction: Direction = Direction.CAUSAL,
     scale = float(np.max(np.abs(f.samples)))
     boundary_ok = bool(abs(start) <= BOUNDARY_RTOL * max(1.0, scale))
     deriv = causal_frac_deriv if direction is Direction.CAUSAL else retrocausal_frac_deriv
-    once = deriv(f, half, scheme)
-    twice = deriv(once, half, scheme)
+    once = deriv(f, half)
+    twice = deriv(once, half)
     return ComposeHalfResult(values=twice, boundary_ok=boundary_ok)

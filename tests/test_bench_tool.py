@@ -1,13 +1,16 @@
-"""Smoke tests of the A/B harness ``tools/bench_dampedwave.py``: its
+"""Smoke tests of the A/B harness ``tools/ab.py``: its
 ``diff`` worker, the grouping of differing outcomes and the corpus it
 reads from ``tests/test_cli.py``."""
 
 import importlib.util
 import os
+import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
-    "bench_dampedwave", os.path.join(ROOT, "tools", "bench_dampedwave.py"))
+    "ab", os.path.join(ROOT, "tools", "ab.py"))
 tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tool)
 
@@ -63,3 +66,17 @@ def test_mark_reader_finds_the_pinned_argv_lists():
     assert ["oscillate", "--k", "1e400"] in lists
     assert all(isinstance(argv, list) and all(isinstance(token, str) for token in argv)
                for argv in lists)
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "p", "c", "--workload", "cli_desk"],
+    ["diff", "p", "c", "--trace", "1"],
+    ["jobs-rss", "p", "c", "--workload", "cli_desk", "--trace", "1"],
+    ["jobs-rss", "p", "c"],
+], ids=["diff-workload", "diff-trace", "jobs-rss-trace", "jobs-rss-no-workload"])
+def test_each_mode_takes_only_the_flags_it_reads(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "argv", ["ab.py", *argv])
+    with pytest.raises(SystemExit) as err:
+        tool.main()
+    assert err.value.code == 2
+    assert "error: " in capsys.readouterr().err

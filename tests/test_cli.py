@@ -14,6 +14,7 @@ import pytest
 
 from retromech import lagrangian, verify
 from retromech.cli import _csv, main, parse_args
+from retromech.core import Grid
 
 
 def read(path):
@@ -40,6 +41,16 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as err:
             parse_args(["oscillate", "--bogus", "1"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate"], "error: unknown command 'frobnicate'"),
+        (["--config"], "error: argument --config: expected one argument"),
+    ], ids=["unknown-command", "bare-config"])
+    def test_usage_error_names_its_cause(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"retromech: {message}"
 
     def test_missing_required_parameter(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -125,6 +136,19 @@ class TestParseArgs:
             parse_args(["eigensolve", *argv])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv, error", [
+        (["eigensolve", "--potential", "freedom"], "offset 4: trailing input 'dom'"),
+        (["eigensolve", "--potential", "polynomial, 1"],
+         "offset 4: unexpected input 'nomial, 1' (expected ',')"),
+        (["eigensolve", "--potential", "freedom", "--a", "0", "--b", "1"],
+         "offset 4: trailing input 'dom'"),
+    ], ids=["free", "poly", "free-with-domain"])
+    def test_misspelt_potential_is_a_parse_error(self, capsys, argv, error):
+        # without a domain, the text's prefix read as free or poly and gave
+        # the usage error that free and polynomial potentials need one
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: lagrangian.parse_potential: {error}\n"
+
     def test_dampedwave_needs_xi_or_b(self):
         with pytest.raises(SystemExit) as err:
             parse_args(["dampedwave"])
@@ -141,6 +165,13 @@ class TestParseArgs:
         assert cfg.command == "oscillate"
         assert cfg.options["k"] == 4.0
         assert cfg.options["n"] == 101
+
+    def test_config_flag_with_equals_reads_the_same_file(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"command": "oscillate", "k": 4.0, "n": 101}))
+        assert (parse_args([f"--config={cfg_path}", "--c", "0.3"])
+                == parse_args(["--config", str(cfg_path), "--c", "0.3"]))
+        assert parse_args([f"--config={cfg_path}"]).options["k"] == 4.0
 
     @pytest.mark.parametrize("doc, dest, value", [
         ({"command": "oscillate", "k": None}, "k", 1.0),
@@ -168,8 +199,9 @@ class TestParseArgs:
         ('{"command": "oscillate", "n": 5.7}', "argument --n: invalid int value: '5.7'"),
         ('{"command": "oscillate", "n": true}', "argument --n: invalid int value: 'true'"),
         ('{"command": "oscillate", "k": 1' + "0" * 5000 + "}", "malformed config file"),
+        ("[1, 2]", "must hold a JSON object"),
     ], ids=["unknown-key", "help", "bad-choice", "bad-format", "bad-fn", "list-for-choice",
-            "float-for-int", "bool-for-int", "over-4300-digits"])
+            "float-for-int", "bool-for-int", "over-4300-digits", "list-document"])
     def test_config_value_rejected_as_its_flag(self, tmp_path, capsys, text, message):
         # each ran (the choices unchecked, n = 5.7 as 5, true as 1), or
         # ended in a traceback at run time or in the JSON reader
@@ -348,6 +380,15 @@ class TestDeriveEomCommand:
 
 
 class TestOscillateCommand:
+    def test_json_document(self, capsys):
+        assert main(["oscillate", "--c", "0.1", "--n", "101", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc) == ["direction", "energy", "params", "q", "qdot", "t"]
+        assert doc["params"] == {"m": 1.0, "C": 0.1, "k": 1.0, "q0": 1.0, "v0": 0.0}
+        assert doc["direction"] == "causal"
+        assert all(len(doc[key]) == 101 for key in ("t", "q", "qdot", "energy"))
+        assert doc["t"] == Grid(0.0, 10.0, 101).points().tolist()
+
     def test_csv_columns(self, tmp_path):
         out = tmp_path / "osc.csv"
         assert main(["oscillate", "--m", "1", "--c", "0", "--k", "1",
@@ -368,6 +409,28 @@ class TestOscillateCommand:
         assert code == 1
         assert not out.exists()
         assert "oscillator.solve_causal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["oscillate", "--n", "5", "--output", "missing/x.csv"],
+         "'missing/x.csv': No such file or directory"),
+        (["oscillate", "--n", "5", "--output", "run.json/x.csv"],
+         "'run.json/x.csv': Not a directory"),
+        (["oscillate", "--n", "5", "--output", "sub"], "'sub': Is a directory"),
+    ], ids=["missing-directory", "file-as-directory", "directory"])
+    def test_unwritable_output_names_its_path_and_reason(self, tmp_path, monkeypatch,
+                                                         capsys, argv, error):
+        # the OSError's own text named the random temporary sibling, as
+        # '.retromech-y_xhxy2l.tmp', so each run printed another line
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text("{}")
+        (tmp_path / "sub").mkdir()
+        errors = []
+        for _ in range(2):
+            assert main(argv) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: cannot write output to {error}\n"] * 2
+        assert sorted(os.listdir()) == ["run.json", "sub"]
+        assert os.listdir("sub") == []
 
     @pytest.mark.parametrize("argv, h, radius", [
         (["--n", "2"], "10", "399.654"),
@@ -819,6 +882,9 @@ def test_derive_eom_across_its_size_range(monkeypatch, capsys):
     (["dampedwave", "--xi", "1.3e154", "--well", "1", "--count", "1"],
      "dampedwave.damped_well_modes: shooting mode 1 at xi = 1.3e+154 and length 1.0 "
      "leaves the float range"),
+    (["dampedwave", "--xi", "1.3e154", "--well", "2.5e79", "--count", "1"],
+     "dampedwave.damped_well_modes: shooting mode 1 at xi = 1.3e+154 and length 2.5e+79 "
+     "leaves the float range"),
     # c1**2 and k_wave**2 raised "(34, 'Numerical result out of range')", and
     # xi = 1e308 printed numpy's warnings first
     (["dampedwave", "--xi", "1e155"],
@@ -874,11 +940,10 @@ def test_derive_eom_across_its_size_range(monkeypatch, capsys):
     (["eigensolve", "--potential", "harmonic, 0.09", "--n", "17", "--count", "0",
       "--a=-1.4082101870394402e+292", "--b=-0.617"],
      "eigensolver.build_hamiltonian: potential 'harmonic' is not evaluable on the grid"),
-], ids=["failed-shot", "xi-square", "xi-max", "wavenumber-square", "march",
-        "step-causal", "step-retrocausal", "step-dampedwave", "closed-form-warnings",
-        "closed-form-undamped", "closed-form-critical", "well-energy-invalid",
-        "guard-bound",
-        "overflowing-potential"])
+], ids=["failed-shot", "failed-shot-long-well", "xi-square", "xi-max", "wavenumber-square",
+        "march", "step-causal", "step-retrocausal", "step-dampedwave",
+        "closed-form-warnings", "closed-form-undamped", "closed-form-critical",
+        "well-energy-invalid", "guard-bound", "overflowing-potential"])
 def test_overflow_prints_only_the_error_line(argv, error):
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["retromech.cli"].__file__)))
@@ -1022,8 +1087,9 @@ def test_import_leaves_scipy_unloaded():
     (["--help"], 0),
     (["oscillate", "--bogus", "1"], 2),
     (["--config", "{missing}"], 2),
+    (["eigensolve", "--potential", "poly, 1, 2"], 2),
 ], ids=["import", "derive-eom", "derive-eom-output", "derive-eom-parse-error",
-        "version", "help", "usage-error", "bad-config"])
+        "version", "help", "usage-error", "bad-config", "eigensolve-domain"])
 def test_commands_without_arrays_leave_numpy_unloaded(tmp_path, argv, exit_code):
     # none of these computes an array, so none pays numpy's import
     src = os.path.dirname(os.path.dirname(os.path.abspath(

@@ -371,6 +371,12 @@ class TestDampedWell:
                                              r"and length 1e\+200"):
             damped_well_modes(1e150, 1e200, count=1)
 
+    def test_shot_that_leaves_the_float_range_is_named(self):
+        # at xi^2 = 1.69e308 the RK4 stages overflow, so the residual is not finite
+        with pytest.raises(ValueError, match=r"^shooting mode 1 at xi = 1\.3e\+154 and "
+                                             r"length 2\.5e\+79 leaves the float range$"):
+            damped_well_modes(1.3e154, 2.5e79, count=1)
+
     @pytest.mark.parametrize("length, named", [("1e156", True), ("1e200", True),
                                                ("1e308", True), ("2.2e154", False),
                                                ("1e155", False)])

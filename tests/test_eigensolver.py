@@ -165,8 +165,7 @@ class TestSpectrum:
         # cases met the absolute bound before it and still must
         ham = build_hamiltonian(potential, default_grid(potential, n))
         assert solve_spectrum(ham, count).count == count
-        w, v = eigensolver.eigh_tridiagonal(ham.diag, ham.offdiag,
-                                            select_range=(0, count - 1))
+        w, v = eigensolver.eigh_tridiagonal(ham.diag, ham.offdiag, count=count)
         for j in range(count):
             residual = np.linalg.norm(ham.matvec(v[:, j]) - w[j] * v[:, j])
             assert residual <= 1e-8 * np.linalg.norm(v[:, j])
@@ -174,8 +173,8 @@ class TestSpectrum:
     def test_residual_failure_names_pair_residual_and_bound(self, monkeypatch):
         exact = eigensolver.eigh_tridiagonal
 
-        def shifted(d, e, *, select_range):
-            w, v = exact(d, e, select_range=select_range)
+        def shifted(d, e, *, count):
+            w, v = exact(d, e, count=count)
             return w + np.array([0.0, 1e-6, 0.0]), v
 
         monkeypatch.setattr(eigensolver, "eigh_tridiagonal", shifted)
@@ -226,8 +225,7 @@ class TestLapack:
     @staticmethod
     def assert_matches_scipy(potential, n, count):
         ham = build_hamiltonian(potential, default_grid(potential, n))
-        w, v = eigensolver.eigh_tridiagonal(ham.diag, ham.offdiag,
-                                            select_range=(0, count - 1))
+        w, v = eigensolver.eigh_tridiagonal(ham.diag, ham.offdiag, count=count)
         w_ref, v_ref = scipy.linalg.eigh_tridiagonal(ham.diag, ham.offdiag, select="i",
                                                      select_range=(0, count - 1))
         assert w.shape == (count,) and v.shape == (ham.dimension, count)
@@ -260,7 +258,7 @@ class TestLapack:
         # eigenvalues block by block, and the higher block comes first here
         d = np.array([9.0, 8.0, 7.0, 6.0, 1.0, 2.0, 3.0, 4.0])
         e = np.array([-1.0, -1.0, -1.0, 0.0, -1.0, -1.0, -1.0])
-        w, v = eigensolver.eigh_tridiagonal(d, e, select_range=(0, 7))
+        w, v = eigensolver.eigh_tridiagonal(d, e, count=8)
         w_ref, v_ref = scipy.linalg.eigh_tridiagonal(d, e, select="i",
                                                      select_range=(0, 7))
         assert np.all(np.diff(w) > 0)
@@ -282,12 +280,12 @@ class TestLapack:
             "from retromech import eigensolver\n"
             "d = 2.0 + np.arange(60.0) / 7.0\n"
             "e = -np.ones(59)\n"
-            "w1, v1 = eigensolver.eigh_tridiagonal(d, e, select_range=(0, 9))\n"
+            "w1, v1 = eigensolver.eigh_tridiagonal(d, e, count=10)\n"
             "assert 'scipy.linalg' not in sys.modules\n"
             "import scipy.linalg\n"
             "w2, v2 = scipy.linalg.eigh_tridiagonal(d, e, select='i',\n"
             "                                       select_range=(0, 9))\n"
-            "w3, v3 = eigensolver.eigh_tridiagonal(d, e, select_range=(0, 9))\n"
+            "w3, v3 = eigensolver.eigh_tridiagonal(d, e, count=10)\n"
             "same = [a.tobytes() == b.tobytes() for a, b in\n"
             "        ((w1, w2), (w1, w3), (v1, v2), (v1, v3))]\n"
             "print(all(same))\n"

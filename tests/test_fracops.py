@@ -349,6 +349,26 @@ class TestCausalConvolve:
         assert out.dtype == ref.dtype
         assert np.array_equal(out, ref)
 
+    @pytest.mark.parametrize("complex_samples", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [38, 300, 512])
+    def test_one_leaf_keeps_both_ends_of_600_decades(self, n, complex_samples):
+        # the bit-identity cases start at n = 513, past the one-leaf sample.
+        # Scaling a leaf down by its peak flushes its small end to 0 where it
+        # spans more than ~308 decades, so each output, from 1e-300 to 1e300,
+        # keeps within 4 eps of sum|w y| of a long-double direct sum.
+        rng = np.random.default_rng(n)
+        y = rng.uniform(-1.0, 1.0, n)
+        if complex_samples:
+            y = y + 1j * rng.uniform(-1.0, 1.0, n)
+        y = y * _ENVELOPES["1e-300-to-1e300"](np.linspace(0.0, 1.0, n))
+        kernel = gl_weights(1.3 if complex_samples else 0.7, n)
+        out = fracops._causal_convolve(y, kernel)
+        parts = (out.real, y.real), (out.imag, y.imag)
+        for o, part in parts if complex_samples else parts[:1]:
+            ref = np.convolve(part.astype(np.longdouble), kernel.astype(np.longdouble))[:n]
+            scale = np.convolve(np.abs(part).astype(np.longdouble), np.abs(kernel))[:n]
+            assert np.all(np.abs(o - ref) <= 4 * np.finfo(np.float64).eps * scale)
+
     @pytest.mark.parametrize("n, calls", [(65536, 21), (65537, 42)])
     def test_one_transform_batch_per_shape_and_depth(self, monkeypatch, n, calls):
         # a kernel rfft, a row rfft and an irfft per block size and depth:

@@ -218,7 +218,7 @@ def _fracdiff(draw, rows):
 
     def columns():
         grid = Grid(0.0, b, n)
-        f = GridFunction(grid, _FN_TABLE[fn](grid.points()))
+        f = GridFunction(grid, _FN_TABLE[fn](np, grid.points()))
         deriv = causal_frac_deriv if direction == "causal" else retrocausal_frac_deriv
         return [grid.points(), deriv(f, alpha, _SCHEMES[scheme]).samples.real]
     return argv, columns

@@ -1,12 +1,11 @@
 """A/B harness of two source trees: byte comparison of their CLI runs and
 before/after measurements for the BENCH_*.json files.
 
-    python3 tools/bench_dampedwave.py diff PARENT CHANGE --seeds S0 S1 > diff.json
-    python3 tools/bench_dampedwave.py jobs-rss PARENT CHANGE --workload W \\
-        --seeds S0 S1 > jobs.json
-    python3 tools/bench_dampedwave.py bench PARENT CHANGE --workload W --seeds S0 S1 \\
+    python3 tools/ab.py diff PARENT CHANGE --seeds S0 S1 > diff.json
+    python3 tools/ab.py jobs-rss PARENT CHANGE --workload W --seeds S0 S1 > jobs.json
+    python3 tools/ab.py bench PARENT CHANGE --workload W --seeds S0 S1 \\
         [--trace 0|1] > W.json
-    python3 tools/bench_dampedwave.py report --what TEXT --layer TEXT \\
+    python3 tools/ab.py report --what TEXT --layer TEXT \\
         [--claim WORKLOAD METRIC DROP] --bench W.json [W2.json ...] \\
         --parent-commit REV [--jobs-rss jobs.json] > report.json
 
@@ -41,8 +40,10 @@ BENCH_memory.json and BENCH_dampedwave.json (oldest first), with the
   least DROP lower than the parent's in 90 % of the pairs or more, with a
   median gap wider than the parent's IQR.
 
-The ``in_process``, ``cli`` and ``rss`` sections of BENCH_dampedwave.json
-came from modes last present here at commit f408d30. They timed
+Up to commit 8893fc5 this tool was ``tools/bench_dampedwave.py``, the
+``harness`` its older report entries name. The ``in_process``, ``cli``
+and ``rss`` sections of BENCH_dampedwave.json came from modes last
+present here at commit f408d30. They timed
 ``damped_well_modes(0.5, 1.0, count=C)`` call by call, both trees loaded
 in one process; ``dampedwave --xi 0 --well 1 --count 20000 --output F`` in
 fresh processes; and the peak RSS and time of one such call in a fresh
@@ -342,7 +343,7 @@ def report(args):
         return json.loads(pathlib.Path(path).read_text())
     doc = {"what": args.what, "layer": args.layer, "parent_commit": args.parent_commit,
            "host": _host(),
-           "harness": "tools/bench_dampedwave.py; see its docstring for each section"}
+           "harness": "tools/ab.py; see its docstring for each section"}
     if args.jobs_rss:
         jobs = read(args.jobs_rss)
         peaks = jobs["maxrss_mb"]
@@ -369,13 +370,16 @@ def report(args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
+    pairs = {}
     for mode in ("diff", "jobs-rss", "bench"):
-        p = sub.add_parser(mode)
+        p = pairs[mode] = sub.add_parser(mode)
         p.add_argument("parent")
         p.add_argument("change")
-        p.add_argument("--workload", default="library_sweep")
         p.add_argument("--seeds", type=int, nargs=2, default=(1101, 1110))
-        p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    # jobs-rss runs only the CLI workloads, so bench's library_sweep is no default
+    pairs["jobs-rss"].add_argument("--workload", required=True)
+    pairs["bench"].add_argument("--workload", default="library_sweep")
+    pairs["bench"].add_argument("--trace", type=int, choices=(0, 1), default=0)
     sub.add_parser("_worker").add_argument("root")
     p = sub.add_parser("report")
     p.add_argument("--what", required=True, help="the change, in one paragraph")
