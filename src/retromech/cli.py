@@ -18,7 +18,9 @@ bytes of ``%.17g``, so neither the whole text nor the whole table is ever
 held. Files are written to a temporary sibling and renamed on success, so
 failures leave no partial output. Exit codes: 0 success, 1 computation
 failure (one line naming the library call, ``error: module.callee:
-detail``), 2 usage error. The
+detail``, also where a size cannot be allocated; ``error: cannot format
+output: ...`` where formatting the output runs out of memory), 2 usage
+error. The
 token after a value-taking flag is its value, whatever it looks like:
 ``--lagrangian "-1*q[1]"`` reads as ``--lagrangian=-1*q[1]``. ``--`` is
 never a value.
@@ -29,22 +31,22 @@ and choices; ``null`` leaves a flag unset, and explicit flags override
 file values.
 
 Each handler imports the modules it uses, so parsing, ``--version``,
-usage errors and ``derive-eom`` load no numpy.
+usage errors and ``derive-eom`` load no numpy, and no ``dataclasses``
+either: ``RunConfig`` and the lagrangian's records are ``enums.Record``s.
+``json`` loads only where a config file is read or JSON is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import __version__
-from .enums import Scheme
+from .enums import Record, Scheme, set_field
 
 __all__ = ["RunConfig", "parse_args", "run", "main", "console_entry"]
 
@@ -53,12 +55,14 @@ class CommandError(Exception):
     """Computation-phase failure; rendered as `error: <origin>: <detail>`."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Validated command name plus its flag values."""
 
-    command: str
-    options: dict
+    _fields = ("command", "options")
+
+    def __init__(self, command: str, options: dict):
+        set_field(self, "command", command)
+        set_field(self, "options", options)
 
 
 # --------------------------------------------------------------------------
@@ -202,6 +206,7 @@ def _format_rows(block) -> bytes:
 
 
 def _json(doc) -> tuple:
+    import json
     return ((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(),)
 
 
@@ -406,6 +411,7 @@ def parse_args(argv) -> RunConfig:
         flag = "--" + key.replace("_", "-")
         if not flags.get(flag):
             parser.error(f"unknown config key {key!r} for command {command!r}")
+        import json
         tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
 
     # the token after a value-taking flag is its value, whatever it looks
@@ -423,6 +429,8 @@ def parse_args(argv) -> RunConfig:
     empty = [key for key, value in options.items() if value == []]
     if empty:  # argparse drops a "--" value, leaving an empty list
         subparser.error(f"argument --{empty[0].replace('_', '-')}: expected one argument")
+    if options.get("output") == "":  # its directory would be the parent's
+        subparser.error("argument --output: expected a path, got ''")
     if command == "eigensolve":
         lone = (options["a"] is None) != (options["b"] is None)
         if lone or options["a"] is None and _needs_domain(options["potential"]):
@@ -441,6 +449,7 @@ def _needs_domain(text):
 
 
 def _load_config(parser, path):
+    import json
     try:
         with open(path) as handle:
             doc = json.load(handle)
@@ -462,13 +471,15 @@ def _wrap(fn, *args, **kwargs):
     ``fn`` as ``module.qualname`` (the function a wrapper's ``__wrapped__``
     points to, where it has one). The library's own errors subclass these:
     ``ParseError`` is a ValueError, ``UnstableIntegrationError`` and
-    ``SpectrumError`` are RuntimeErrors."""
+    ``SpectrumError`` are RuntimeErrors. A size that memory cannot hold
+    raises MemoryError, which numpy words as "Unable to allocate ..."."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, ArithmeticError, IndexError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, IndexError, RuntimeError, MemoryError) as exc:
         callee = getattr(fn, "__wrapped__", fn)
         module = callee.__module__.rpartition(".")[2]
-        raise CommandError(f"{module}.{callee.__qualname__}: {exc}") from exc
+        detail = str(exc) or type(exc).__name__
+        raise CommandError(f"{module}.{callee.__qualname__}: {detail}") from exc
 
 
 def _build_grid(opts):
@@ -543,7 +554,7 @@ def _cmd_oscillate(opts):
              else oscillator.solve_retrocausal)
     traj = _wrap(solve, params, grid)
     energy = _wrap(traj.energy)
-    t = grid.points()
+    t = _wrap(grid.points)
     if opts["format"] == "csv":
         return _csv(["t", "q", "qdot", "energy"],
                     [t, traj.position.samples, traj.velocity.samples, energy])
@@ -571,7 +582,7 @@ def _cmd_eigensolve(opts):
     sol = _wrap(eigensolver.solve_spectrum, ham, opts["count"])
     if opts["format"] == "csv":
         header = ["x"] + [f"psi_{n}" for n in range(sol.count)]
-        columns = [grid.points()] + [psi.samples for psi in sol.eigenfunctions]
+        columns = [_wrap(grid.points)] + [psi.samples for psi in sol.eigenfunctions]
         return _csv(header, columns)
     return _json({
         "potential": potential.to_json_dict(),
@@ -607,7 +618,7 @@ def _cmd_dampedwave(opts):
     if opts["format"] == "csv":
         psi = sol.closed_form.samples
         return _csv(["x", "Re(psi)", "Im(psi)", "abs(psi)"],
-                    [grid.points(), psi.real, psi.imag, np.abs(psi)])
+                    [_wrap(grid.points), psi.real, psi.imag, np.abs(psi)])
     return _json({
         "xi": params.xi,
         "k": params.k_wave,
@@ -646,6 +657,10 @@ def run(config: RunConfig) -> int:
             _emit(chunks, config.options.get("output"))
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # formatting the output, after every library call
+        print(f"error: cannot format output: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 1
     except OSError as exc:  # its own text would name the temporary sibling
         path = config.options.get("output")

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .enums import Direction
+from .enums import Direction, Record, set_field
 
 __all__ = [
     "Potential",
@@ -57,10 +56,11 @@ __all__ = [
 # potentials
 #
 # Parsing and deriving need no arrays, so numpy is imported only inside
-# ``evaluate``.
+# ``evaluate``. The records here are ``enums.Record``s, not dataclasses, so
+# this module loads neither numpy nor ``dataclasses``.
 
 
-class Potential:
+class Potential(Record):
     """Base class for potential descriptors; see the concrete kinds."""
 
     kind = "abstract"
@@ -81,7 +81,6 @@ class Potential:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class FreePotential(Potential):
     kind = "free"
 
@@ -99,16 +98,16 @@ class FreePotential(Potential):
         return ()
 
 
-@dataclass(frozen=True)
 class HarmonicPotential(Potential):
     """V(q) = k q^2 / 2 with spring constant k (equivalently m omega^2)."""
 
-    k: float
+    _fields = ("k",)
     kind = "harmonic"
 
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k >= 0):
-            raise ValueError(f"harmonic potential needs k >= 0, got {self.k}")
+    def __init__(self, k: float):
+        if not (math.isfinite(k) and k >= 0):
+            raise ValueError(f"harmonic potential needs k >= 0, got {k}")
+        set_field(self, "k", k)
 
     def evaluate(self, x):
         import numpy as np
@@ -124,20 +123,19 @@ class HarmonicPotential(Potential):
         return ((self.k, 1),) if self.k != 0 else ()
 
 
-@dataclass(frozen=True)
 class PolynomialPotential(Potential):
     """V(q) = sum_i coeffs[i] q^i."""
 
-    coeffs: tuple
+    _fields = ("coeffs",)
     kind = "poly"
 
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple):
+        coeffs = tuple(float(c) for c in coeffs)
         if not coeffs:
             raise ValueError("polynomial potential needs at least one coefficient")
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        set_field(self, "coeffs", coeffs)
 
     def evaluate(self, x):
         import numpy as np
@@ -164,17 +162,17 @@ class PolynomialPotential(Potential):
         return tuple(pairs)
 
 
-@dataclass(frozen=True)
 class InfiniteWellPotential(Potential):
     """Hard walls at 0 and ``length``; zero inside. Only meaningful for the
     eigensolver, where the walls become Dirichlet boundaries."""
 
-    length: float
+    _fields = ("length",)
     kind = "well"
 
-    def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise ValueError(f"well length must be positive, got {self.length}")
+    def __init__(self, length: float):
+        if not (math.isfinite(length) and length > 0):
+            raise ValueError(f"well length must be positive, got {length}")
+        set_field(self, "length", length)
 
     def evaluate(self, x):
         import numpy as np
@@ -204,71 +202,73 @@ def _coerce_order(order) -> Fraction:
     return Fraction(Decimal(str(order)))
 
 
-@dataclass(frozen=True)
-class ProductTerm:
+class ProductTerm(Record):
     """One lagrangian summand: coefficient times the left*right derivative
     product of the given order."""
 
-    coeff: float
-    order: Fraction
+    _fields = ("coeff", "order")
 
-    def __post_init__(self):
-        if not math.isfinite(self.coeff) or self.coeff == 0:
-            raise ValueError(f"coefficient must be finite and nonzero, got {self.coeff}")
-        order = _coerce_order(self.order)
+    def __init__(self, coeff: float, order: Fraction):
+        if not math.isfinite(coeff) or coeff == 0:
+            raise ValueError(f"coefficient must be finite and nonzero, got {coeff}")
+        order = _coerce_order(order)
         if order.numerator < 0:
             raise ValueError(f"negative order {order}")
-        object.__setattr__(self, "order", order)
+        set_field(self, "coeff", coeff)
+        set_field(self, "order", order)
 
 
-@dataclass(frozen=True)
-class LagrangianSpec:
-    terms: tuple
-    potential: Potential = FreePotential()
+class LagrangianSpec(Record):
+    _fields = ("terms", "potential")
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
+    def __init__(self, terms: tuple, potential: Potential = FreePotential()):
+        terms = tuple(terms)
         if len({(t.order.numerator, t.order.denominator) for t in terms}) != len(terms):
             raise ValueError("duplicate orders in lagrangian")
-        object.__setattr__(self, "terms", terms)
+        set_field(self, "terms", terms)
+        set_field(self, "potential", potential)
         # the derivative terms (coeff, 2*order) of both equations of motion,
         # highest order first. Built here rather than as a cached_property,
-        # whose first access costs more than this.
+        # whose first access costs more than this; not a field, so equality
+        # and repr skip it.
         ordered = sorted(terms, key=lambda t: t.order, reverse=True)
-        object.__setattr__(self, "_eom_terms", tuple(
+        set_field(self, "_eom_terms", tuple(
             EomTerm(t.coeff, Fraction(2 * t.order.numerator, t.order.denominator))
             for t in ordered))
 
 
-@dataclass(frozen=True)
-class EomTerm:
+class EomTerm(Record):
     """coeff * D^total_order q, in the direction of its equation of motion."""
 
-    coeff: float
-    total_order: Fraction
+    _fields = ("coeff", "total_order")
+
+    def __init__(self, coeff: float, total_order: Fraction):
+        set_field(self, "coeff", coeff)
+        set_field(self, "total_order", total_order)
 
 
-@dataclass(frozen=True)
-class EquationOfMotion:
+class EquationOfMotion(Record):
     """Ordered derivative terms plus the potential whose gradient closes
     the equation: sum coeff * D^order q + dV/dq = 0."""
 
-    terms: tuple
-    potential: Potential
-    direction: Direction
+    _fields = ("terms", "potential", "direction")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, terms: tuple, potential: Potential, direction: Direction):
+        set_field(self, "terms", tuple(terms))
+        set_field(self, "potential", potential)
+        set_field(self, "direction", direction)
 
 
-@dataclass(frozen=True)
-class ClassicalOde:
+class ClassicalOde(Record):
     """m q'' + c q' + k q = 0 with the damping sign carrying the
     causal/retrocausal distinction."""
 
-    mass_coeff: float
-    damping_coeff: float
-    stiffness_coeff: float
+    _fields = ("mass_coeff", "damping_coeff", "stiffness_coeff")
+
+    def __init__(self, mass_coeff: float, damping_coeff: float, stiffness_coeff: float):
+        set_field(self, "mass_coeff", mass_coeff)
+        set_field(self, "damping_coeff", damping_coeff)
+        set_field(self, "stiffness_coeff", stiffness_coeff)
 
 
 # --------------------------------------------------------------------------

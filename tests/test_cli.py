@@ -1,4 +1,5 @@
 import decimal
+import functools
 import itertools
 import json
 import math
@@ -432,6 +433,27 @@ class TestOscillateCommand:
         assert sorted(os.listdir()) == ["run.json", "sub"]
         assert os.listdir("sub") == []
 
+    @pytest.mark.parametrize("argv, config", [
+        (["oscillate", "--n", "5", "--output", ""], None),
+        (["oscillate", "--n", "5", "--output="], None),
+        (["derive-eom", "--lagrangian", "1*q[1]", "--output", ""], None),
+        (["--config", "run.json"], {"command": "oscillate", "n": 5, "output": ""}),
+    ], ids=["flag", "flag-equals", "derive-eom", "config"])
+    def test_empty_output_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv,
+                                           config):
+        # the temporary file went to the parent of the working directory
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        if config is not None:
+            (tmp_path / "work" / "run.json").write_text(json.dumps(config))
+        before = sorted(os.listdir(tmp_path)), sorted(os.listdir())
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: argument --output: expected a path, got ''")
+        assert (sorted(os.listdir(tmp_path)), sorted(os.listdir())) == before
+
     @pytest.mark.parametrize("argv, h, radius", [
         (["--n", "2"], "10", "399.654"),
         (["--n", "3"], "5", "21.4978"),
@@ -798,6 +820,60 @@ def test_eigensolve_across_its_size_range(capsys):
         failure(capsys.readouterr(), f"oscillator.{solver}", "stability region")
 
 
+# each first allocation exceeds the 128 TiB of a 47-bit user address space,
+# so it fails at once under any overcommit mode and touches no real memory
+_HUGE = "100000000000000000"
+
+
+@pytest.mark.parametrize("argv, origin", [
+    (["oscillate", "--n", _HUGE], "oscillator.solve_causal"),
+    (["fracdiff", "--alpha", "0.5", "--fn", "t", "--n", _HUGE], "core.Grid.points"),
+    (["eigensolve", "--potential", "well,1", "--n", _HUGE],
+     "eigensolver.build_hamiltonian"),
+    (["dampedwave", "--xi", "0.3", "--n", _HUGE], "dampedwave.solve_damped_free"),
+    (["dampedwave", "--xi", "0", "--well", "1", "--count", _HUGE],
+     "dampedwave.damped_well_modes"),
+], ids=["oscillate", "fracdiff", "eigensolve", "dampedwave", "well-modes"])
+def test_size_memory_cannot_hold_is_one_named_line(capsys, argv, origin):
+    # each ended in a multi-line _ArrayMemoryError traceback
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {origin}: Unable to allocate ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["oscillate", "--n", "11"],
+    ["eigensolve", "--potential", "well,1", "--n", "20", "--format", "csv"],
+    ["dampedwave", "--xi", "0.3", "--n", "11"],
+], ids=["oscillate", "eigensolve", "dampedwave"])
+def test_grid_points_out_of_memory_in_a_handler_is_named(monkeypatch, capsys, argv):
+    points = Grid.points
+
+    @functools.wraps(points)
+    def points_or_refuse(self):
+        # the handler's own call; the library's calls go through
+        if sys._getframe(1).f_globals["__name__"] == "retromech.cli":
+            raise MemoryError("Unable to allocate the grid")
+        return points(self)
+
+    monkeypatch.setattr(Grid, "points", points_or_refuse)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: core.Grid.points: Unable to allocate the grid\n"
+
+
+def test_formatting_out_of_memory_is_one_line(tmp_path, monkeypatch, capsys):
+    def refuse(block):
+        raise MemoryError
+
+    monkeypatch.setattr(sys.modules["retromech.cli"], "_format_rows", refuse)
+    out = tmp_path / "q.csv"
+    assert main(["oscillate", "--n", "11", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: cannot format output: MemoryError\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_dampedwave_across_its_size_range(capsys):
     def run(*argv):
         code = main(["dampedwave", *argv])
@@ -1077,36 +1153,53 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("argv, exit_code", [
-    (None, None),
-    (["derive-eom", "--lagrangian", "1*q[1] + 0.5*q[0.5] - V(harmonic, 2)"], 0),
+#: modules a run below loads only where a bare interpreter has them, json
+#: aside where a config file is read or JSON is written
+_START_UP_MODULES = ("numpy", "dataclasses", "inspect", "json")
+
+
+def _loaded(env, code=""):
+    """The stderr lines of running ``code``, then which of those modules
+    it left loaded, as its last line split."""
+    code += ("\nimport sys\n"
+             f"print(*sorted(set({_START_UP_MODULES}) & set(sys.modules)), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    lines = done.stderr.splitlines()
+    return lines[:-1], lines[-1].split()
+
+
+@pytest.mark.parametrize("argv, exit_code, loads_json", [
+    (None, None, False),
+    (["derive-eom", "--lagrangian", "1*q[1] + 0.5*q[0.5] - V(harmonic, 2)"], 0, False),
     (["derive-eom", "--lagrangian", "1*q[1] - V(poly, 1, 0, 3)", "--output", "{out}"],
-     0),
-    (["derive-eom", "--lagrangian", "1*q[1] +"], 1),
-    (["--version"], 0),
-    (["--help"], 0),
-    (["oscillate", "--bogus", "1"], 2),
-    (["--config", "{missing}"], 2),
-    (["eigensolve", "--potential", "poly, 1, 2"], 2),
+     0, True),
+    (["derive-eom", "--lagrangian", "1*q[1] +"], 1, False),
+    (["--version"], 0, False),
+    (["--help"], 0, False),
+    (["oscillate", "--bogus", "1"], 2, False),
+    (["--config", "{missing}"], 2, True),
+    (["eigensolve", "--potential", "poly, 1, 2"], 2, False),
 ], ids=["import", "derive-eom", "derive-eom-output", "derive-eom-parse-error",
         "version", "help", "usage-error", "bad-config", "eigensolve-domain"])
-def test_commands_without_arrays_leave_numpy_unloaded(tmp_path, argv, exit_code):
-    # none of these computes an array, so none pays numpy's import
+def test_commands_without_arrays_leave_numpy_unloaded(tmp_path, argv, exit_code,
+                                                      loads_json):
+    # none of these computes an array, so none pays numpy's import; none
+    # pays dataclasses' and its inspect's either, and json loads only where
+    # a config file is read or JSON is written
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["retromech.cli"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, retromech.cli\n"
     if argv is not None:
         argv = [arg.format(out=tmp_path / "eom.json", missing=tmp_path / "none.json")
                 for arg in argv]
         code += f"print(retromech.cli.main({argv!r}), file=sys.stderr)\n"
-    code += "print('numpy' in sys.modules, file=sys.stderr)"
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    lines = done.stderr.splitlines()
-    assert lines[-1] == "False"
+    lines, loaded = _loaded(env, code)
+    bare = _loaded(env)[1]
+    assert set(loaded) == set(bare) | ({"json"} if loads_json else set())
     if argv is not None:
-        assert lines[-2] == str(exit_code)
+        assert lines[-1] == str(exit_code)
     if argv and "--output" in argv:
         assert json.loads(read(tmp_path / "eom.json"))["reduced"]["causal"]["mass"] == 1
 
