@@ -15,7 +15,11 @@ round-trip floats, random checks are seeded). CSV is streamed in blocks
 of whole rows, at most 16384 values or one row, each stacked from slices
 of the output columns and formatted with array operations to exactly the
 bytes of ``%.17g``, so neither the whole text nor the whole table is ever
-held. Files are written to a temporary sibling and renamed on success, so
+held. Each value fills a 40-byte slot: a head word taken from a table
+(separator, sign, ``0.`` and zeros, leading digit), its other 16 digits,
+and a second copy of them, written in blocks where some value has
+integer digits after the leading one; one boolean index keeps each text's
+bytes. Files are written to a temporary sibling and renamed on success, so
 failures leave no partial output. Exit codes: 0 success, 1 computation
 failure (one line naming the library call, ``error: module.callee:
 detail``, also where a size cannot be allocated; ``error: cannot format
@@ -73,15 +77,20 @@ class RunConfig(Record):
 #: temporaries are held at a time, whatever the table's width.
 _CSV_BLOCK_VALUES = 16384
 
-#: Bytes of a value's slot in :func:`_format_rows`. As ``uint32`` words:
-#: 0 the separator before the value and ``"-0."``, 1 the leading digit as
-#: ``"000d"``, 2-5 digits 1-16, 6 ``"   ."``, 7-10 digits 1-16 again. A
-#: value's text is the slot's kept bytes: the separator, the sign, ``"0."``
-#: and up to three zeros when |x| < 1, then the integer digits from the
-#: first copy, and the point and the fraction's digits from the second.
-_SLOT = 44
+#: Bytes of a value's slot in :func:`_format_rows`. As ``uint64`` words:
+#: 0 the head, 1-2 digits 1-16, 3-4 digits 1-16 again, copied over the
+#: whole block when any of its values has digits left of the point after
+#: the leading one (exponent e >= 1), with the point over digit e of each
+#: such value. The head holds, right-aligned, the separator before the
+#: value, the sign, ``"0."`` and up to three zeros when |x| < 1, the
+#: leading digit, and the point when e = 0. A value's text is the slot's
+#: kept bytes: the head, then the first copy's digits (only the integer
+#: ones when e >= 1), then the point and the fraction's digits from the
+#: second copy. A value is one run of kept bytes, or two when e >= 1.
+_SLOT = 40
 #: Mask row of an empty text from a %-operation, after the 2 * 21 * 17
-#: fixed-notation rows; a text of length L takes the row L further on.
+#: fixed-notation rows (sign, k = 16 - e, trailing zeros); a text of
+#: length L keeps the separator in byte 0 and takes the row L further on.
 _PERCENT_MASKS = 2 * 21 * 17
 
 
@@ -100,45 +109,60 @@ def _csv(header: list, columns: list):
 @functools.cache
 def _csv_tables():
     """Powers of ten split for the exact product, the 4-digit text and
-    trailing-zero count of 0..9999, the slot's constant words, and the
-    keep-mask of every text layout."""
+    trailing-zero count of 0..9999, the head words, and the keep-mask of
+    every text layout."""
     import numpy as np
     powers = np.array([float(10**k) for k in range(23)])
     split = powers * 134217729.0  # Veltkamp: 27 high bits
     high = split - (split - powers)
-    i = np.arange(10000)
-    chunk = (i[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
-    digits = chunk.astype(np.uint8).view(np.uint32).ravel()
-    zeros = ((i % 10 == 0).astype(np.int64) + (i % 100 == 0) + (i % 1000 == 0)
-             + (i == 0))
-    words = np.frombuffer(b",-0.\n-0.   .", np.uint32)
-    # fixed-notation layouts by sign, exponent of the leading digit (-4..16)
-    # and significant digits (1..17), then text of 0..24 bytes from a
-    # %-operation; b is the byte's place in the slot
+    chunk = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for j in range(4):  # digit j of 0..9999
+        chunk[..., j] = np.arange(ord("0"), ord("9") + 1).reshape((-1,) + (1,) * (3 - j))
+    digits = chunk.view(np.uint32).ravel()
+    zeros = np.zeros(10000, np.int64)
+    for q in (10, 100, 1000, 10000):
+        zeros[::q] += 1
+    # head words by separator ("," or "\n"), sign, k = 16 - e (e from 16
+    # down to -4) and leading digit
+    e = 16 - np.arange(21)
+    bodies = ["0." + "0" * -j if j < 0 else "0." if j == 0 else "0" for j in e]
+    heads = np.frombuffer("".join((sep + sign + body).rjust(8) for sep in ",\n"
+                                  for sign in ("", "-") for body in bodies).encode(),
+                          np.uint8).reshape(4, 21, 1, 8).repeat(10, axis=2)
+    lead = np.arange(10, dtype=np.uint8)
+    heads[:, e != 0, :, 7] += lead
+    heads[:, e == 0, :, 6] += lead
+    # fixed-notation layouts by sign, k and trailing zeros of the 17 digits,
+    # then text of 0..24 bytes from a %-operation; b is the byte's place in
+    # the slot
     neg = np.arange(2)[:, None, None, None]
-    exp10 = np.arange(-4, 17)[None, :, None, None]
-    count = np.arange(1, 18)[None, None, :, None]
+    exp10 = e[None, :, None, None]
+    count = 17 - np.arange(17)[None, None, :, None]
     b = np.arange(_SLOT)
-    small = exp10 < 0
-    first = (b >= 7) & (b <= 23) & np.where(small, b - 7 < count, b - 7 <= exp10)
-    second = (b >= 28) & (b <= 43) & (b - 27 > exp10) & (b - 27 < count)
-    fixed = ((b == 0) | (b == 1) & (neg == 1)
-             | small & ((b == 2) | (b == 3) | (b >= exp10 + 8) & (b <= 6))
-             | first
-             | ~small & ((b == 27) & (count - 1 > exp10) | second))
+    width = 2 + neg + np.where(exp10 < 0, 1 - exp10, exp10 == 0)
+    fixed = ((b >= 8 - width) & (b < 8 - ((exp10 == 0) & (count == 1)))
+             | (b >= 8) & (b < 24) & (b - 7 < np.where(exp10 > 0, exp10 + 1, count))
+             | (exp10 > 0) & (count - 1 > exp10) & (b >= 23 + exp10) & (b < 23 + count))
     percent = b <= np.arange(25)[:, None]
     masks = np.concatenate((fixed.reshape(-1, _SLOT), percent))
-    return powers, high, powers - high, digits, zeros, words, masks
+    return powers, high, powers - high, digits, zeros, heads.view(np.uint64).ravel(), masks
 
 
 def _times_power_of_ten(a, k, powers, high, low):
     """hi + lo == a * 10**k exactly (Dekker's two-product)."""
-    p = a * powers[k]
+    p = a * powers.take(k)
     split = a * 134217729.0
     ah = split - (split - a)
     al = a - ah
-    bh, bl = high[k], low[k]
+    bh, bl = high.take(k), low.take(k)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _split(a, q):
+    """``divmod(a, q)`` by floor division, which numpy runs through
+    libdivide for a scalar ``q`` and ``np.divmod`` does not."""
+    h = a // q
+    return h, a - h * q
 
 
 def _format_rows(block) -> bytes:
@@ -150,7 +174,7 @@ def _format_rows(block) -> bytes:
     go through one %-operation for the block.
     """
     import numpy as np
-    powers, high, low, digits, zeros, words, masks = _csv_tables()
+    powers, high, low, digits, zeros, heads, masks = _csv_tables()
     x = block.ravel()
     # %.17g prints 1e-4 <= |x| < 1e17 in fixed notation: no double from
     # 1e-5 to 1e17 lies within half a unit of the 17th digit below a power
@@ -160,9 +184,8 @@ def _format_rows(block) -> bytes:
     # k <= 22), and hi >= 1e16 > 2**53 is an even integer, so rounding lo
     # half-even rounds the sum half-even.
     a = np.abs(x)
-    fixed = (a >= 1e-4) & (a < 1e17)
-    zero = a == 0
-    a[~fixed] = 1.0
+    outside = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
+    a[outside] = 1.0
     k = 16 - np.floor(np.log10(a)).astype(np.int64)
     np.maximum(k, 0, out=k)
     hi, lo = _times_power_of_ten(a, k, powers, high, low)
@@ -173,36 +196,54 @@ def _format_rows(block) -> bytes:
         k[off] += np.where(small[off], 1, -1)
         hi[off], lo[off] = _times_power_of_ten(a[off], k[off], powers, high, low)
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    d[zero] = 0
-    exp10 = 16 - k  # exponent of the leading digit
-    upper, lower = np.divmod(d, 10**8)
-    lead, upper = np.divmod(upper, 10**8)
-    chunks = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
-    trailing = zeros[chunks[3]]
+    del a, hi, lo, small
+    # a zero or %-text gets the leading digit 0 and a last digit 1, which
+    # keeps it out of the trailing-zero runs below
+    d[outside] = 1
+    upper, lower = _split(d, 10**8)
+    lead, upper = _split(upper, 10**8)
+    chunks = (*_split(upper, 10**4), *_split(lower, 10**4))
+    del d, upper, lower  # freed before the slots and the keep-mask are made
+    # row of the value's keep-mask (sign, k, trailing zeros) and of its
+    # head word (separator, sign, k, leading digit)
+    nk = np.signbit(x).astype(np.int64)
+    nk *= 21
+    nk += k
+    layout = nk * 17
+    layout += zeros.take(chunks[3])
     run = np.flatnonzero(chunks[3] == 0)
     for chunk in chunks[2::-1]:
-        trailing[run] += zeros[chunk[run]]
+        layout[run] += zeros.take(chunk[run])
         run = run[chunk[run] == 0]
+    layout[outside] += 16  # one digit; a %-text's row is set below
+    nk *= 10
+    nk += lead
+    nk.reshape(block.shape)[:, 0] += 2 * 21 * 10  # a row's first value follows "\n"
 
-    slots = np.empty((len(x), _SLOT // 4), np.uint32)
-    by_row = slots.reshape(*block.shape, -1)
-    by_row[:, 1:, 0] = words[0]
-    by_row[:, 0, 0] = words[1]
-    slots[:, 1] = digits[lead]
+    slots = np.empty((len(x), _SLOT // 8), np.uint64)
+    slots[:, 0] = heads.take(nk)
+    words = slots.view(np.uint32)
     for j, chunk in enumerate(chunks):
-        slots[:, 2 + j] = slots[:, 7 + j] = digits[chunk]
-    slots[:, 6] = words[2]
-    negative = np.signbit(x)
-    layout = negative * (21 * 17) + (exp10 + 4) * 17 + (16 - trailing)
+        words[:, 2 + j] = digits.take(chunk)
+    del nk, lead, chunks
+    big = np.flatnonzero(k < 16)  # e >= 1
     text = slots.view(np.uint8)
-    other = np.flatnonzero(~(fixed | zero))
+    if len(big):  # the point goes over digit e of the second copy: byte 39 - k
+        slots[:, 3] = slots[:, 1]
+        slots[:, 4] = slots[:, 2]
+        point = big * _SLOT
+        point += 39
+        point -= k.take(big)
+        text.reshape(-1)[point] = ord(".")
+    other = outside[x[outside] != 0]
     if len(other):
         printed = (("%-24.17g" * len(other)) % tuple(x[other].tolist())).encode()
         printed = np.frombuffer(printed, np.uint8).reshape(-1, 24)
+        text[other, 0] = np.where(other % block.shape[1], ord(","), ord("\n"))
         text[other, 1:25] = printed
         layout[other] = _PERCENT_MASKS + np.count_nonzero(printed != ord(" "), axis=1)
     # every value's text starts with the separator before it
-    return text[masks.take(layout, axis=0)][1:].tobytes() + b"\n"
+    return b"".join((text[masks.take(layout, axis=0)][1:], b"\n"))
 
 
 def _json(doc) -> tuple:

@@ -80,3 +80,17 @@ def test_each_mode_takes_only_the_flags_it_reads(monkeypatch, capsys, argv):
         tool.main()
     assert err.value.code == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("diff", []), ("jobs-rss", ["--workload", "cli_desk"]), ("bench", [])])
+def test_roots_are_resolved_before_the_jobs_run_inside_them(monkeypatch, tmp_path, mode,
+                                                            flags):
+    # jobs-rss starts each root's launcher with that root as its working
+    # directory, so a relative root would be read twice over
+    seen = {}
+    monkeypatch.setattr(tool, mode.replace("-", "_"), lambda args: seen.update(vars(args)) or {})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["ab.py", mode, "p", "c", *flags])
+    tool.main()
+    assert (seen["parent"], seen["change"]) == (str(tmp_path / "p"), str(tmp_path / "c"))

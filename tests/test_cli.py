@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from retromech import lagrangian, verify
-from retromech.cli import _csv, main, parse_args
+from retromech.cli import _CSV_BLOCK_VALUES, _csv, main, parse_args
 from retromech.core import Grid
 
 
@@ -742,6 +742,65 @@ def test_csv_holds_one_block_not_the_table():
     finally:
         tracemalloc.stop()
     assert peak < 2 * rows * 8
+
+
+def _shape(x):
+    """Exponent of the leading digit and count of significant digits of
+    ``format(x, ".17g")``."""
+    text = decimal.Decimal(format(x, ".17g"))
+    return text.adjusted(), len(text.normalize().as_tuple().digits)
+
+
+def _printed_as(exponent, count):
+    """A positive double whose ``%.17g`` text has ``count`` significant
+    digits, the leading one at ``10**exponent``: the first decimal of that
+    shape, from a leading digit that varies with the shape, whose nearest
+    double is printed as the decimal itself."""
+    for j, tail in itertools.product(range(9), range(min(250, 10 ** (count - 1)))):
+        n = ((exponent + count + j) % 9 + 1) * 10 ** (count - 1) + tail
+        x = float(f"{n}e{exponent - count + 1}")
+        if _shape(x) == (exponent, count):
+            return x
+    raise AssertionError(f"no double prints {count} digits at 1e{exponent}")
+
+
+#: One double per fixed-notation layout of %.17g: exponent -4..16, 1..17 digits.
+FIXED_LAYOUTS = [(e, count) for e in range(-4, 17) for count in range(1, 18)]
+#: Exponent notation from 1e+17 to -1.2345678901234567e-300: with a sign,
+#: every %-text length from 5 to 24 bytes.
+PERCENT_SHAPES = [(e, count) for e in (17, -300) for count in range(1, 18)]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_csv_matches_per_value_formatting_in_every_layout(width):
+    # each layout with both signs after both separators, "\n" in the first
+    # column and "," in the others, then zeros and the %-texts of 3..24 bytes
+    fixed = [_printed_as(*shape) for shape in FIXED_LAYOUTS]
+    assert [_shape(x) for x in fixed] == FIXED_LAYOUTS
+    percent = [_printed_as(*shape) for shape in PERCENT_SHAPES] + [np.nan, np.inf]
+    assert {len(format(sign * x, ".17g")) for x in percent for sign in (1, -1)} == set(
+        range(3, 25))
+    values = np.array(fixed + [0.0] + percent)
+    values = np.concatenate((values, -values))
+    columns = [values, -values, values][:width]
+    header = [f"c{j}" for j in range(width)]
+    assert b"".join(_csv(header, columns)) == per_value_csv(header, columns).encode()
+
+
+@pytest.mark.parametrize("integer_digits", [0, 1, _CSV_BLOCK_VALUES])
+def test_second_digit_copy_with_none_one_or_all_values_at_or_above_10(integer_digits):
+    # values at |x| >= 10 take the second digit copy, which is written over
+    # the whole block once any value needs it; the rest of the block lies
+    # below 10 and ignores it
+    rng = np.random.default_rng(integer_digits)
+    column = rng.uniform(-10.0, 10.0, _CSV_BLOCK_VALUES) * rng.choice([1.0, 1e-3], _CSV_BLOCK_VALUES)
+    where = rng.choice(_CSV_BLOCK_VALUES, integer_digits, replace=False)
+    column[where] = rng.uniform(1.0, 9.99, integer_digits) * 10.0 ** rng.integers(1, 17, integer_digits)
+    column[where[::2]] = np.round(-column[where[::2]], 2)  # negative, trailing zeros
+    assert np.count_nonzero(np.abs(column) >= 10) == integer_digits
+    chunks = list(_csv(["x"], [column]))
+    assert len(chunks) == 2  # one block
+    assert b"".join(chunks) == per_value_csv(["x"], [column]).encode()
 
 
 class TestJsonDeterminism:

@@ -392,6 +392,9 @@ def main():
     args = parser.parse_args()
     if "seeds" in args:
         args.seeds = list(range(args.seeds[0], args.seeds[1] + 1))
+    for name in ("parent", "change", "root"):  # the jobs run from inside each root
+        if name in args:
+            setattr(args, name, os.path.abspath(getattr(args, name)))
     result = {"diff": diff, "jobs-rss": jobs_rss, "bench": bench, "report": report,
               "_worker": _worker}[args.mode](args)
     json.dump(result, sys.stdout, indent=1)
