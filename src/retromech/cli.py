@@ -12,22 +12,15 @@ Subcommands map one-to-one onto the library modules:
 Outputs are deterministic: identical configurations yield byte-identical
 files (CSV floats use 17 significant digits, JSON uses shortest
 round-trip floats, random checks are seeded). CSV is streamed in blocks
-of whole rows, at most 16384 values or one row, each stacked from slices
-of the output columns and formatted with array operations to exactly the
-bytes of ``%.17g``, so neither the whole text nor the whole table is ever
-held. Each value fills a 40-byte slot: a head word taken from a table
-(separator, sign, ``0.`` and zeros, leading digit), its other 16 digits,
-and a second copy of them, written in blocks where some value has
-integer digits after the leading one; one boolean index keeps each text's
-bytes. Files are written to a temporary sibling and renamed on success, so
-failures leave no partial output. Exit codes: 0 success, 1 computation
-failure (one line naming the library call, ``error: module.callee:
-detail``, also where a size cannot be allocated; ``error: cannot format
-output: ...`` where formatting the output runs out of memory), 2 usage
-error. The
-token after a value-taking flag is its value, whatever it looks like:
-``--lagrangian "-1*q[1]"`` reads as ``--lagrangian=-1*q[1]``. ``--`` is
-never a value.
+of rows by :mod:`retromech.csvtext`, which holds its digit layout and
+which only runs that write CSV load. Files are written to a temporary
+sibling and renamed on success, so failures leave no partial output.
+Exit codes: 0 success, 1 computation failure (one line naming the
+library call, ``error: module.callee: detail``, also where a size cannot
+be allocated; ``error: cannot format output: ...`` where formatting the
+output runs out of memory), 2 usage error. The token after a
+value-taking flag is its value, whatever it looks like: ``--lagrangian
+"-1*q[1]"`` reads as ``--lagrangian=-1*q[1]``. ``--`` is never a value.
 
 A JSON config file mirroring the flag names (plus ``command``) can seed
 any run. Each value is parsed as its flag would be, with the same types
@@ -43,7 +36,6 @@ either: ``RunConfig`` and the lagrangian's records are ``enums.Record``s.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import re
 import sys
@@ -71,179 +63,6 @@ class RunConfig(Record):
 
 # --------------------------------------------------------------------------
 # deterministic formatting and output
-
-
-#: Values formatted per block, in whole rows; only one block's text and
-#: temporaries are held at a time, whatever the table's width.
-_CSV_BLOCK_VALUES = 16384
-
-#: Bytes of a value's slot in :func:`_format_rows`. As ``uint64`` words:
-#: 0 the head, 1-2 digits 1-16, 3-4 digits 1-16 again, copied over the
-#: whole block when any of its values has digits left of the point after
-#: the leading one (exponent e >= 1), with the point over digit e of each
-#: such value. The head holds, right-aligned, the separator before the
-#: value, the sign, ``"0."`` and up to three zeros when |x| < 1, the
-#: leading digit, and the point when e = 0. A value's text is the slot's
-#: kept bytes: the head, then the first copy's digits (only the integer
-#: ones when e >= 1), then the point and the fraction's digits from the
-#: second copy. A value is one run of kept bytes, or two when e >= 1.
-_SLOT = 40
-#: Mask row of an empty text from a %-operation, after the 2 * 21 * 17
-#: fixed-notation rows (sign, k = 16 - e, trailing zeros); a text of
-#: length L keeps the separator in byte 0 and takes the row L further on.
-_PERCENT_MASKS = 2 * 21 * 17
-
-
-def _csv(header: list, columns: list):
-    """Header line plus one row per sample, every value as ``%.17g``, as
-    an iterator of bytes, one block of rows at a time. Each block is
-    stacked from slices of the columns, so the whole table never exists."""
-    import numpy as np
-    yield (",".join(header) + "\n").encode()
-    rows = max(1, _CSV_BLOCK_VALUES // len(columns))
-    for start in range(0, len(columns[0]), rows):
-        block = np.column_stack([column[start:start + rows] for column in columns])
-        yield _format_rows(block.astype(np.float64, copy=False))
-
-
-@functools.cache
-def _csv_tables():
-    """Powers of ten split for the exact product, the 4-digit text and
-    trailing-zero count of 0..9999, the head words, and the keep-mask of
-    every text layout."""
-    import numpy as np
-    powers = np.array([float(10**k) for k in range(23)])
-    split = powers * 134217729.0  # Veltkamp: 27 high bits
-    high = split - (split - powers)
-    chunk = np.empty((10, 10, 10, 10, 4), np.uint8)
-    for j in range(4):  # digit j of 0..9999
-        chunk[..., j] = np.arange(ord("0"), ord("9") + 1).reshape((-1,) + (1,) * (3 - j))
-    digits = chunk.view(np.uint32).ravel()
-    zeros = np.zeros(10000, np.int64)
-    for q in (10, 100, 1000, 10000):
-        zeros[::q] += 1
-    # head words by separator ("," or "\n"), sign, k = 16 - e (e from 16
-    # down to -4) and leading digit
-    e = 16 - np.arange(21)
-    bodies = ["0." + "0" * -j if j < 0 else "0." if j == 0 else "0" for j in e]
-    heads = np.frombuffer("".join((sep + sign + body).rjust(8) for sep in ",\n"
-                                  for sign in ("", "-") for body in bodies).encode(),
-                          np.uint8).reshape(4, 21, 1, 8).repeat(10, axis=2)
-    lead = np.arange(10, dtype=np.uint8)
-    heads[:, e != 0, :, 7] += lead
-    heads[:, e == 0, :, 6] += lead
-    # fixed-notation layouts by sign, k and trailing zeros of the 17 digits,
-    # then text of 0..24 bytes from a %-operation; b is the byte's place in
-    # the slot
-    neg = np.arange(2)[:, None, None, None]
-    exp10 = e[None, :, None, None]
-    count = 17 - np.arange(17)[None, None, :, None]
-    b = np.arange(_SLOT)
-    width = 2 + neg + np.where(exp10 < 0, 1 - exp10, exp10 == 0)
-    fixed = ((b >= 8 - width) & (b < 8 - ((exp10 == 0) & (count == 1)))
-             | (b >= 8) & (b < 24) & (b - 7 < np.where(exp10 > 0, exp10 + 1, count))
-             | (exp10 > 0) & (count - 1 > exp10) & (b >= 23 + exp10) & (b < 23 + count))
-    percent = b <= np.arange(25)[:, None]
-    masks = np.concatenate((fixed.reshape(-1, _SLOT), percent))
-    return powers, high, powers - high, digits, zeros, heads.view(np.uint64).ravel(), masks
-
-
-def _times_power_of_ten(a, k, powers, high, low):
-    """hi + lo == a * 10**k exactly (Dekker's two-product)."""
-    p = a * powers.take(k)
-    split = a * 134217729.0
-    ah = split - (split - a)
-    al = a - ah
-    bh, bl = high.take(k), low.take(k)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _split(a, q):
-    """``divmod(a, q)`` by floor division, which numpy runs through
-    libdivide for a scalar ``q`` and ``np.divmod`` does not."""
-    h = a // q
-    return h, a - h * q
-
-
-def _format_rows(block) -> bytes:
-    """``%.17g`` text of a 2-D float64 block as comma-separated lines.
-
-    Values that ``%.17g`` prints in fixed notation, and zeros, are
-    formatted with array operations; a zero is the one digit 0 at
-    exponent 0. Non-finite values and values printed in exponent notation
-    go through one %-operation for the block.
-    """
-    import numpy as np
-    powers, high, low, digits, zeros, heads, masks = _csv_tables()
-    x = block.ravel()
-    # %.17g prints 1e-4 <= |x| < 1e17 in fixed notation: no double from
-    # 1e-5 to 1e17 lies within half a unit of the 17th digit below a power
-    # of ten, so none rounds up across a bound or to 18 digits. There
-    # |x| = d * 10**-k with 17 digits d, rounded half-even as dtoa does:
-    # the two-product hi + lo is |x| * 10**k exactly (10**k is exact for
-    # k <= 22), and hi >= 1e16 > 2**53 is an even integer, so rounding lo
-    # half-even rounds the sum half-even.
-    a = np.abs(x)
-    outside = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
-    a[outside] = 1.0
-    k = 16 - np.floor(np.log10(a)).astype(np.int64)
-    np.maximum(k, 0, out=k)
-    hi, lo = _times_power_of_ten(a, k, powers, high, low)
-    # log10 may miss by one next to a power of ten
-    small = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    off = np.flatnonzero(small | (hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
-    if len(off):
-        k[off] += np.where(small[off], 1, -1)
-        hi[off], lo[off] = _times_power_of_ten(a[off], k[off], powers, high, low)
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    del a, hi, lo, small
-    # a zero or %-text gets the leading digit 0 and a last digit 1, which
-    # keeps it out of the trailing-zero runs below
-    d[outside] = 1
-    upper, lower = _split(d, 10**8)
-    lead, upper = _split(upper, 10**8)
-    chunks = (*_split(upper, 10**4), *_split(lower, 10**4))
-    del d, upper, lower  # freed before the slots and the keep-mask are made
-    # row of the value's keep-mask (sign, k, trailing zeros) and of its
-    # head word (separator, sign, k, leading digit)
-    nk = np.signbit(x).astype(np.int64)
-    nk *= 21
-    nk += k
-    layout = nk * 17
-    layout += zeros.take(chunks[3])
-    run = np.flatnonzero(chunks[3] == 0)
-    for chunk in chunks[2::-1]:
-        layout[run] += zeros.take(chunk[run])
-        run = run[chunk[run] == 0]
-    layout[outside] += 16  # one digit; a %-text's row is set below
-    nk *= 10
-    nk += lead
-    nk.reshape(block.shape)[:, 0] += 2 * 21 * 10  # a row's first value follows "\n"
-
-    slots = np.empty((len(x), _SLOT // 8), np.uint64)
-    slots[:, 0] = heads.take(nk)
-    words = slots.view(np.uint32)
-    for j, chunk in enumerate(chunks):
-        words[:, 2 + j] = digits.take(chunk)
-    del nk, lead, chunks
-    big = np.flatnonzero(k < 16)  # e >= 1
-    text = slots.view(np.uint8)
-    if len(big):  # the point goes over digit e of the second copy: byte 39 - k
-        slots[:, 3] = slots[:, 1]
-        slots[:, 4] = slots[:, 2]
-        point = big * _SLOT
-        point += 39
-        point -= k.take(big)
-        text.reshape(-1)[point] = ord(".")
-    other = outside[x[outside] != 0]
-    if len(other):
-        printed = (("%-24.17g" * len(other)) % tuple(x[other].tolist())).encode()
-        printed = np.frombuffer(printed, np.uint8).reshape(-1, 24)
-        text[other, 0] = np.where(other % block.shape[1], ord(","), ord("\n"))
-        text[other, 1:25] = printed
-        layout[other] = _PERCENT_MASKS + np.count_nonzero(printed != ord(" "), axis=1)
-    # every value's text starts with the separator before it
-    return b"".join((text[masks.take(layout, axis=0)][1:], b"\n"))
 
 
 def _json(doc) -> tuple:
@@ -496,7 +315,9 @@ def _load_config(parser, path):
             doc = json.load(handle)
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    except ValueError as exc:  # bad JSON, bad UTF-8, an integer over 4300 digits
+    # bad JSON, bad UTF-8, an integer over 4300 digits, arrays nested past
+    # the recursion limit
+    except (ValueError, RecursionError) as exc:
         parser.error(f"malformed config file {path}: {exc}")
     if not isinstance(doc, dict):
         parser.error(f"config file {path} must hold a JSON object")
@@ -542,7 +363,8 @@ def _cmd_fracdiff(opts):
              else fracops.retrocausal_frac_deriv)
     out = _wrap(deriv, f, order, _SCHEMES[opts["scheme"]])
     if opts["format"] == "csv":
-        return _csv(["t", "deriv"], [t, out.samples.real])
+        from .csvtext import chunks
+        return chunks(["t", "deriv"], [t, out.samples.real])
     return _json({
         "alpha": opts["alpha"],
         "fn": opts["fn"],
@@ -597,8 +419,9 @@ def _cmd_oscillate(opts):
     energy = _wrap(traj.energy)
     t = _wrap(grid.points)
     if opts["format"] == "csv":
-        return _csv(["t", "q", "qdot", "energy"],
-                    [t, traj.position.samples, traj.velocity.samples, energy])
+        from .csvtext import chunks
+        return chunks(["t", "q", "qdot", "energy"],
+                      [t, traj.position.samples, traj.velocity.samples, energy])
     return _json({
         "params": {"m": params.m, "C": params.C, "k": params.k,
                    "q0": params.q0, "v0": params.v0},
@@ -622,9 +445,10 @@ def _cmd_eigensolve(opts):
     ham = _wrap(eigensolver.build_hamiltonian, potential, grid, units)
     sol = _wrap(eigensolver.solve_spectrum, ham, opts["count"])
     if opts["format"] == "csv":
+        from .csvtext import chunks
         header = ["x"] + [f"psi_{n}" for n in range(sol.count)]
         columns = [_wrap(grid.points)] + [psi.samples for psi in sol.eigenfunctions]
-        return _csv(header, columns)
+        return chunks(header, columns)
     return _json({
         "potential": potential.to_json_dict(),
         "energies": sol.energies.tolist(),
@@ -645,8 +469,9 @@ def _cmd_dampedwave(opts):
     if opts["well"] is not None:
         modes = _wrap(dampedwave.damped_well_modes, xi, opts["well"], units, opts["count"])
         if opts["format"] == "csv":
+            from .csvtext import chunks
             n = np.arange(1, len(modes.energies) + 1, dtype=np.float64)
-            return _csv(["n", "energy"], [n, modes.energies])
+            return chunks(["n", "energy"], [n, modes.energies])
         return _json({
             "xi": xi,
             "L": opts["well"],
@@ -657,9 +482,10 @@ def _cmd_dampedwave(opts):
     grid = _build_grid(opts)
     sol = _wrap(dampedwave.solve_damped_free, params, grid, opts["psi0"], opts["dpsi0"])
     if opts["format"] == "csv":
+        from .csvtext import chunks
         psi = sol.closed_form.samples
-        return _csv(["x", "Re(psi)", "Im(psi)", "abs(psi)"],
-                    [_wrap(grid.points), psi.real, psi.imag, np.abs(psi)])
+        return chunks(["x", "Re(psi)", "Im(psi)", "abs(psi)"],
+                      [_wrap(grid.points), psi.real, psi.imag, np.abs(psi)])
     return _json({
         "xi": params.xi,
         "k": params.k_wave,

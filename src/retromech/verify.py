@@ -43,6 +43,12 @@ def _interior(grid: Grid) -> np.ndarray:
     return t >= grid.a + 0.1 * (grid.b - grid.a)
 
 
+def _power_law_err(d, k, alpha, s, inside):
+    """Relative error of ``d`` against D^alpha s**k on ``inside``."""
+    exact = math.gamma(k + 1) / math.gamma(k + 1 - alpha) * s ** (k - alpha)
+    return _rel_err(d.samples[inside], exact[inside])
+
+
 # --------------------------------------------------------------------------
 # fracops
 
@@ -67,8 +73,7 @@ def check_power_law():
             for alpha in (0.25, 0.5, 0.75):
                 f = GridFunction(grid, t**k)
                 d = fracops.causal_frac_deriv(f, alpha, scheme)
-                exact = math.gamma(k + 1) / math.gamma(k + 1 - alpha) * t ** (k - alpha)
-                rel = _rel_err(d.samples[inside], exact[inside])
+                rel = _power_law_err(d, k, alpha, t, inside)
                 _require(rel <= 1e-2, (scheme, k, alpha, rel))
 
 
@@ -80,8 +85,7 @@ def check_gl_convergence_order():
             t = grid.points()
             inside = _interior(grid)
             d = fracops.causal_frac_deriv(GridFunction(grid, t**k), alpha)
-            exact = math.gamma(k + 1) / math.gamma(k + 1 - alpha) * t ** (k - alpha)
-            errs.append(_rel_err(d.samples[inside], exact[inside]))
+            errs.append(_power_law_err(d, k, alpha, t, inside))
         order = math.log2(errs[0] / errs[1])
         _require(order >= 0.9, (k, alpha, order))
 
@@ -111,9 +115,7 @@ def check_reflection_duality():
         for alpha in (0.25, 0.5):
             f = GridFunction(grid, (grid.b - t) ** k)
             d = fracops.retrocausal_frac_deriv(f, alpha)
-            exact = (math.gamma(k + 1) / math.gamma(k + 1 - alpha)
-                     * (grid.b - t) ** (k - alpha))
-            rel = _rel_err(d.samples[inside], exact[inside])
+            rel = _power_law_err(d, k, alpha, grid.b - t, inside)
             _require(rel <= 1e-2, (k, alpha, rel))
 
 

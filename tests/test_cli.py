@@ -13,9 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
-from retromech import lagrangian, verify
-from retromech.cli import _CSV_BLOCK_VALUES, _csv, main, parse_args
+from retromech import csvtext, lagrangian, verify
+from retromech.cli import main, parse_args
 from retromech.core import Grid
+from retromech.csvtext import _BLOCK_VALUES
 
 
 def read(path):
@@ -201,8 +202,10 @@ class TestParseArgs:
         ('{"command": "oscillate", "n": true}', "argument --n: invalid int value: 'true'"),
         ('{"command": "oscillate", "k": 1' + "0" * 5000 + "}", "malformed config file"),
         ("[1, 2]", "must hold a JSON object"),
+        ("[" * 200000 + "]" * 200000, "malformed config file"),
     ], ids=["unknown-key", "help", "bad-choice", "bad-format", "bad-fn", "list-for-choice",
-            "float-for-int", "bool-for-int", "over-4300-digits", "list-document"])
+            "float-for-int", "bool-for-int", "over-4300-digits", "list-document",
+            "nested-past-the-recursion-limit"])
     def test_config_value_rejected_as_its_flag(self, tmp_path, capsys, text, message):
         # each ran (the choices unchecked, n = 5.7 as 5, true as 1), or
         # ended in a traceback at run time or in the JSON reader
@@ -663,7 +666,7 @@ class TestDampedwaveCommand:
 
 
 def per_value_csv(header, columns):
-    """The row-by-row formatter ``_csv`` replaced, kept as its oracle."""
+    """The row-by-row formatter ``csvtext.chunks`` replaced, kept as its oracle."""
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(format(float(v), ".17g") for v in row))
@@ -715,14 +718,14 @@ def test_csv_matches_per_value_formatting(width, offset):
     columns = [np.resize(np.roll(CSV_EDGE_VALUES, 3 * j), rows) for j in range(width)]
     columns[-1] = columns[-1] * rng.choice([1.0, 1e-7, 0.725], size=rows)
     header = [f"c{j}" for j in range(width)]
-    assert b"".join(_csv(header, columns)) == per_value_csv(header, columns).encode()
+    assert b"".join(csvtext.chunks(header, columns)) == per_value_csv(header, columns).encode()
 
 
 @pytest.mark.parametrize("width, rows", [*CSV_BLOCK_ROWS.items(), (16385, 1)])
 def test_csv_streams_blocks_of_rows(width, rows):
     # a row wider than a block is a block of its own
     columns = [np.arange(2 * rows + 1.0)] + [np.full(2 * rows + 1, 0.25)] * (width - 1)
-    chunks = list(_csv([f"c{j}" for j in range(width)], columns))
+    chunks = list(csvtext.chunks([f"c{j}" for j in range(width)], columns))
     assert [chunk.count(b"\n") for chunk in chunks] == [1, rows, rows, 1]
     assert all(isinstance(chunk, bytes) for chunk in chunks)
 
@@ -732,11 +735,9 @@ def test_csv_holds_one_block_not_the_table():
     # stacked from column slices, so the peak is one block's working set
     rows = 400000
     columns = [np.linspace(0.0, 1.0, rows), np.linspace(-3.0, 7.0, rows) ** 3]
-    for _ in _csv(["a", "b"], [column[:10] for column in columns]):
-        pass  # builds the formatting tables outside the measurement
-    tracemalloc.start()
+    tracemalloc.start()  # the formatting tables were built at import
     try:
-        for _ in _csv(["a", "b"], columns):
+        for _ in csvtext.chunks(["a", "b"], columns):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -784,21 +785,21 @@ def test_csv_matches_per_value_formatting_in_every_layout(width):
     values = np.concatenate((values, -values))
     columns = [values, -values, values][:width]
     header = [f"c{j}" for j in range(width)]
-    assert b"".join(_csv(header, columns)) == per_value_csv(header, columns).encode()
+    assert b"".join(csvtext.chunks(header, columns)) == per_value_csv(header, columns).encode()
 
 
-@pytest.mark.parametrize("integer_digits", [0, 1, _CSV_BLOCK_VALUES])
+@pytest.mark.parametrize("integer_digits", [0, 1, _BLOCK_VALUES])
 def test_second_digit_copy_with_none_one_or_all_values_at_or_above_10(integer_digits):
     # values at |x| >= 10 take the second digit copy, which is written over
     # the whole block once any value needs it; the rest of the block lies
     # below 10 and ignores it
     rng = np.random.default_rng(integer_digits)
-    column = rng.uniform(-10.0, 10.0, _CSV_BLOCK_VALUES) * rng.choice([1.0, 1e-3], _CSV_BLOCK_VALUES)
-    where = rng.choice(_CSV_BLOCK_VALUES, integer_digits, replace=False)
+    column = rng.uniform(-10.0, 10.0, _BLOCK_VALUES) * rng.choice([1.0, 1e-3], _BLOCK_VALUES)
+    where = rng.choice(_BLOCK_VALUES, integer_digits, replace=False)
     column[where] = rng.uniform(1.0, 9.99, integer_digits) * 10.0 ** rng.integers(1, 17, integer_digits)
     column[where[::2]] = np.round(-column[where[::2]], 2)  # negative, trailing zeros
     assert np.count_nonzero(np.abs(column) >= 10) == integer_digits
-    chunks = list(_csv(["x"], [column]))
+    chunks = list(csvtext.chunks(["x"], [column]))
     assert len(chunks) == 2  # one block
     assert b"".join(chunks) == per_value_csv(["x"], [column]).encode()
 
@@ -926,7 +927,7 @@ def test_formatting_out_of_memory_is_one_line(tmp_path, monkeypatch, capsys):
     def refuse(block):
         raise MemoryError
 
-    monkeypatch.setattr(sys.modules["retromech.cli"], "_format_rows", refuse)
+    monkeypatch.setattr(csvtext, "_format_rows", refuse)
     out = tmp_path / "q.csv"
     assert main(["oscillate", "--n", "11", "--output", str(out)]) == 1
     assert capsys.readouterr().err == "error: cannot format output: MemoryError\n"
@@ -1278,6 +1279,29 @@ def test_eigensolve_leaves_scipy_linalg_unloaded(argv):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stderr.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("argv, loads_codec", [
+    (["derive-eom", "--lagrangian", "1*q[1] - V(poly, 1, 0, 3)", "--output", "{out}"],
+     False),
+    (["verify"], False),
+    (["eigensolve", "--potential", "well, 1"], False),
+    (["dampedwave", "--xi", "0.3", "--format", "json"], False),
+    (["oscillate", "--n", "11"], True),
+    (["fracdiff", "--alpha", "0.5", "--fn", "t", "--n", "16"], True),
+], ids=["derive-eom", "verify", "eigensolve", "dampedwave-json", "oscillate", "fracdiff"])
+def test_only_csv_runs_load_the_csv_codec(tmp_path, argv, loads_codec):
+    # every start that loads the codec compiles it and builds its tables
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["retromech.cli"].__file__)))
+    argv = [arg.format(out=tmp_path / "eom.json") for arg in argv]
+    code = ("import sys, retromech.cli\n"
+            f"code = retromech.cli.main({argv!r})\n"
+            "print(code, 'retromech.csvtext' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stderr.splitlines()[-1] == f"0 {loads_codec}"
 
 
 @pytest.mark.parametrize("code", [

@@ -18,12 +18,12 @@ st = hypothesis.strategies
 from retromech.cli import (  # noqa: E402
     _FN_TABLE,
     _SCHEMES,
-    _csv,
     build_parser,
     main,
     parse_args,
 )
 from retromech.core import Grid, GridFunction, UnstableIntegrationError  # noqa: E402
+from retromech.csvtext import chunks  # noqa: E402
 from retromech.dampedwave import (  # noqa: E402
     DampedWaveParams,
     damped_well_modes,
@@ -158,7 +158,7 @@ def _csv_bytes(values, width):
     header = [f"c{j}" for j in range(width)]
     expected = "".join(",".join(format(float(v), ".17g") for v in row) + "\n"
                        for row in values)
-    got = b"".join(_csv(header, list(values.T)))
+    got = b"".join(chunks(header, list(values.T)))
     return got, (",".join(header) + "\n" + expected).encode()
 
 
