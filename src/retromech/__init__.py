@@ -10,9 +10,10 @@ closed-form cross-check; ``retromech verify`` (or :func:`verify.run_all`)
 runs them all.
 
 Modules load on first use (PEP 562): ``import retromech`` and
-``retromech.cli`` load no numpy and no ``dataclasses``, so ``derive-eom``,
-``--version`` and usage errors start without either. ``from retromech
-import X`` imports the module that defines ``X``.
+``retromech.cli`` load no numpy, so ``derive-eom``, ``--version`` and
+usage errors start without it. ``from retromech import X`` imports the
+module that defines ``X``. Every record is an ``enums.Record``, so no
+module loads ``dataclasses``.
 """
 
 from importlib import import_module as _import_module

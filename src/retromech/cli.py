@@ -28,8 +28,8 @@ and choices; ``null`` leaves a flag unset, and explicit flags override
 file values.
 
 Each handler imports the modules it uses, so parsing, ``--version``,
-usage errors and ``derive-eom`` load no numpy, and no ``dataclasses``
-either: ``RunConfig`` and the lagrangian's records are ``enums.Record``s.
+usage errors and ``derive-eom`` load no numpy; no run loads
+``dataclasses``, since every record is an ``enums.Record``.
 ``json`` loads only where a config file is read or JSON is written.
 """
 
@@ -42,7 +42,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .enums import Record, Scheme, set_field
+from .enums import Record, Scheme
 
 __all__ = ["RunConfig", "parse_args", "run", "main", "console_entry"]
 
@@ -54,11 +54,8 @@ class CommandError(Exception):
 class RunConfig(Record):
     """Validated command name plus its flag values."""
 
-    _fields = ("command", "options")
-
-    def __init__(self, command: str, options: dict):
-        set_field(self, "command", command)
-        set_field(self, "options", options)
+    command: str
+    options: dict
 
 
 # --------------------------------------------------------------------------

@@ -12,11 +12,10 @@ import cmath
 import enum
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .enums import Direction
+from .enums import Direction, Record, set_field
 
 __all__ = [
     "Direction",
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Uniform lattice of n samples on the closed interval [a, b]."""
 
     a: float
@@ -50,6 +48,8 @@ class Grid:
             raise ValueError("grid endpoints must be finite")
         if not self.b > self.a:
             raise ValueError(f"grid needs b > a, got a={self.a}, b={self.b}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"grid needs an integer n, got n={self.n!r}")
         if self.n < 2:
             raise ValueError(f"grid needs n >= 2, got n={self.n}")
 
@@ -63,8 +63,7 @@ class Grid:
         return self.a + np.arange(self.n) * self.h
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(Record, eq=False):
     """Real- or complex-valued samples living on a :class:`Grid`.
 
     Samples are read-only, so instances are safe to share across threads.
@@ -89,7 +88,7 @@ class GridFunction:
             arr.setflags(write=False)
         if arr.ndim != 1 or arr.shape[0] != self.grid.n:
             raise ValueError(f"expected {self.grid.n} samples, got shape {arr.shape}")
-        object.__setattr__(self, "samples", arr)
+        set_field(self, "samples", arr)
 
 
 def _read_only(arr: np.ndarray) -> bool:
@@ -102,8 +101,7 @@ def _read_only(arr: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class UnitsConfig:
+class UnitsConfig(Record):
     """Physical constants entering the wave equations; natural units by
     default."""
 

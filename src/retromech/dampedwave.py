@@ -18,7 +18,6 @@ interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .core import (
     integrate_second_order,
     rk4_increment,
 )
+from .enums import Record
 
 __all__ = [
     "DampedWaveParams",
@@ -75,8 +75,7 @@ def _check_xi(xi: float) -> None:
         raise ValueError(f"xi must be >= 0 with a finite square, got {xi}")
 
 
-@dataclass(frozen=True)
-class DampedWaveParams:
+class DampedWaveParams(Record):
     """Damping factor xi (inverse length) and energy E > 0; the
     free-particle wavenumber k = sqrt(2 m E)/hbar is derived, so it can
     never drift out of sync with E."""
@@ -111,8 +110,7 @@ def xi_from_params(B: float, units: UnitsConfig = NATURAL_UNITS) -> float:
     return units.mass * units.mass * units.c_light / (2.0 * units.hbar * B)
 
 
-@dataclass(frozen=True, eq=False)
-class DampedFreeSolution:
+class DampedFreeSolution(Record, eq=False):
     """Free-particle solution carried along both routes.
 
     ``closed_form`` holds :func:`core.closed_form`'s exact solution;
@@ -153,8 +151,7 @@ def solve_damped_free(params: DampedWaveParams, grid: Grid,
                               max_discrepancy=disagreement)
 
 
-@dataclass(frozen=True, eq=False)
-class DampedWellModes:
+class DampedWellModes(Record, eq=False):
     """Hard-wall well energies for damping factor xi.
 
     The substitution psi = exp(-xi x) u strips the damping term, so the

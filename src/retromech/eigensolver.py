@@ -19,11 +19,11 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL_UNITS, Grid, GridFunction, UnitsConfig
+from .core import NATURAL_UNITS, Grid, GridFunction, UnitsConfig, _read_only
+from .enums import Record, set_field
 from .lagrangian import HarmonicPotential, InfiniteWellPotential, Potential
 
 __all__ = [
@@ -60,8 +60,7 @@ class SpectrumError(RuntimeError):
     """Eigenpair extraction failed or missed the residual bound."""
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteHamiltonian:
+class DiscreteHamiltonian(Record, eq=False):
     """Symmetric tridiagonal operator on the interior nodes of a grid."""
 
     diag: np.ndarray
@@ -124,8 +123,7 @@ def build_hamiltonian(potential: Potential, grid: Grid,
     return DiscreteHamiltonian(diag, offdiag, grid, potential, units)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSolution:
+class EigenSolution(Record, eq=False):
     """Lowest eigenpairs: ascending energies and normalized eigenfunctions
     (sum psi_i^2 h = 1) embedded on the full grid with zero walls."""
 
@@ -136,10 +134,14 @@ class EigenSolution:
     grid: Grid
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=np.float64)
-        e.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "eigenfunctions", tuple(self.eigenfunctions))
+        # kept as it is where no one can write to it, as GridFunction's
+        # samples are; anything else is copied and the copy frozen
+        e = self.energies
+        if not (type(e) is np.ndarray and e.dtype == np.float64 and _read_only(e)):
+            e = np.array(e, dtype=np.float64)
+            e.setflags(write=False)
+        set_field(self, "energies", e)
+        set_field(self, "eigenfunctions", tuple(self.eigenfunctions))
 
     @property
     def count(self) -> int:
@@ -210,7 +212,7 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
-        return EigenSolution(np.empty(0), (), hamiltonian.potential,
+        return EigenSolution(_frozen(np.empty(0)), (), hamiltonian.potential,
                              hamiltonian.units, hamiltonian.grid)
     if count > hamiltonian.dimension:
         raise ValueError(
@@ -248,7 +250,7 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
     for start, end in zip(ends, ends[1:]):
         if end - start > 1:
             functions[start:end] = sorted(functions[start:end], key=count_interior_nodes)
-    return EigenSolution(energies, tuple(functions), hamiltonian.potential,
+    return EigenSolution(_frozen(energies), tuple(functions), hamiltonian.potential,
                          hamiltonian.units, hamiltonian.grid)
 
 
@@ -267,8 +269,7 @@ def _phase(energy: float, t: float, hbar: float) -> complex:
     return cmath.exp(angle)
 
 
-@dataclass(frozen=True, eq=False)
-class WaveFunctionPair:
+class WaveFunctionPair(Record, eq=False):
     """One spatial eigenfunction with its two opposite time phases.
 
     ``psi_plus`` rotates as exp(-i E t / hbar); ``psi_minus`` is its
@@ -357,8 +358,7 @@ def energy_functional(psi_plus: GridFunction, psi_minus: GridFunction,
                              units))
 
 
-@dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(Record):
     """Scaling of the functional under Dirichlet-respecting perturbations."""
 
     index: int

@@ -1,9 +1,8 @@
-"""Enumerations and the frozen-record base shared by the operators, the
-lagrangian engine and the CLI. This module imports no numpy and no
-``dataclasses``, so deriving equations of motion and parsing the command
-line load neither; ``core`` and ``fracops`` re-export both enumerations.
-The records of the modules that load numpy stay dataclasses: numpy
-imports ``inspect``, which is most of what ``dataclasses`` costs."""
+"""Enumerations and the frozen-record base of every record in the
+package. This module imports no numpy and no ``dataclasses``, so deriving
+equations of motion and parsing the command line load neither, and no
+module loads ``dataclasses``; ``core`` and ``fracops`` re-export both
+enumerations."""
 
 from __future__ import annotations
 
@@ -27,40 +26,59 @@ class Scheme(enum.Enum):
     PRODUCT_TRAPEZOID = "product-trapezoid"
 
 
-#: How a record's ``__init__`` writes a field, past the ``__setattr__`` that
-#: refuses. The value lands in the instance's own storage, which keeps
-#: attribute reads as fast as on a plain instance; writing into ``__dict__``
-#: instead builds the dict, and each read then costs about 4x as much.
+#: How a record's ``__init__`` writes its fields, and its ``__post_init__``
+#: the values it coerces, past the ``__setattr__`` that refuses. The value
+#: lands in the instance's own storage, which keeps attribute reads as fast
+#: as on a plain instance; writing into ``__dict__`` instead builds the
+#: dict, and each read then costs about 4x as much.
 set_field = object.__setattr__
 
 
 class Record:
-    """Base of a frozen record, as ``@dataclass(frozen=True)`` would make it.
+    """Base of a frozen record, declared as ``@dataclass(frozen=True)`` is.
 
-    A subclass names its fields in ``_fields``, and its ``__init__`` writes
-    them with :data:`set_field`. Records compare and hash by the tuple of
-    their field values, and a record never equals one of another class. The
-    repr names every field, and assigning or deleting any attribute raises
-    ``AttributeError``. ``__eq__`` and ``__hash__`` are compiled per class
-    from ``_fields``, as a dataclass's are: they read each field by name, so
-    they cost what a dataclass's do, where one ``operator.attrgetter`` key
-    took about twice as long on CPython 3.11.
+    The fields are the class's own annotated names; a value in the class
+    body is a field's default, one instance shared by every record that
+    takes it. ``__init__`` takes the fields by position or keyword, writes
+    them and runs ``__post_init__`` where the class has one. Records compare
+    and hash by the tuple of their field values, never equal a record of
+    another class, print every field and refuse assignment and deletion;
+    ``class X(Record, eq=False)`` keeps identity equality, for records that
+    hold arrays. ``__init__``, ``__eq__`` and ``__hash__`` are compiled per
+    class, as a dataclass's are: they read each field by name, so they cost
+    what a dataclass's do, where one ``operator.attrgetter`` key took about
+    twice as long on CPython 3.11.
     """
 
     _fields: tuple = ()
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, eq=True, **kwargs):
         super().__init_subclass__(**kwargs)
-        mine = "".join(f"self.{name}," for name in cls._fields)
-        theirs = "".join(f"other.{name}," for name in cls._fields)
-        methods = {}
-        exec("def __eq__(self, other):\n"
-             "    if other.__class__ is self.__class__:\n"
-             f"        return ({mine}) == ({theirs})\n"
-             "    return NotImplemented\n"
-             "def __hash__(self):\n"
-             f"    return hash(({mine}))\n", methods)
-        cls.__eq__, cls.__hash__ = methods["__eq__"], methods["__hash__"]
+        # the class's own annotations (Python 3.10+), of which only the
+        # names are read: under ``from __future__ import annotations`` the
+        # values are strings
+        cls._fields = fields = tuple(cls.__annotations__)
+        defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
+        params = "".join(f", {name}=defaults[{name!r}]" if name in defaults
+                         else f", {name}" for name in fields)
+        body = "".join(f"    set_field(self, {name!r}, {name})\n" for name in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "    self.__post_init__()\n"
+        source = f"def __init__(self{params}):\n{body or '    pass'}\n"
+        if eq:
+            mine = "".join(f"self.{name}," for name in fields)
+            theirs = "".join(f"other.{name}," for name in fields)
+            source += ("def __eq__(self, other):\n"
+                       "    if other.__class__ is self.__class__:\n"
+                       f"        return ({mine}) == ({theirs})\n"
+                       "    return NotImplemented\n"
+                       "def __hash__(self):\n"
+                       f"    return hash(({mine}))\n")
+        methods = {"set_field": set_field, "defaults": defaults}
+        exec(source, methods)
+        for name in ("__init__", "__eq__", "__hash__")[:3 if eq else 1]:
+            methods[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, methods[name])
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -30,12 +30,11 @@ integer orders n reduce to (-1)^n d^n/dt^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GridFunction
-from .enums import Direction, Scheme
+from .enums import Direction, Record, Scheme, set_field
 
 __all__ = [
     "Scheme",
@@ -59,8 +58,7 @@ MAX_ORDER = 2.0
 BOUNDARY_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FracOrder:
+class FracOrder(Record):
     """Differentiation order alpha together with its integer bracket m.
 
     For non-integer alpha, m is the smallest integer strictly above it;
@@ -77,7 +75,7 @@ class FracOrder:
             raise ValueError(f"order must satisfy alpha >= 0, got {self.alpha!r}")
         if a > MAX_ORDER:
             raise ValueError(f"orders above {MAX_ORDER} are unsupported, got {a}")
-        object.__setattr__(self, "alpha", a)
+        set_field(self, "alpha", a)
 
     @property
     def is_integer(self) -> bool:
@@ -264,8 +262,7 @@ def retrocausal_frac_deriv(f: GridFunction, order,
     return GridFunction(f.grid, out.samples[::-1])
 
 
-@dataclass(frozen=True, eq=False)
-class ComposeHalfResult:
+class ComposeHalfResult(Record, eq=False):
     """Half-order composition output plus the start-boundary check."""
 
     values: GridFunction

@@ -56,8 +56,7 @@ __all__ = [
 # potentials
 #
 # Parsing and deriving need no arrays, so numpy is imported only inside
-# ``evaluate``. The records here are ``enums.Record``s, not dataclasses, so
-# this module loads neither numpy nor ``dataclasses``.
+# ``evaluate``.
 
 
 class Potential(Record):
@@ -101,13 +100,12 @@ class FreePotential(Potential):
 class HarmonicPotential(Potential):
     """V(q) = k q^2 / 2 with spring constant k (equivalently m omega^2)."""
 
-    _fields = ("k",)
+    k: float
     kind = "harmonic"
 
-    def __init__(self, k: float):
-        if not (math.isfinite(k) and k >= 0):
-            raise ValueError(f"harmonic potential needs k >= 0, got {k}")
-        set_field(self, "k", k)
+    def __post_init__(self):
+        if not (math.isfinite(self.k) and self.k >= 0):
+            raise ValueError(f"harmonic potential needs k >= 0, got {self.k}")
 
     def evaluate(self, x):
         import numpy as np
@@ -126,11 +124,11 @@ class HarmonicPotential(Potential):
 class PolynomialPotential(Potential):
     """V(q) = sum_i coeffs[i] q^i."""
 
-    _fields = ("coeffs",)
+    coeffs: tuple
     kind = "poly"
 
-    def __init__(self, coeffs: tuple):
-        coeffs = tuple(float(c) for c in coeffs)
+    def __post_init__(self):
+        coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("polynomial potential needs at least one coefficient")
         if not all(math.isfinite(c) for c in coeffs):
@@ -166,13 +164,12 @@ class InfiniteWellPotential(Potential):
     """Hard walls at 0 and ``length``; zero inside. Only meaningful for the
     eigensolver, where the walls become Dirichlet boundaries."""
 
-    _fields = ("length",)
+    length: float
     kind = "well"
 
-    def __init__(self, length: float):
-        if not (math.isfinite(length) and length > 0):
-            raise ValueError(f"well length must be positive, got {length}")
-        set_field(self, "length", length)
+    def __post_init__(self):
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ValueError(f"well length must be positive, got {self.length}")
 
     def evaluate(self, x):
         import numpy as np
@@ -206,27 +203,27 @@ class ProductTerm(Record):
     """One lagrangian summand: coefficient times the left*right derivative
     product of the given order."""
 
-    _fields = ("coeff", "order")
+    coeff: float
+    order: Fraction
 
-    def __init__(self, coeff: float, order: Fraction):
-        if not math.isfinite(coeff) or coeff == 0:
-            raise ValueError(f"coefficient must be finite and nonzero, got {coeff}")
-        order = _coerce_order(order)
+    def __post_init__(self):
+        if not math.isfinite(self.coeff) or self.coeff == 0:
+            raise ValueError(f"coefficient must be finite and nonzero, got {self.coeff}")
+        order = _coerce_order(self.order)
         if order.numerator < 0:
             raise ValueError(f"negative order {order}")
-        set_field(self, "coeff", coeff)
         set_field(self, "order", order)
 
 
 class LagrangianSpec(Record):
-    _fields = ("terms", "potential")
+    terms: tuple
+    potential: Potential = FreePotential()
 
-    def __init__(self, terms: tuple, potential: Potential = FreePotential()):
-        terms = tuple(terms)
+    def __post_init__(self):
+        terms = tuple(self.terms)
         if len({(t.order.numerator, t.order.denominator) for t in terms}) != len(terms):
             raise ValueError("duplicate orders in lagrangian")
         set_field(self, "terms", terms)
-        set_field(self, "potential", potential)
         # the derivative terms (coeff, 2*order) of both equations of motion,
         # highest order first. Built here rather than as a cached_property,
         # whose first access costs more than this; not a field, so equality
@@ -240,35 +237,29 @@ class LagrangianSpec(Record):
 class EomTerm(Record):
     """coeff * D^total_order q, in the direction of its equation of motion."""
 
-    _fields = ("coeff", "total_order")
-
-    def __init__(self, coeff: float, total_order: Fraction):
-        set_field(self, "coeff", coeff)
-        set_field(self, "total_order", total_order)
+    coeff: float
+    total_order: Fraction
 
 
 class EquationOfMotion(Record):
     """Ordered derivative terms plus the potential whose gradient closes
     the equation: sum coeff * D^order q + dV/dq = 0."""
 
-    _fields = ("terms", "potential", "direction")
+    terms: tuple
+    potential: Potential
+    direction: Direction
 
-    def __init__(self, terms: tuple, potential: Potential, direction: Direction):
-        set_field(self, "terms", tuple(terms))
-        set_field(self, "potential", potential)
-        set_field(self, "direction", direction)
+    def __post_init__(self):
+        set_field(self, "terms", tuple(self.terms))
 
 
 class ClassicalOde(Record):
     """m q'' + c q' + k q = 0 with the damping sign carrying the
     causal/retrocausal distinction."""
 
-    _fields = ("mass_coeff", "damping_coeff", "stiffness_coeff")
-
-    def __init__(self, mass_coeff: float, damping_coeff: float, stiffness_coeff: float):
-        set_field(self, "mass_coeff", mass_coeff)
-        set_field(self, "damping_coeff", damping_coeff)
-        set_field(self, "stiffness_coeff", stiffness_coeff)
+    mass_coeff: float
+    damping_coeff: float
+    stiffness_coeff: float
 
 
 # --------------------------------------------------------------------------

@@ -19,11 +19,10 @@ leaves the float range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Grid, GridFunction, check_positive, integrate_second_order
+from .enums import Record
 
 __all__ = [
     "OscillatorParams",
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(Record):
     """Mass, damping, stiffness plus the boundary state (q0, v0).
 
     The state is read at the grid start for the causal problem and at the
@@ -62,8 +60,7 @@ class OscillatorParams:
         return self.C / self.m, self.k / self.m
 
 
-@dataclass(frozen=True, eq=False)
-class OscillatorTrajectory:
+class OscillatorTrajectory(Record, eq=False):
     """Integrated trajectory: position and velocity samples on the grid."""
 
     params: OscillatorParams

@@ -1,6 +1,6 @@
 """Smoke tests of the A/B harness ``tools/ab.py``: its
-``diff`` worker, the grouping of differing outcomes and the corpus it
-reads from ``tests/test_cli.py``."""
+``diff`` worker, the grouping of differing outcomes, the corpus it reads
+from ``tests/test_cli.py`` and the summary of paired samples."""
 
 import importlib.util
 import os
@@ -94,3 +94,17 @@ def test_roots_are_resolved_before_the_jobs_run_inside_them(monkeypatch, tmp_pat
     monkeypatch.setattr(sys, "argv", ["ab.py", mode, "p", "c", *flags])
     tool.main()
     assert (seen["parent"], seen["change"]) == (str(tmp_path / "p"), str(tmp_path / "c"))
+
+
+@pytest.mark.parametrize("change, resolved", [
+    ([29.52, 29.83, 29.50], False),  # higher in two pairs, gap 0.05 < IQR 0.08
+    ([29.40, 29.39, 29.41], False),  # lower in every pair, gap 0.07 < IQR 0.08
+    ([29.30, 29.32, 29.31], True),
+    ([29.70, 29.60, 29.65], True),
+], ids=["higher-in-noise", "lower-in-noise", "lower", "higher"])
+def test_summary_says_whether_the_median_gap_exceeds_the_parent_iqr(change, resolved):
+    # parent quartiles 29.42 and 29.50 (statistics.quantiles, exclusive)
+    parent = [29.47, 29.42, 29.50]
+    summary = tool._summary(parent, change)
+    assert summary["parent_quartiles"] == pytest.approx([29.42, 29.50])
+    assert summary["resolved"] is resolved

@@ -77,6 +77,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, float("inf"), 10)
 
+    @pytest.mark.parametrize("n", [5.5, 5.0, np.float64(5.0), True, "5"])
+    def test_n_must_be_an_integer(self, n):
+        # a float n once built a grid whose points() overran b
+        with pytest.raises(ValueError, match=r"integer n, got n="):
+            Grid(0.0, 1.0, n)
+
+    def test_numpy_integer_n_is_accepted(self):
+        grid = Grid(0.0, 1.0, np.int64(5))
+        assert grid.points().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
 
 class TestGridFunction:
     def test_length_must_match(self):

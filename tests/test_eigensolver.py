@@ -15,6 +15,7 @@ from retromech import eigensolver
 from retromech.cli import main
 from retromech.core import Grid, GridFunction, UnitsConfig
 from retromech.eigensolver import (
+    EigenSolution,
     SpectrumError,
     build_hamiltonian,
     count_interior_nodes,
@@ -153,6 +154,31 @@ class TestSpectrum:
         assert empty.count == 0 and empty.eigenfunctions == ()
         with pytest.raises(ValueError, match="exceeds"):
             solve_spectrum(ham, ham.dimension + 1)
+
+    def test_solution_copies_a_writeable_energy_array(self):
+        grid = default_grid(WELL, 100)
+        energies = np.array([1.0, 2.0])
+        sol = EigenSolution(energies, [], WELL, UnitsConfig(), grid)
+        assert energies.flags.writeable and sol.energies is not energies
+        assert not sol.energies.flags.writeable
+        energies[0] = 5.0
+        assert sol.energies.tolist() == [1.0, 2.0]
+        # a read-only array with no writeable base is kept as it is
+        assert EigenSolution(sol.energies, (), WELL, UnitsConfig(), grid).energies \
+            is sol.energies
+
+    def test_spectrum_keeps_the_energy_array_it_computed(self, monkeypatch):
+        computed = []
+
+        def recording(*args, **kwargs):
+            energies, vectors = real(*args, **kwargs)
+            computed.append(energies)
+            return energies, vectors
+
+        real = eigensolver.eigh_tridiagonal
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", recording)
+        sol = solve_spectrum(build_hamiltonian(WELL, default_grid(WELL, 100)), 3)
+        assert sol.energies is computed[0] and not sol.energies.flags.writeable
 
     @pytest.mark.parametrize("potential, n, count", [
         (WELL, 2000, 5), (WELL, 3000, 3), (HarmonicPotential(1.0), 2000, 6),

@@ -1,15 +1,23 @@
-"""The frozen records of the modules that load no numpy: the nine in
-``lagrangian`` and ``cli.RunConfig``. Each prints, compares, hashes and
-refuses assignment as a frozen dataclass does."""
+"""The frozen records of the package, all ``enums.Record``s: the nine in
+``lagrangian``, ``cli.RunConfig`` and the numeric records that compare by
+value. Each prints, compares, hashes and refuses assignment as a frozen
+dataclass does; the records that hold arrays compare by identity."""
 
-import dataclasses
-import importlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from retromech import core, dampedwave, eigensolver, fracops, oscillator
 from retromech.cli import RunConfig, parse_args
+from retromech.core import NATURAL_UNITS, Grid, GridFunction, UnitsConfig
+from retromech.dampedwave import DampedWaveParams
+from retromech.eigensolver import StationarityReport
 from retromech.enums import Direction, Record
+from retromech.fracops import FracOrder
 from retromech.lagrangian import (
     ClassicalOde,
     EomTerm,
@@ -21,6 +29,7 @@ from retromech.lagrangian import (
     PolynomialPotential,
     ProductTerm,
 )
+from retromech.oscillator import OscillatorParams
 
 # (record, an equal record built from keywords, its repr)
 _CASES = {
@@ -54,6 +63,23 @@ _CASES = {
                      "ClassicalOde(mass_coeff=1.0, damping_coeff=-0.5, stiffness_coeff=4.0)"),
     "RunConfig": (RunConfig("verify", {}), RunConfig(command="verify", options={}),
                   "RunConfig(command='verify', options={})"),
+    "Grid": (Grid(0.0, 1.0, 5), Grid(b=1.0, a=0.0, n=5), "Grid(a=0.0, b=1.0, n=5)"),
+    "UnitsConfig": (UnitsConfig(2.0), UnitsConfig(hbar=2.0, mass=1.0, c_light=1.0),
+                    "UnitsConfig(hbar=2.0, mass=1.0, c_light=1.0)"),
+    "FracOrder": (FracOrder(1.0), FracOrder(alpha=1), "FracOrder(alpha=1.0)"),
+    "OscillatorParams": (OscillatorParams(1.0, 0.5, 4.0, 1.0, 0.0),
+                         OscillatorParams(m=1.0, C=0.5, k=4.0, q0=1.0, v0=0.0),
+                         "OscillatorParams(m=1.0, C=0.5, k=4.0, q0=1.0, v0=0.0)"),
+    "DampedWaveParams": (DampedWaveParams(0.3, 2.0),
+                         DampedWaveParams(xi=0.3, energy=2.0, units=UnitsConfig()),
+                         "DampedWaveParams(xi=0.3, energy=2.0, "
+                         "units=UnitsConfig(hbar=1.0, mass=1.0, c_light=1.0))"),
+    "StationarityReport": (
+        StationarityReport(1, 2.0, 1e-3, (2.0, 2.1), 2.0, True),
+        StationarityReport(index=1, energy=2.0, epsilon=1e-3, exponents=(2.0, 2.1),
+                           min_exponent=2.0, stationary=True),
+        "StationarityReport(index=1, energy=2.0, epsilon=0.001, exponents=(2.0, 2.1), "
+        "min_exponent=2.0, stationary=True)"),
 }
 
 # the fields of each record, and a record that differs from the first in
@@ -73,6 +99,16 @@ _FIELDS = {
     "ClassicalOde": (("mass_coeff", "damping_coeff", "stiffness_coeff"),
                      ClassicalOde(1.0, -0.5, 5.0)),
     "RunConfig": (("command", "options"), RunConfig("verify", {"output": None})),
+    "Grid": (("a", "b", "n"), Grid(0.0, 1.0, 6)),
+    "UnitsConfig": (("hbar", "mass", "c_light"), UnitsConfig(2.0, 1.0, 3.0)),
+    "FracOrder": (("alpha",), FracOrder(1.5)),
+    "OscillatorParams": (("m", "C", "k", "q0", "v0"),
+                         OscillatorParams(1.0, 0.5, 4.0, 1.0, 0.25)),
+    "DampedWaveParams": (("xi", "energy", "units"),
+                         DampedWaveParams(0.3, 2.0, UnitsConfig(mass=2.0))),
+    "StationarityReport": (("index", "energy", "epsilon", "exponents", "min_exponent",
+                            "stationary"),
+                           StationarityReport(1, 2.0, 1e-3, (2.0, 2.1), 2.0, False)),
 }
 
 _NAMES = sorted(_CASES)
@@ -145,6 +181,9 @@ def test_keyword_construction_keeps_defaults_and_coercions():
     assert EquationOfMotion(terms=[], potential=FreePotential(),
                             direction=Direction.CAUSAL).terms == ()
     assert RunConfig(options={"n": 5}, command="oscillate").options == {"n": 5}
+    assert UnitsConfig(mass=2.0) == UnitsConfig(1.0, 2.0, 1.0)
+    assert DampedWaveParams(energy=2.0, xi=0.3).units is NATURAL_UNITS
+    assert type(FracOrder(alpha=1).alpha) is float
 
 
 @pytest.mark.parametrize("make", [
@@ -153,7 +192,13 @@ def test_keyword_construction_keeps_defaults_and_coercions():
     lambda: PolynomialPotential(coeffs=()),
     lambda: ProductTerm(coeff=0.0, order=1),
     lambda: LagrangianSpec(terms=(ProductTerm(1.0, 1), ProductTerm(2.0, "1.0"))),
-], ids=["harmonic", "well", "poly", "term", "spec"])
+    lambda: Grid(a=0.0, b=1.0, n=1),
+    lambda: UnitsConfig(hbar=0.0),
+    lambda: FracOrder(alpha=2.5),
+    lambda: OscillatorParams(m=0.0, C=0.5, k=4.0, q0=1.0, v0=0.0),
+    lambda: DampedWaveParams(xi=-1.0, energy=2.0),
+], ids=["harmonic", "well", "poly", "term", "spec", "grid", "units", "order", "oscillator",
+        "damped-wave"])
 def test_keyword_construction_validates(make):
     with pytest.raises(ValueError):
         make()
@@ -166,7 +211,15 @@ def test_keyword_construction_validates(make):
     lambda: EomTerm(coeff=1.0),
     lambda: ClassicalOde(1.0, 2.0, 3.0, 4.0),
     lambda: RunConfig(command="verify", options={}, extra=1),
-], ids=["missing", "extra", "free-extra", "missing-keyword", "four", "unknown-keyword"])
+    lambda: Grid(0.0, 1.0),
+    lambda: UnitsConfig(1.0, 1.0, 1.0, 1.0),
+    lambda: FracOrder(),
+    lambda: OscillatorParams(m=1.0, C=0.5, k=4.0, q0=1.0),
+    lambda: DampedWaveParams(0.3, 2.0, units=NATURAL_UNITS, k=1.0),
+    lambda: StationarityReport(1, 2.0, 1e-3, (2.0,), 2.0, True, index=1),
+], ids=["missing", "extra", "free-extra", "missing-keyword", "four", "unknown-keyword",
+        "grid-missing", "units-four", "order-missing", "oscillator-missing-keyword",
+        "damped-wave-unknown-keyword", "report-twice"])
 def test_wrong_arguments_raise_type_error(make):
     with pytest.raises(TypeError):
         make()
@@ -180,19 +233,42 @@ def test_run_config_equality_follows_its_options(tmp_path):
     assert RunConfig("verify", {}) != RunConfig("oscillate", {})
 
 
-@pytest.mark.parametrize("module, loads_numpy", [
-    ("cli", False), ("lagrangian", False), ("core", True), ("fracops", True),
-    ("oscillator", True), ("eigensolver", True), ("dampedwave", True),
-])
-def test_records_are_dataclasses_only_where_numpy_loads(module, loads_numpy):
-    # numpy imports inspect, so there a dataclass costs only its class
-    # creation; without numpy, dataclasses and inspect were most of the start
-    module = importlib.import_module(f"retromech.{module}")
-    classes = [value for value in vars(module).values()
-               if isinstance(value, type) and value.__module__ == module.__name__]
-    records = {cls for cls in classes if issubclass(cls, Record)}
-    frozen = {cls for cls in classes if dataclasses.is_dataclass(cls)}
-    if loads_numpy:
-        assert frozen and not records
-    else:
-        assert records and not frozen
+#: the records that hold arrays, which compare and hash by identity
+_IDENTITY_RECORDS = (core.GridFunction, fracops.ComposeHalfResult,
+                     oscillator.OscillatorTrajectory, eigensolver.DiscreteHamiltonian,
+                     eigensolver.EigenSolution, eigensolver.WaveFunctionPair,
+                     dampedwave.DampedFreeSolution, dampedwave.DampedWellModes)
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    grid = Grid(0.0, 1.0, 3)
+    f = GridFunction(grid, np.arange(3.0))
+    g = GridFunction(grid=grid, samples=np.arange(3.0))
+    assert f == f and f != g and not f == g
+    assert len({f, g, f}) == 2
+    assert repr(f) == ("GridFunction(grid=Grid(a=0.0, b=1.0, n=3), "
+                       "samples=array([0., 1., 2.]))")
+    with pytest.raises(AttributeError):
+        f.samples = g.samples
+    for cls in _IDENTITY_RECORDS:
+        assert issubclass(cls, Record)
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+def test_no_module_loads_dataclasses():
+    # every record is an enums.Record, so importing every module of the
+    # package, those that load numpy too, loads no dataclasses; every class
+    # of the package is a record, an enumeration or an exception
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["retromech.enums"].__file__)))
+    code = ("import enum, sys\n"
+            "import retromech.cli, retromech.csvtext, retromech.verify\n"
+            "from retromech.enums import Record\n"
+            "plain = [f'{name}.{cls.__name__}' for name, module in list(sys.modules.items())\n"
+            "         if name.startswith('retromech') for cls in vars(module).values()\n"
+            "         if isinstance(cls, type) and cls.__module__ == name\n"
+            "         and not issubclass(cls, (Record, enum.Enum, Exception))]\n"
+            "print('dataclasses' in sys.modules, plain)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "False []\n"

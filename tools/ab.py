@@ -36,7 +36,10 @@ BENCH_memory.json and BENCH_dampedwave.json (oldest first), with the
 * ``bench`` keeps the report of ``python3 bench/run.py --workload W --seed
   S --seconds 20 --trace T`` run from each root.
 * ``report`` gives medians, quartiles and pair wins of every sample set,
-  and, given ``--claim``, whether METRIC of WORKLOAD (trace off) is at
+  whether its median gap is wider than the parent's IQR (``resolved``:
+  where it is not, as for a peak-RSS change below the heap-layout noise of
+  a few seeds, the set tells the trees apart in neither direction), and,
+  given ``--claim``, whether METRIC of WORKLOAD (trace off) is at
   least DROP lower than the parent's in 90 % of the pairs or more, with a
   median gap wider than the parent's IQR.
 
@@ -285,16 +288,21 @@ def bench(args):
 
 
 def _summary(parent, change):
-    """Medians and quartiles of paired samples, and the pairs the change
-    reads lower in."""
+    """Medians and quartiles of paired samples, the pairs the change reads
+    lower in, and whether the gap between the medians is wider than the
+    parent's interquartile range: where it is not, the samples cannot tell
+    the two trees apart (``resolved`` false)."""
     def quartiles(values):
         q = statistics.quantiles(values, n=4)
         return [q[0], q[2]]
+    low, high = quartiles(parent)
+    gap = statistics.median(change) - statistics.median(parent)
     return {"parent_median": statistics.median(parent),
-            "parent_quartiles": quartiles(parent),
+            "parent_quartiles": [low, high],
             "change_median": statistics.median(change),
             "change_quartiles": quartiles(change),
             "change_lower": f"{sum(c < p for p, c in zip(parent, change))}/{len(parent)}",
+            "resolved": abs(gap) > high - low,
             "parent": parent, "change": change}
 
 
