@@ -393,13 +393,8 @@ def _cmd_derive_eom(opts):
         ode_r = _wrap(lagrangian.reduce_integer_orders, retro)
         lines.append("reduced causal:      " + lagrangian.render_eom(ode_c))
         lines.append("reduced retrocausal: " + lagrangian.render_eom(ode_r))
-        doc["reduced"] = {
-            "causal": {"mass": ode_c.mass_coeff, "damping": ode_c.damping_coeff,
-                       "stiffness": ode_c.stiffness_coeff},
-            "retrocausal": {"mass": ode_r.mass_coeff,
-                            "damping": ode_r.damping_coeff,
-                            "stiffness": ode_r.stiffness_coeff},
-        }
+        doc["reduced"] = {"causal": lagrangian.eom_to_json_dict(ode_c),
+                          "retrocausal": lagrangian.eom_to_json_dict(ode_r)}
     print("\n".join(lines))
     # the human-readable form already went to stdout; JSON only goes to a file
     return _json(doc) if opts.get("output") else ()

@@ -48,7 +48,7 @@ class Grid(Record):
             raise ValueError("grid endpoints must be finite")
         if not self.b > self.a:
             raise ValueError(f"grid needs b > a, got a={self.a}, b={self.b}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+        if not is_integer(self.n):
             raise ValueError(f"grid needs an integer n, got n={self.n!r}")
         if self.n < 2:
             raise ValueError(f"grid needs n >= 2, got n={self.n}")
@@ -112,6 +112,11 @@ class UnitsConfig(Record):
     def __post_init__(self) -> None:
         for name in ("hbar", "mass", "c_light"):
             check_positive(name, getattr(self, name))
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or ``np.integer``, not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_positive(name: str, value: float, *, zero_ok: bool = False) -> None:

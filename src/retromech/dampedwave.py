@@ -32,6 +32,7 @@ from .core import (
     closed_form,
     increment_power,
     integrate_second_order,
+    is_integer,
     rk4_increment,
 )
 from .enums import Record
@@ -222,8 +223,7 @@ def damped_well_modes(xi: float, length: float,
     """
     _check_xi(xi)
     check_positive("length", length)
-    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
-            or count < 0):
+    if not is_integer(count) or count < 0:
         raise ValueError(f"count must be an integer >= 0, got {count!r}")
     try:
         hbar2 = units.hbar**2

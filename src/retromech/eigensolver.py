@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .core import NATURAL_UNITS, Grid, GridFunction, UnitsConfig, _read_only
+from .core import NATURAL_UNITS, Grid, GridFunction, UnitsConfig, _read_only, is_integer
 from .enums import Record, set_field
 from .lagrangian import HarmonicPotential, InfiniteWellPotential, Potential
 
@@ -209,6 +209,8 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
     deterministic, and states of exactly equal energy are ordered by
     :func:`count_interior_nodes`.
     """
+    if not is_integer(count):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
@@ -292,10 +294,17 @@ class WaveFunctionPair(Record, eq=False):
                             _frozen(np.conj(self.psi_plus(t).samples)))
 
 
-def make_pair(solution: EigenSolution, index: int) -> WaveFunctionPair:
+def _check_index(solution: EigenSolution, index: int) -> None:
+    """Raise unless ``index`` is an integer naming one of the eigenstates."""
+    if not is_integer(index):
+        raise ValueError(f"index must be an integer, got {index!r}")
     if not 0 <= index < solution.count:
         raise IndexError(f"eigenstate index {index} out of range "
                          f"(have {solution.count})")
+
+
+def make_pair(solution: EigenSolution, index: int) -> WaveFunctionPair:
+    _check_index(solution, index)
     return WaveFunctionPair(solution.eigenfunctions[index],
                             float(solution.energies[index]),
                             solution.units.hbar)
@@ -395,8 +404,7 @@ def stationarity_check(solution: EigenSolution, index: int,
     if not 0 < perturbation_scale <= 0.1:
         raise ValueError(f"perturbation scale must be in (0, 0.1], "
                          f"got {perturbation_scale}")
-    if not 0 <= index < solution.count:
-        raise IndexError(f"eigenstate index {index} out of range")
+    _check_index(solution, index)
     psi = solution.eigenfunctions[index].samples
     energy = solution.energies[index] if energy_override is None else energy_override
     grid = solution.grid

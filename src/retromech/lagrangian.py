@@ -18,6 +18,10 @@ direction, and the potential contributes +dV/dq. Orders are stored as
 exact fractions so the doubling and the integer checks never drift, and
 an order whose 2*beta is not a finite float, or is a nonzero beta that
 rounds to zero, is rejected before its fraction is built.
+
+The records own the rules: :class:`ProductTerm` converts and checks each
+order and each potential kind its values. The parser only locates a
+failure, re-raising the record's ``ValueError`` at the offset of the text.
 """
 
 from __future__ import annotations
@@ -63,16 +67,29 @@ class Potential(Record):
     """Base class for potential descriptors; see the concrete kinds."""
 
     kind = "abstract"
+    json_keys = {}  # the JSON key of each field whose key is not its name
 
     def evaluate(self, x):
-        """V at the positions ``x`` as a float64 array."""
-        raise NotImplementedError
+        """V at the positions ``x`` as a float64 array; zero unless overridden."""
+        import numpy as np
+        return np.zeros_like(np.asarray(x, dtype=np.float64))
 
     def render_dsl(self) -> str:
-        raise NotImplementedError
+        """The DSL body: the kind, then each field's value or values."""
+        pieces = [self.kind]
+        for name in self._fields:
+            value = getattr(self, name)
+            pieces += map(_fmt_float, value if isinstance(value, tuple) else (value,))
+        return ", ".join(pieces)
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        """The kind, then each field's value under its JSON key."""
+        doc = {"kind": self.kind}
+        for name in self._fields:
+            value = getattr(self, name)
+            doc[self.json_keys.get(name, name)] = (list(value) if isinstance(value, tuple)
+                                                   else value)
+        return doc
 
     def gradient(self) -> tuple:
         """dV/dq as nonzero (coeff, power) pairs: sum coeff * q**power.
@@ -82,16 +99,6 @@ class Potential(Record):
 
 class FreePotential(Potential):
     kind = "free"
-
-    def evaluate(self, x):
-        import numpy as np
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-    def render_dsl(self):
-        return "free"
-
-    def to_json_dict(self):
-        return {"kind": "free"}
 
     def gradient(self):
         return ()
@@ -104,18 +111,14 @@ class HarmonicPotential(Potential):
     kind = "harmonic"
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k >= 0):
-            raise ValueError(f"harmonic potential needs k >= 0, got {self.k}")
+        if not math.isfinite(self.k):
+            raise ValueError(f"harmonic constant must be finite, got {self.k}")
+        if self.k < 0:
+            raise ValueError(f"harmonic constant must be >= 0, got {self.k}")
 
     def evaluate(self, x):
         import numpy as np
         return 0.5 * self.k * np.asarray(x, dtype=np.float64) ** 2
-
-    def render_dsl(self):
-        return f"harmonic, {_fmt_float(self.k)}"
-
-    def to_json_dict(self):
-        return {"kind": "harmonic", "k": self.k}
 
     def gradient(self):
         return ((self.k, 1),) if self.k != 0 else ()
@@ -143,12 +146,6 @@ class PolynomialPotential(Potential):
             out += c * x**power
         return out
 
-    def render_dsl(self):
-        return "poly, " + ", ".join(_fmt_float(c) for c in self.coeffs)
-
-    def to_json_dict(self):
-        return {"kind": "poly", "coeffs": list(self.coeffs)}
-
     def gradient(self):
         pairs = []
         for power, c in enumerate(self.coeffs):
@@ -166,20 +163,13 @@ class InfiniteWellPotential(Potential):
 
     length: float
     kind = "well"
+    json_keys = {"length": "L"}
 
     def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise ValueError(f"well length must be positive, got {self.length}")
-
-    def evaluate(self, x):
-        import numpy as np
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-    def render_dsl(self):
-        return f"well, {_fmt_float(self.length)}"
-
-    def to_json_dict(self):
-        return {"kind": "well", "L": self.length}
+        if not math.isfinite(self.length):
+            raise ValueError(f"well length must be finite, got {self.length}")
+        if not self.length > 0:
+            raise ValueError(f"well length must be > 0, got {self.length}")
 
     def gradient(self):
         raise ValueError("infinite-well potential has no gradient; it is only valid in "
@@ -190,13 +180,28 @@ class InfiniteWellPotential(Potential):
 # structured spec
 
 
-def _coerce_order(order) -> Fraction:
-    if isinstance(order, Fraction):
-        return order
-    if isinstance(order, int):
-        return Fraction(order)
-    # decimal semantics for float input: 0.3 means 3/10, not the binary float
-    return Fraction(Decimal(str(order)))
+def _order(value) -> Fraction:
+    """The exact order ``value`` spells: a REAL token, str or float by its
+    decimal text (0.3 is 3/10, not the binary float), a Fraction, int or
+    other number as it is. An order whose 2*order is not a finite float,
+    or is 0.0 for a nonzero order, is rejected before its fraction (a
+    million digits for 1e3000000) is built."""
+    exact = not isinstance(value, (str, float))
+    text = str(value)
+    try:
+        doubled = 2.0 * float(value if exact else text)
+    except OverflowError:  # an exact number beyond the float range
+        doubled = math.inf
+    if not math.isfinite(doubled):
+        raise ValueError(f"order {text!r} doubles to a non-finite number")
+    # a nonzero digit before the exponent makes the order nonzero
+    if doubled == 0.0 and (value != 0 if exact else any(
+            c.isdecimal() and int(c) for c in text.lower().partition("e")[0])):
+        raise ValueError(f"nonzero order {text!r} doubles to zero")
+    order = Fraction(value) if exact else Fraction(*Decimal(text).as_integer_ratio())
+    if order.numerator < 0:
+        raise ValueError(f"negative order {order}")
+    return order
 
 
 class ProductTerm(Record):
@@ -209,10 +214,7 @@ class ProductTerm(Record):
     def __post_init__(self):
         if not math.isfinite(self.coeff) or self.coeff == 0:
             raise ValueError(f"coefficient must be finite and nonzero, got {self.coeff}")
-        order = _coerce_order(self.order)
-        if order.numerator < 0:
-            raise ValueError(f"negative order {order}")
-        set_field(self, "order", order)
+        set_field(self, "order", _order(self.order))
 
 
 class LagrangianSpec(Record):
@@ -322,22 +324,7 @@ def _finite(token: str, start: int) -> float:
     return value
 
 
-def _order(token: str, start: int) -> Fraction:
-    """The exact order a REAL token spells. An order whose equation-of-motion
-    order 2*order is not a finite float, or is a nonzero order that rounds
-    to 0.0, is rejected before its fraction, which for 1e3000000 or
-    1e-3000000 has a million digits, is built."""
-    doubled = 2.0 * float(token)
-    if not math.isfinite(doubled):
-        raise ParseError(f"order {token!r} doubles to a non-finite number", start)
-    # a nonzero digit before the exponent makes the order nonzero
-    if doubled == 0.0 and any(c.isdecimal() and int(c)
-                              for c in token.lower().partition("e")[0]):
-        raise ParseError(f"nonzero order {token!r} doubles to zero", start)
-    order = Fraction(*Decimal(token).as_integer_ratio())
-    if order.numerator < 0:
-        raise ParseError(f"negative order {order}", start)
-    return order
+_KINDS = {kind.kind: kind for kind in Potential.__subclasses__()}
 
 
 def _potential_at(text: str, pos: int) -> tuple:
@@ -355,16 +342,12 @@ def _potential_at(text: str, pos: int) -> tuple:
     values = [_finite(v[0], v.start()) for v in _REAL_RE.finditer(text, *m.span("values"))]
     if m["dangle"]:
         raise _unexpected(text, m.end(), "REAL")
-    if m["poly"]:
-        return PolynomialPotential(tuple(values)), m.end()
-    value, start = values[0], m.start("values")
-    if m["kind"] == "harmonic":
-        if value < 0:
-            raise ParseError(f"harmonic constant must be >= 0, got {value}", start)
-        return HarmonicPotential(value), m.end()
-    if value <= 0:
-        raise ParseError(f"well length must be > 0, got {value}", start)
-    return InfiniteWellPotential(value), m.end()
+    kind = _KINDS[m["kind"]]
+    try:
+        potential = kind(tuple(values)) if m["poly"] else kind(*values)
+    except ValueError as exc:
+        raise ParseError(str(exc), m.start("values")) from None
+    return potential, m.end()
 
 
 def parse_potential(text: str) -> Potential:
@@ -383,7 +366,7 @@ def parse_lagrangian(text: str) -> LagrangianSpec:
     are rejected with the offset of the repeated order, and so is any order
     whose equation-of-motion order 2*order is not a finite float or, for a
     nonzero order, is 0.0. A spec whose terms all dropped is still returned,
-    flagged degenerate.
+    with no terms, and derives an equation with none.
     """
     terms = []
     seen = set()
@@ -401,15 +384,20 @@ def parse_lagrangian(text: str) -> LagrangianSpec:
             raise _unexpected(text, pos, "'q['")
         if not order:
             raise _unexpected(text, pos, "REAL")
-        order = _order(order, m.start("order"))
+        try:  # the term converts the order; a dropped one is still checked
+            if coeff == 0.0:
+                order = _order(order)
+            else:
+                terms.append(ProductTerm(coeff, order))
+                order = terms[-1].order
+        except ValueError as exc:
+            raise ParseError(str(exc), m.start("order")) from None
         if not close:
             raise _unexpected(text, pos, "']'")
         key = (order.numerator, order.denominator)
         if key in seen:
             raise ParseError(f"duplicate order {order}", m.start("order"))
         seen.add(key)
-        if coeff != 0.0:
-            terms.append(ProductTerm(coeff, order))
     potential: Potential = FreePotential()
     if sep == "-":
         m = _CALL_RE.match(text, pos)
@@ -527,18 +515,15 @@ def render_eom(obj) -> str:
     if isinstance(obj, ClassicalOde):
         pieces = [(obj.mass_coeff, "q''"), (obj.damping_coeff, "q'"),
                   (obj.stiffness_coeff, "q")]
-        pieces = [(c, b) for c, b in pieces if c != 0]
-        if not pieces:
-            return "0 = 0"
-        return _join_signed(pieces) + " = 0"
-    if isinstance(obj, EquationOfMotion):
+        pieces, suffix = [(c, b) for c, b in pieces if c != 0], ""
+    elif isinstance(obj, EquationOfMotion):
         pieces = [(t.coeff, f"D^{_fmt_order(t.total_order)}[q]") for t in obj.terms]
         pieces += [(coeff, "" if power == 0 else "q" if power == 1 else f"q^{power}")
                    for coeff, power in obj.potential.gradient()]
-        if not pieces:
-            return "0 = 0"
-        return _join_signed(pieces) + f" = 0 ({obj.direction.value})"
-    raise TypeError(f"cannot render {type(obj).__name__}")
+        suffix = f" ({obj.direction.value})"
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__}")
+    return _join_signed(pieces) + " = 0" + suffix if pieces else "0 = 0"
 
 
 def render_lagrangian(spec: LagrangianSpec) -> str:
@@ -555,7 +540,12 @@ def render_lagrangian(spec: LagrangianSpec) -> str:
     return f"{body} - V({spec.potential.render_dsl()})"
 
 
-def eom_to_json_dict(eom: EquationOfMotion) -> dict:
+def eom_to_json_dict(eom) -> dict:
+    """The JSON document of an equation of motion or of a reduced
+    classical ODE."""
+    if isinstance(eom, ClassicalOde):
+        return {"mass": eom.mass_coeff, "damping": eom.damping_coeff,
+                "stiffness": eom.stiffness_coeff}
     return {
         "direction": eom.direction.value,
         "terms": [{"coeff": t.coeff, "order": float(t.total_order)} for t in eom.terms],

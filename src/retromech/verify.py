@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -168,8 +169,7 @@ REFERENCE_DSL = "1.0*q[1] + 0.3*q[0.5] + 4.0*q[0]"
 def check_parse_reference():
     spec = lagrangian.parse_lagrangian(REFERENCE_DSL)
     terms = [(t.coeff, t.order) for t in spec.terms]
-    _require(terms == [(1.0, 1), (0.3, lagrangian.ProductTerm(1, "0.5").order), (4.0, 0)],
-             terms)
+    _require(terms == [(1.0, 1), (0.3, Fraction(1, 2)), (4.0, 0)], terms)
     _require(isinstance(spec.potential, lagrangian.FreePotential), spec.potential)
 
 

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import retromech
-from retromech import fracops, verify
+from retromech import fracops, lagrangian, verify
 from retromech.cli import main
 from retromech.core import GridFunction
 from retromech.eigensolver import WaveFunctionPair
@@ -44,6 +44,15 @@ def test_integer_reduction_fails_on_a_flipped_retrocausal_first_order(monkeypatc
     monkeypatch.setattr(fracops, "retrocausal_frac_deriv", flipped)
     with pytest.raises(AssertionError, match="retrocausal order 1"):
         verify.check_integer_reduction()
+
+
+def test_parse_reference_fails_on_a_wrong_order_conversion(monkeypatch):
+    # right at the integer orders 0 and 1, wrong at 1/2; an expected order
+    # taken from ProductTerm would have gone wrong with it
+    exact = lagrangian._order
+    monkeypatch.setattr(lagrangian, "_order", lambda value: exact(value) ** 2)
+    with pytest.raises(AssertionError, match=r"\(0\.3, Fraction\(1, 4\)\)"):
+        verify.check_parse_reference()
 
 
 def test_checks_still_fail_under_python_O():

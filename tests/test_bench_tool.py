@@ -108,3 +108,24 @@ def test_summary_says_whether_the_median_gap_exceeds_the_parent_iqr(change, reso
     summary = tool._summary(parent, change)
     assert summary["parent_quartiles"] == pytest.approx([29.42, 29.50])
     assert summary["resolved"] is resolved
+
+
+@pytest.mark.parametrize("parent, change, paired", [
+    # the host's load moves both runs of a pair: the medians' gap is inside
+    # the parent's IQR, but every pair reads about 2 % lower
+    ([100.0, 80.0, 120.0, 90.0, 110.0], [98.0, 78.5, 117.5, 88.0, 108.0], True),
+    ([100.0, 80.0, 120.0, 90.0, 110.0], [98.0, 81.0, 117.5, 91.0, 108.0], False),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], False),
+    ([0.0, 0.0, 1.0], [1.0, 2.0, 1.0], None),
+], ids=["shared-drift", "mixed", "zeros", "zero-parents"])
+def test_summary_pairs_cancel_the_load_both_runs_share(parent, change, paired):
+    summary = tool._summary(parent, change)
+    assert summary["paired_resolved"] is paired
+    if paired is None:
+        assert summary["ratio_median"] is summary["ratio_quartiles"] is None
+        return
+    ratios = sorted(c / p if p else 1.0 for p, c in zip(parent, change))
+    assert summary["ratio_median"] == ratios[len(ratios) // 2]
+    if paired:
+        assert not summary["resolved"]
+        assert summary["ratio_quartiles"][1] < 1.0

@@ -155,6 +155,23 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="exceeds"):
             solve_spectrum(ham, ham.dimension + 1)
 
+    @pytest.mark.parametrize("count", [True, 2.5, 3.0, "3"])
+    def test_count_must_be_an_integer_before_lapack_runs(self, monkeypatch, count):
+        # True gave one pair, and 2.5 ran LAPACK before range(count) raised
+        ham = build_hamiltonian(WELL, default_grid(WELL, 100))
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("LAPACK ran")
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", unreached)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"count must be an integer, got {count!r}")):
+            solve_spectrum(ham, count)
+
+    def test_numpy_integer_count_accepted(self):
+        ham = build_hamiltonian(WELL, default_grid(WELL, 100))
+        assert solve_spectrum(ham, np.int64(2)).count == 2
+
     def test_solution_copies_a_writeable_energy_array(self):
         grid = default_grid(WELL, 100)
         energies = np.array([1.0, 2.0])
@@ -327,6 +344,16 @@ class TestWaveFunctionPair:
     def test_index_out_of_range(self, well_solution):
         with pytest.raises(IndexError):
             make_pair(well_solution, 5)
+
+    @pytest.mark.parametrize("index", [True, 0.5, 1.0, "1"])
+    def test_index_must_be_an_integer(self, well_solution, index):
+        # numpy indexing took True, and 0.5 or 1.0 failed on "tuple indices"
+        text = re.escape(f"index must be an integer, got {index!r}")
+        with pytest.raises(ValueError, match=text):
+            make_pair(well_solution, index)
+        with pytest.raises(ValueError, match=text):
+            stationarity_check(well_solution, index, 1e-2)
+        assert make_pair(well_solution, np.int64(1)).energy == well_solution.energies[1]
 
     def test_phases_are_unity_at_t0(self, well_solution):
         pair = make_pair(well_solution, 0)

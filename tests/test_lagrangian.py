@@ -122,6 +122,45 @@ class TestTypes:
     def test_float_order_uses_decimal_semantics(self):
         assert ProductTerm(1.0, 0.3).order == Fraction(3, 10)
 
+    @pytest.mark.parametrize("order, text", [
+        (1e308, "order '1e+308' doubles to a non-finite number"),
+        ("1e400", "order '1e400' doubles to a non-finite number"),
+        (Fraction(10**400), f"order '{10**400}' doubles to a non-finite number"),
+        ("1e-400", "nonzero order '1e-400' doubles to zero"),
+        (Fraction(1, 10**400), f"nonzero order '1/{10**400}' doubles to zero"),
+        ("-0.5", "negative order -1/2"),
+    ], ids=["float", "str", "fraction", "str-tiny", "fraction-tiny", "negative"])
+    def test_term_rejects_what_the_parser_rejects(self, order, text):
+        # accepted once: the JSON export then overflowed, or read order 0.0,
+        # and the rendered text did not reparse
+        with pytest.raises(ValueError) as err:
+            ProductTerm(1.0, order)
+        assert str(err.value) == text
+        if isinstance(order, str):
+            with pytest.raises(ParseError) as err:
+                parse_lagrangian(f"1*q[{order}]")
+            assert str(err.value) == f"offset 4: {text}"
+
+    def test_orders_at_the_edges_of_the_float_range_accepted(self):
+        # the largest order whose 2*order is finite, and the smallest subnormal
+        for order in (Fraction(2**1023 - 2**970), Fraction(1, 2**1074)):
+            assert ProductTerm(1.0, order).order == order
+        with pytest.raises(ValueError, match="doubles to a non-finite number"):
+            ProductTerm(1.0, Fraction(2**1023))
+
+    @pytest.mark.parametrize("make, text", [
+        (lambda: HarmonicPotential(-1.0), "harmonic constant must be >= 0, got -1.0"),
+        (lambda: HarmonicPotential(math.inf), "harmonic constant must be finite, got inf"),
+        (lambda: InfiniteWellPotential(0.0), "well length must be > 0, got 0.0"),
+        (lambda: InfiniteWellPotential(-0.0), "well length must be > 0, got -0.0"),
+        (lambda: InfiniteWellPotential(math.nan), "well length must be finite, got nan"),
+    ], ids=["harmonic-negative", "harmonic-inf", "well-zero", "well-minus-zero",
+            "well-nan"])
+    def test_potential_kinds_own_the_parser_texts(self, make, text):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == text
+
     def test_spec_rejects_duplicate_orders(self):
         with pytest.raises(ValueError):
             LagrangianSpec((ProductTerm(1.0, 1), ProductTerm(2.0, 1)))
@@ -330,6 +369,10 @@ class TestJsonExport:
                                 {"coeff": 4.0, "order": 0.0}]
         assert doc["potential"] == {"kind": "free"}
         json.dumps(doc)  # must be serializable as-is
+
+    def test_classical_ode_document(self):
+        ode = reduce_integer_orders(derive_retrocausal_eom(parse_lagrangian(REFERENCE)))
+        assert eom_to_json_dict(ode) == {"mass": 1.0, "damping": -0.3, "stiffness": 4.0}
 
     def test_potential_documents(self):
         assert HarmonicPotential(4.0).to_json_dict() == {"kind": "harmonic", "k": 4.0}

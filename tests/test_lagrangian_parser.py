@@ -24,7 +24,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from retromech.enums import Direction  # noqa: E402
+from retromech.enums import Direction, set_field  # noqa: E402
 from retromech.lagrangian import (  # noqa: E402
     _REAL_RE,
     EquationOfMotion,
@@ -148,6 +148,16 @@ def _frozen_term(s: _FrozenScanner) -> tuple:
     return coeff, order, coeff_pos, order_pos
 
 
+def _frozen_product_term(coeff: float, order: Fraction) -> ProductTerm:
+    """The term the old ``ProductTerm`` built: it took any nonnegative
+    order, where the one of today rejects an order whose 2*order is not a
+    finite float or is 0.0 for a nonzero order."""
+    term = object.__new__(ProductTerm)
+    set_field(term, "coeff", coeff)
+    set_field(term, "order", order)
+    return term
+
+
 def frozen_parse_lagrangian(text: str) -> LagrangianSpec:
     s = _FrozenScanner(text)
     terms = []
@@ -155,7 +165,7 @@ def frozen_parse_lagrangian(text: str) -> LagrangianSpec:
     coeff, order, _, order_pos = _frozen_term(s)
     seen[order] = order_pos
     if coeff != 0.0:
-        terms.append(ProductTerm(coeff, order))
+        terms.append(_frozen_product_term(coeff, order))
     potential: Potential = FreePotential()
     while True:
         if s.at_end():
@@ -166,7 +176,7 @@ def frozen_parse_lagrangian(text: str) -> LagrangianSpec:
                 raise ParseError(f"duplicate order {order}", order_pos)
             seen[order] = order_pos
             if coeff != 0.0:
-                terms.append(ProductTerm(coeff, order))
+                terms.append(_frozen_product_term(coeff, order))
             continue
         if s.try_literal("-"):
             s.expect_literal("V(")

@@ -38,7 +38,10 @@ BENCH_memory.json and BENCH_dampedwave.json (oldest first), with the
 * ``report`` gives medians, quartiles and pair wins of every sample set,
   whether its median gap is wider than the parent's IQR (``resolved``:
   where it is not, as for a peak-RSS change below the heap-layout noise of
-  a few seeds, the set tells the trees apart in neither direction), and,
+  a few seeds, the set tells the trees apart in neither direction), the
+  median and quartiles of the change/parent ratio of each pair, which
+  cancels host load shared by the pair's two runs, and whether 1 lies
+  outside the ratios' IQR (``paired_resolved``), and,
   given ``--claim``, whether METRIC of WORKLOAD (trace off) is at
   least DROP lower than the parent's in 90 % of the pairs or more, with a
   median gap wider than the parent's IQR.
@@ -291,18 +294,30 @@ def _summary(parent, change):
     """Medians and quartiles of paired samples, the pairs the change reads
     lower in, and whether the gap between the medians is wider than the
     parent's interquartile range: where it is not, the samples cannot tell
-    the two trees apart (``resolved`` false)."""
+    the two trees apart (``resolved`` false).
+
+    The same for the change/parent ratio of each pair, whose two runs share
+    the host's load, so a drift that moves both runs cancels in it:
+    ``paired_resolved`` is true where 1 lies outside the ratios'
+    interquartile range. A pair of zeros has ratio 1; a pair whose parent
+    alone is zero has none, and with fewer than two ratios the paired
+    fields are null."""
     def quartiles(values):
         q = statistics.quantiles(values, n=4)
         return [q[0], q[2]]
     low, high = quartiles(parent)
     gap = statistics.median(change) - statistics.median(parent)
+    ratios = [c / p if p else 1.0 for p, c in zip(parent, change) if p or not c]
+    paired = quartiles(ratios) if len(ratios) > 1 else None
     return {"parent_median": statistics.median(parent),
             "parent_quartiles": [low, high],
             "change_median": statistics.median(change),
             "change_quartiles": quartiles(change),
             "change_lower": f"{sum(c < p for p, c in zip(parent, change))}/{len(parent)}",
             "resolved": abs(gap) > high - low,
+            "ratio_median": statistics.median(ratios) if paired else None,
+            "ratio_quartiles": paired,
+            "paired_resolved": paired and not paired[0] <= 1.0 <= paired[1],
             "parent": parent, "change": change}
 
 
