@@ -27,7 +27,8 @@ any run. Each value is parsed as its flag would be, with the same types
 and choices; ``null`` leaves a flag unset, and explicit flags override
 file values.
 
-Each handler imports the modules it uses, so parsing, ``--version``,
+Each handler returns a JSON document or a CSV table, which ``run``
+encodes, and imports the modules it uses, so parsing, ``--version``,
 usage errors and ``derive-eom`` load no numpy; no run loads
 ``dataclasses``, since every record is an ``enums.Record``.
 ``json`` loads only where a config file is read or JSON is written.
@@ -62,9 +63,20 @@ class RunConfig(Record):
 # deterministic formatting and output
 
 
-def _json(doc) -> tuple:
-    import json
-    return ((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(),)
+def _encode(result):
+    """The byte chunks of a handler's result: a dict is a JSON document,
+    each array in it written as its list and each record as its fields; a
+    ``(header, columns)`` pair is a CSV table; ``()`` is nothing."""
+    if isinstance(result, dict):
+        import json
+        text = json.dumps(result, indent=2, sort_keys=True, default=lambda value: (
+            {name: getattr(value, name) for name in value._fields}
+            if isinstance(value, Record) else value.tolist()))
+        return ((text + "\n").encode(),)
+    if result:
+        from .csvtext import chunks
+        return chunks(*result)
+    return ()
 
 
 def _emit(chunks, path: str | None) -> None:
@@ -360,17 +372,16 @@ def _cmd_fracdiff(opts):
              else fracops.retrocausal_frac_deriv)
     out = _wrap(deriv, f, order, _SCHEMES[opts["scheme"]])
     if opts["format"] == "csv":
-        from .csvtext import chunks
-        return chunks(["t", "deriv"], [t, out.samples.real])
-    return _json({
+        return ["t", "deriv"], [t, out.samples.real]
+    return {
         "alpha": opts["alpha"],
         "fn": opts["fn"],
         "direction": opts["direction"],
         "scheme": opts["scheme"],
-        "grid": {"a": grid.a, "b": grid.b, "n": grid.n},
-        "t": t.tolist(),
-        "deriv": out.samples.real.tolist(),
-    })
+        "grid": grid,
+        "t": t,
+        "deriv": out.samples.real,
+    }
 
 
 def _cmd_derive_eom(opts):
@@ -397,7 +408,7 @@ def _cmd_derive_eom(opts):
                           "retrocausal": lagrangian.eom_to_json_dict(ode_r)}
     print("\n".join(lines))
     # the human-readable form already went to stdout; JSON only goes to a file
-    return _json(doc) if opts.get("output") else ()
+    return doc if opts.get("output") else ()
 
 
 def _cmd_oscillate(opts):
@@ -411,18 +422,16 @@ def _cmd_oscillate(opts):
     energy = _wrap(traj.energy)
     t = _wrap(grid.points)
     if opts["format"] == "csv":
-        from .csvtext import chunks
-        return chunks(["t", "q", "qdot", "energy"],
-                      [t, traj.position.samples, traj.velocity.samples, energy])
-    return _json({
-        "params": {"m": params.m, "C": params.C, "k": params.k,
-                   "q0": params.q0, "v0": params.v0},
+        return (["t", "q", "qdot", "energy"],
+                [t, traj.position.samples, traj.velocity.samples, energy])
+    return {
+        "params": params,
         "direction": opts["direction"],
-        "t": t.tolist(),
-        "q": traj.position.samples.tolist(),
-        "qdot": traj.velocity.samples.tolist(),
-        "energy": energy.tolist(),
-    })
+        "t": t,
+        "q": traj.position.samples,
+        "qdot": traj.velocity.samples,
+        "energy": energy,
+    }
 
 
 def _cmd_eigensolve(opts):
@@ -437,17 +446,14 @@ def _cmd_eigensolve(opts):
     ham = _wrap(eigensolver.build_hamiltonian, potential, grid, units)
     sol = _wrap(eigensolver.solve_spectrum, ham, opts["count"])
     if opts["format"] == "csv":
-        from .csvtext import chunks
         header = ["x"] + [f"psi_{n}" for n in range(sol.count)]
-        columns = [_wrap(grid.points)] + [psi.samples for psi in sol.eigenfunctions]
-        return chunks(header, columns)
-    return _json({
+        return header, [_wrap(grid.points)] + [psi.samples for psi in sol.eigenfunctions]
+    return {
         "potential": potential.to_json_dict(),
-        "energies": sol.energies.tolist(),
-        "units": {"hbar": units.hbar, "mass": units.mass,
-                  "c_light": units.c_light},
-        "grid": {"a": grid.a, "b": grid.b, "n": grid.n},
-    })
+        "energies": sol.energies,
+        "units": units,
+        "grid": grid,
+    }
 
 
 def _cmd_dampedwave(opts):
@@ -461,30 +467,28 @@ def _cmd_dampedwave(opts):
     if opts["well"] is not None:
         modes = _wrap(dampedwave.damped_well_modes, xi, opts["well"], units, opts["count"])
         if opts["format"] == "csv":
-            from .csvtext import chunks
             n = np.arange(1, len(modes.energies) + 1, dtype=np.float64)
-            return chunks(["n", "energy"], [n, modes.energies])
-        return _json({
+            return ["n", "energy"], [n, modes.energies]
+        return {
             "xi": xi,
             "L": opts["well"],
-            "energies": modes.energies.tolist(),
-            "shooting_residuals": modes.shooting_residuals.tolist(),
-        })
+            "energies": modes.energies,
+            "shooting_residuals": modes.shooting_residuals,
+        }
     params = _wrap(dampedwave.DampedWaveParams, xi, opts["energy"], units)
     grid = _build_grid(opts)
     sol = _wrap(dampedwave.solve_damped_free, params, grid, opts["psi0"], opts["dpsi0"])
     if opts["format"] == "csv":
-        from .csvtext import chunks
         psi = sol.closed_form.samples
-        return chunks(["x", "Re(psi)", "Im(psi)", "abs(psi)"],
-                      [_wrap(grid.points), psi.real, psi.imag, np.abs(psi)])
-    return _json({
+        return (["x", "Re(psi)", "Im(psi)", "abs(psi)"],
+                [_wrap(grid.points), psi.real, psi.imag, np.abs(psi)])
+    return {
         "xi": params.xi,
         "k": params.k_wave,
         "regime": sol.regime.value,
         "roots": [[r.real, r.imag] for r in characteristic_roots(*params.coeffs)],
         "max_discrepancy": sol.max_discrepancy,
-    })
+    }
 
 
 def _cmd_verify(_opts):
@@ -495,8 +499,8 @@ def _cmd_verify(_opts):
     return ()
 
 
-#: Each handler returns its output as byte chunks; an empty sequence writes
-#: nothing.
+#: Each handler returns a dict (a JSON document), a ``(header, columns)``
+#: pair (a CSV table) or ``()``, not bytes: :func:`run` encodes and writes it.
 _HANDLERS = {
     "fracdiff": _cmd_fracdiff,
     "derive-eom": _cmd_derive_eom,
@@ -511,9 +515,7 @@ def run(config: RunConfig) -> int:
     """Execute a validated configuration. Returns the exit code."""
     handler = _HANDLERS[config.command]
     try:
-        chunks = handler(config.options)
-        if chunks:
-            _emit(chunks, config.options.get("output"))
+        _emit(_encode(handler(config.options)), config.options.get("output"))
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

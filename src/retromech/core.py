@@ -64,41 +64,42 @@ class Grid(Record):
 
 
 class GridFunction(Record, eq=False):
-    """Real- or complex-valued samples living on a :class:`Grid`.
-
-    Samples are read-only, so instances are safe to share across threads.
-    A float or complex ``ndarray`` that is read-only, and whose ``.base``
-    chain holds only read-only arrays, is kept as it is: no one can write
-    to its memory, so a copy would only double it. Anything else (a
-    writeable array, a read-only view of a writeable one, a list) is
-    copied and the copy frozen. Library code freezes the arrays it makes,
-    so its results are not copied again.
-    """
+    """Real- or complex-valued samples living on a :class:`Grid`, read-only
+    (:func:`record_array`), so instances are safe to share across threads."""
 
     grid: Grid
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = self.samples
-        if not (type(arr) is np.ndarray and arr.dtype.kind in "fc"
-                and _read_only(arr)):
-            arr = np.array(arr, copy=True)
-            if arr.dtype.kind not in "fc":
-                arr = arr.astype(np.float64)
-            arr.setflags(write=False)
+        arr = record_array(self.samples)
         if arr.ndim != 1 or arr.shape[0] != self.grid.n:
             raise ValueError(f"expected {self.grid.n} samples, got shape {arr.shape}")
         set_field(self, "samples", arr)
 
 
-def _read_only(arr: np.ndarray) -> bool:
-    """Whether ``arr`` and every array along its ``.base`` chain are
-    read-only; memory that is not an ``ndarray``'s counts as writeable."""
-    while arr is not None:
-        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
-            return False
-        arr = arr.base
-    return True
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, set read-only: library code hands over each array it makes
+    this way, so :func:`record_array` keeps it without a copy."""
+    arr.setflags(write=False)
+    return arr
+
+
+def record_array(value, dtype=None) -> np.ndarray:
+    """The read-only array a record holds for ``value``: a float or complex
+    ``ndarray`` (of exactly ``dtype``, where given) that no one can write
+    to, read-only along its whole ``.base`` chain, is kept as it is; else
+    (a writeable array, a read-only view of one, a list) a copy, as
+    ``dtype`` or else float64 where not float or complex, is frozen."""
+    base = value  # memory that is not an ndarray's counts as writeable
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if not (base is None and type(value) is np.ndarray
+            and (value.dtype == dtype if dtype else value.dtype.kind in "fc")):
+        value = np.array(value, dtype=dtype)
+        if value.dtype.kind not in "fc":
+            value = value.astype(np.float64)
+        frozen(value)
+    return value
 
 
 class UnitsConfig(Record):
@@ -339,9 +340,7 @@ def integrate_second_order(coeffs, y0, v0, grid: Grid, *, backward: bool = False
         ys += starts[:, :1]
         vs = starts @ powers[:block, 1].T
         vs += starts[:, 1:]
-    ys.setflags(write=False)
-    vs.setflags(write=False)
-    ys, vs = ys.ravel()[:n], vs.ravel()[:n]
+    ys, vs = frozen(ys).ravel()[:n], frozen(vs).ravel()[:n]
     _check_step_growth(coeffs, h, increment.tolist(), grid)
     if not (np.isfinite(ys).all() and np.isfinite(vs).all()):
         step = int(np.argmin(np.isfinite(ys) & np.isfinite(vs)))

@@ -30,12 +30,14 @@ from .core import (
     check_positive,
     classify_regime,
     closed_form,
+    frozen,
     increment_power,
     integrate_second_order,
     is_integer,
+    record_array,
     rk4_increment,
 )
-from .enums import Record
+from .enums import Record, set_field
 
 __all__ = [
     "DampedWaveParams",
@@ -136,8 +138,7 @@ def solve_damped_free(params: DampedWaveParams, grid: Grid,
     dpsi0 = complex(dpsi0)
     regime = classify_regime(*params.coeffs)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        closed = closed_form(params.coeffs, psi0, dpsi0, grid)
-        closed.setflags(write=False)
+        closed = frozen(closed_form(params.coeffs, psi0, dpsi0, grid))
         numeric = integrate_second_order(params.coeffs, psi0, dpsi0, grid)[0]
         # block by block: max, abs and subtraction are exact per element, so
         # the value is the full-grid one without two more full-grid arrays
@@ -168,6 +169,10 @@ class DampedWellModes(Record, eq=False):
     units: UnitsConfig
     energies: np.ndarray
     shooting_residuals: np.ndarray
+
+    def __post_init__(self):
+        for name in ("energies", "shooting_residuals"):
+            set_field(self, name, record_array(getattr(self, name), np.float64))
 
 
 #: Largest k h a shot takes. The per-step RK4 phase error, which the
@@ -232,10 +237,9 @@ def damped_well_modes(xi: float, length: float,
     modes = np.arange(1, count + 1, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, checked below
         wavenumbers2 = (modes * math.pi / length) ** 2 + xi**2
-        energies = (hbar2 / (2.0 * units.mass)) * wavenumbers2
+        energies = frozen((hbar2 / (2.0 * units.mass)) * wavenumbers2)
     if not np.all(np.isfinite(energies)):
         raise ValueError(f"mode energies overflow at length {length} and count {count}")
-    energies.setflags(write=False)
     bound = max(SHOOTING_BOUND, SHOOTING_ROUNDING * np.finfo(np.float64).eps * length)
     # raised where k^2, rounded below the normal range or to 0, fails a shot
     underflow = (f"squared wavenumber (n pi / L)^2 + xi^2 underflows the normal float "
@@ -269,9 +273,8 @@ def damped_well_modes(xi: float, length: float,
                 f"shooting cross-check failed for mode {i + 1}: "
                 f"|psi(L)| = {residuals[i]:.3e}"
             )
-    residuals.setflags(write=False)
     return DampedWellModes(xi=xi, length=length, units=units, energies=energies,
-                           shooting_residuals=residuals)
+                           shooting_residuals=frozen(residuals))
 
 
 def envelope_decay_rate(f: GridFunction) -> float:

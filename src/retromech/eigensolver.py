@@ -22,7 +22,8 @@ import sys
 
 import numpy as np
 
-from .core import NATURAL_UNITS, Grid, GridFunction, UnitsConfig, _read_only, is_integer
+from .core import (NATURAL_UNITS, Grid, GridFunction, UnitsConfig, frozen, is_integer,
+                   record_array)
 from .enums import Record, set_field
 from .lagrangian import HarmonicPotential, InfiniteWellPotential, Potential
 
@@ -68,6 +69,10 @@ class DiscreteHamiltonian(Record, eq=False):
     grid: Grid
     potential: Potential
     units: UnitsConfig
+
+    def __post_init__(self):
+        for name in ("diag", "offdiag"):
+            set_field(self, name, record_array(getattr(self, name), np.float64))
 
     @property
     def dimension(self) -> int:
@@ -118,9 +123,7 @@ def build_hamiltonian(potential: Potential, grid: Grid,
         raise ValueError(f"diagonal overflows: kinetic term {kinetic!r} plus "
                          f"potential {potential.kind!r} is not finite")
     offdiag = np.full(grid.n - 3, -0.5 * kinetic)
-    diag.setflags(write=False)
-    offdiag.setflags(write=False)
-    return DiscreteHamiltonian(diag, offdiag, grid, potential, units)
+    return DiscreteHamiltonian(frozen(diag), frozen(offdiag), grid, potential, units)
 
 
 class EigenSolution(Record, eq=False):
@@ -134,13 +137,7 @@ class EigenSolution(Record, eq=False):
     grid: Grid
 
     def __post_init__(self):
-        # kept as it is where no one can write to it, as GridFunction's
-        # samples are; anything else is copied and the copy frozen
-        e = self.energies
-        if not (type(e) is np.ndarray and e.dtype == np.float64 and _read_only(e)):
-            e = np.array(e, dtype=np.float64)
-            e.setflags(write=False)
-        set_field(self, "energies", e)
+        set_field(self, "energies", record_array(self.energies, np.float64))
         set_field(self, "eigenfunctions", tuple(self.eigenfunctions))
 
     @property
@@ -214,7 +211,7 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
-        return EigenSolution(_frozen(np.empty(0)), (), hamiltonian.potential,
+        return EigenSolution(frozen(np.empty(0)), (), hamiltonian.potential,
                              hamiltonian.units, hamiltonian.grid)
     if count > hamiltonian.dimension:
         raise ValueError(
@@ -243,8 +240,7 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
         lobe = np.flatnonzero(np.abs(psi) > 1e-3 * np.max(np.abs(psi)))[0]
         if psi[lobe] < 0:
             psi = -psi
-        psi.setflags(write=False)
-        functions.append(GridFunction(hamiltonian.grid, psi))
+        functions.append(GridFunction(hamiltonian.grid, frozen(psi)))
     # dstein picks any basis of a doubled eigenspace: order each run of
     # exactly equal energies by node count, as Sturm's oscillation theorem
     # orders distinct ones
@@ -252,14 +248,8 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
     for start, end in zip(ends, ends[1:]):
         if end - start > 1:
             functions[start:end] = sorted(functions[start:end], key=count_interior_nodes)
-    return EigenSolution(_frozen(energies), tuple(functions), hamiltonian.potential,
+    return EigenSolution(frozen(energies), tuple(functions), hamiltonian.potential,
                          hamiltonian.units, hamiltonian.grid)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr``, made read-only, so a :class:`GridFunction` keeps it as is."""
-    arr.setflags(write=False)
-    return arr
 
 
 def _phase(energy: float, t: float, hbar: float) -> complex:
@@ -287,11 +277,11 @@ class WaveFunctionPair(Record, eq=False):
     def psi_plus(self, t: float) -> GridFunction:
         phase = _phase(self.energy, t, self.hbar)
         samples = self.spatial.samples.astype(np.complex128) * phase
-        return GridFunction(self.spatial.grid, _frozen(samples))
+        return GridFunction(self.spatial.grid, frozen(samples))
 
     def psi_minus(self, t: float) -> GridFunction:
         return GridFunction(self.spatial.grid,
-                            _frozen(np.conj(self.psi_plus(t).samples)))
+                            frozen(np.conj(self.psi_plus(t).samples)))
 
 
 def _check_index(solution: EigenSolution, index: int) -> None:
@@ -317,7 +307,7 @@ def density(pair: WaveFunctionPair, t: float) -> GridFunction:
     eigenstate since the opposite phases cancel.
     """
     z = pair.psi_plus(t).samples
-    return GridFunction(pair.spatial.grid, _frozen(z * np.conj(z)).real)
+    return GridFunction(pair.spatial.grid, frozen(z * np.conj(z)).real)
 
 
 def superposition_density(solution: EigenSolution, coeffs, t: float) -> GridFunction:
@@ -335,7 +325,7 @@ def superposition_density(solution: EigenSolution, coeffs, t: float) -> GridFunc
     for n, cn in enumerate(c):
         phase = _phase(solution.energies[n], t, solution.units.hbar)
         psi += cn * phase * solution.eigenfunctions[n].samples
-    return GridFunction(solution.grid, _frozen(psi * np.conj(psi)).real)
+    return GridFunction(solution.grid, frozen(psi * np.conj(psi)).real)
 
 
 def _functional(u, w, v, energy, h, units: UnitsConfig):

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .core import GridFunction
+from .core import GridFunction, frozen
 from .enums import Direction, Record, Scheme, set_field
 
 __all__ = [
@@ -243,8 +243,7 @@ def causal_frac_deriv(f: GridFunction, order,
     if not np.isfinite(out).all():
         raise ValueError(f"order {order.alpha} derivative on step h = {h!r} "
                          "overflowed to a non-finite value")
-    out.setflags(write=False)
-    return GridFunction(f.grid, out)
+    return GridFunction(f.grid, frozen(out))
 
 
 def retrocausal_frac_deriv(f: GridFunction, order,

@@ -183,22 +183,37 @@ class InfiniteWellPotential(Potential):
 def _order(value) -> Fraction:
     """The exact order ``value`` spells: a REAL token, str or float by its
     decimal text (0.3 is 3/10, not the binary float), a Fraction, int or
-    other number as it is. An order whose 2*order is not a finite float,
-    or is 0.0 for a nonzero order, is rejected before its fraction (a
-    million digits for 1e3000000) is built."""
+    other number as it is. An order whose exact 2*order rounds to no
+    finite float, or to 0.0 for a nonzero order, is rejected; a text is
+    judged by its float, so its fraction (a million digits for 1e3000000)
+    is built only where it is accepted or within a factor 2 of 2**-1075."""
     exact = not isinstance(value, (str, float))
     text = str(value)
-    try:
-        doubled = 2.0 * float(value if exact else text)
-    except OverflowError:  # an exact number beyond the float range
-        doubled = math.inf
+    order = None
+    if exact:
+        try:
+            order = Fraction(value)
+            doubled = float(2 * order)
+        except (OverflowError, ValueError):  # beyond the float range, or a NaN
+            doubled = math.inf
+    else:
+        doubled = 2.0 * float(text)
+        if doubled == 0.0:  # |order| <= 2**-1075; 2*order rounds to 5e-324
+            # above 2**-1076, which is 1.2e6 shifted 330 decades up (a float
+            # exponent, since an int one has a digit limit)
+            mantissa, _, exponent = text.lower().partition("e")
+            shift = float(exponent or 0) + 330
+            if abs(shift) < 1e15 and abs(float(f"{mantissa}e{shift:.0f}")) > 1e6:
+                order = Fraction(*Decimal(text).as_integer_ratio())
+                doubled = float(2 * order)
     if not math.isfinite(doubled):
         raise ValueError(f"order {text!r} doubles to a non-finite number")
     # a nonzero digit before the exponent makes the order nonzero
     if doubled == 0.0 and (value != 0 if exact else any(
             c.isdecimal() and int(c) for c in text.lower().partition("e")[0])):
         raise ValueError(f"nonzero order {text!r} doubles to zero")
-    order = Fraction(value) if exact else Fraction(*Decimal(text).as_integer_ratio())
+    if order is None:
+        order = Fraction(*Decimal(text).as_integer_ratio())
     if order.numerator < 0:
         raise ValueError(f"negative order {order}")
     return order

@@ -110,7 +110,7 @@ def test_summary_says_whether_the_median_gap_exceeds_the_parent_iqr(change, reso
     assert summary["resolved"] is resolved
 
 
-@pytest.mark.parametrize("parent, change, paired", [
+@pytest.mark.parametrize("parent, change, below", [
     # the host's load moves both runs of a pair: the medians' gap is inside
     # the parent's IQR, but every pair reads about 2 % lower
     ([100.0, 80.0, 120.0, 90.0, 110.0], [98.0, 78.5, 117.5, 88.0, 108.0], True),
@@ -118,14 +118,28 @@ def test_summary_says_whether_the_median_gap_exceeds_the_parent_iqr(change, reso
     ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], False),
     ([0.0, 0.0, 1.0], [1.0, 2.0, 1.0], None),
 ], ids=["shared-drift", "mixed", "zeros", "zero-parents"])
-def test_summary_pairs_cancel_the_load_both_runs_share(parent, change, paired):
+def test_summary_pairs_cancel_the_load_both_runs_share(parent, change, below):
+    # the ratios are figures; ``resolved`` stays the one resolution rule
     summary = tool._summary(parent, change)
-    assert summary["paired_resolved"] is paired
-    if paired is None:
+    assert "paired_resolved" not in summary
+    if below is None:
         assert summary["ratio_median"] is summary["ratio_quartiles"] is None
         return
     ratios = sorted(c / p if p else 1.0 for p, c in zip(parent, change))
     assert summary["ratio_median"] == ratios[len(ratios) // 2]
-    if paired:
-        assert not summary["resolved"]
-        assert summary["ratio_quartiles"][1] < 1.0
+    assert (summary["ratio_quartiles"][1] < 1.0) is below
+    assert not summary["resolved"]
+
+
+@pytest.mark.parametrize("change, met", [
+    ([29.30, 29.32, 29.31], True),
+    ([29.40, 29.39, 29.41], False),  # lower in every pair, gap 0.07 < IQR 0.08
+    ([29.70, 29.60, 29.65], False),
+], ids=["lower", "lower-in-noise", "higher"])
+def test_claim_reads_the_summary_resolution(change, met):
+    summary = tool._summary([29.47, 29.42, 29.50], change)
+    runs = {"cli_large trace 0 seeds 1-3": {"metrics": {"oscillate_s": summary}},
+            "cli_large trace 1 seeds 1-3": {"metrics": {}}}
+    claim = tool._claim(runs, "cli_large", "oscillate_s", 0.003)
+    assert list(claim["runs"]) == ["cli_large trace 0 seeds 1-3"]
+    assert claim["met"] is met

@@ -665,6 +665,25 @@ class TestDampedwaveCommand:
         assert len(lines) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["fracdiff", "--alpha", "0.5", "--fn", "t^2", "--n", "9", "--format", "json"],
+    ["oscillate", "--c", "0.2", "--n", "9", "--format", "json"],
+    ["eigensolve", "--potential", "harmonic, 1", "--n", "64", "--count", "2"],
+    ["dampedwave", "--xi", "0.3", "--n", "9", "--format", "json"],
+    ["dampedwave", "--xi", "0.3", "--well", "1", "--count", "3", "--format", "json"],
+    ["derive-eom", "--lagrangian", "1*q[1] + 0.5*q[0.5] - V(harmonic, 2)"],
+], ids=["fracdiff", "oscillate", "eigensolve", "dampedwave-free", "dampedwave-well",
+        "derive-eom"])
+def test_json_output_is_the_sorted_two_space_layout(tmp_path, capsys, argv):
+    # every JSON document is written as json.dumps(doc, indent=2,
+    # sort_keys=True) plus a newline, arrays and records included
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def per_value_csv(header, columns):
     """The row-by-row formatter ``csvtext.chunks`` replaced, kept as its oracle."""
     lines = [",".join(header)]

@@ -148,6 +148,34 @@ class TestTypes:
         with pytest.raises(ValueError, match="doubles to a non-finite number"):
             ProductTerm(1.0, Fraction(2**1023))
 
+    # 2**-1075 as a fraction and as its 758-digit decimal; both were rounded
+    # to 0.0 before they were doubled
+    HALF_SUBNORMAL = Fraction(1, 2**1075)
+    HALF_SUBNORMAL_TEXT = f"0.{5**1075:0>1075}"
+
+    @pytest.mark.parametrize("order", [HALF_SUBNORMAL, HALF_SUBNORMAL_TEXT],
+                             ids=["fraction", "text"])
+    def test_order_whose_exact_double_is_the_smallest_subnormal_accepted(self, order):
+        assert len(self.HALF_SUBNORMAL_TEXT.rstrip("0")) - 2 == 1075
+        term = ProductTerm(1.0, order)
+        assert term.order == self.HALF_SUBNORMAL
+        eom = derive_causal_eom(LagrangianSpec((term,)))
+        assert eom_to_json_dict(eom)["terms"] == [{"coeff": 1.0, "order": 5e-324}]
+        if isinstance(order, str):
+            spec = parse_lagrangian(f"1*q[{order}]")
+            assert spec.terms == (term,)
+
+    @pytest.mark.parametrize("order, text", [
+        (Fraction(1, 2**1076), f"nonzero order '1/{2**1076}' doubles to zero"),
+        ("1.2e-324", "nonzero order '1.2e-324' doubles to zero"),
+        ("1e-400", "nonzero order '1e-400' doubles to zero"),
+    ], ids=["fraction-tie", "text-below", "text-far-below"])
+    def test_order_whose_exact_double_rounds_to_zero_rejected(self, order, text):
+        # 2**-1075 ties to 0.0; 1.2e-324 lies below 2**-1076
+        with pytest.raises(ValueError) as err:
+            ProductTerm(1.0, order)
+        assert str(err.value) == text
+
     @pytest.mark.parametrize("make, text", [
         (lambda: HarmonicPotential(-1.0), "harmonic constant must be >= 0, got -1.0"),
         (lambda: HarmonicPotential(math.inf), "harmonic constant must be finite, got inf"),

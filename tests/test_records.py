@@ -255,6 +255,38 @@ def test_records_that_hold_arrays_compare_by_identity():
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
 
 
+_GRID8 = Grid(0.0, 1.0, 8)
+
+#: each record that holds arrays, built around one float64 array of 8
+#: samples, with the names of its fields that hold one
+_ARRAY_RECORDS = {
+    "GridFunction": (lambda a: GridFunction(_GRID8, a), ("samples",)),
+    "EigenSolution": (lambda a: eigensolver.EigenSolution(
+        a, (), InfiniteWellPotential(1.0), NATURAL_UNITS, _GRID8), ("energies",)),
+    "DiscreteHamiltonian": (lambda a: eigensolver.DiscreteHamiltonian(
+        a, a, _GRID8, FreePotential(), NATURAL_UNITS), ("diag", "offdiag")),
+    "DampedWellModes": (lambda a: dampedwave.DampedWellModes(
+        0.5, 1.0, NATURAL_UNITS, a, a), ("energies", "shooting_residuals")),
+}
+
+
+@pytest.mark.parametrize("name", _ARRAY_RECORDS)
+def test_records_hold_read_only_arrays_and_copy_only_writeable_ones(name):
+    make, fields = _ARRAY_RECORDS[name]
+    writeable = np.arange(8.0)
+    record = make(writeable)
+    for field in fields:
+        held = getattr(record, field)
+        assert held is not writeable and not held.flags.writeable
+        assert np.array_equal(held, np.arange(8.0))
+    assert writeable.flags.writeable
+    writeable[0] = 5.0
+    assert getattr(record, fields[0])[0] == 0.0
+    frozen = np.arange(8.0)
+    frozen.setflags(write=False)
+    assert all(getattr(make(frozen), field) is frozen for field in fields)
+
+
 def test_no_module_loads_dataclasses():
     # every record is an enums.Record, so importing every module of the
     # package, those that load numpy too, loads no dataclasses; every class

@@ -38,13 +38,12 @@ BENCH_memory.json and BENCH_dampedwave.json (oldest first), with the
 * ``report`` gives medians, quartiles and pair wins of every sample set,
   whether its median gap is wider than the parent's IQR (``resolved``:
   where it is not, as for a peak-RSS change below the heap-layout noise of
-  a few seeds, the set tells the trees apart in neither direction), the
-  median and quartiles of the change/parent ratio of each pair, which
-  cancels host load shared by the pair's two runs, and whether 1 lies
-  outside the ratios' IQR (``paired_resolved``), and,
-  given ``--claim``, whether METRIC of WORKLOAD (trace off) is at
-  least DROP lower than the parent's in 90 % of the pairs or more, with a
-  median gap wider than the parent's IQR.
+  a few seeds, the set tells the trees apart in neither direction), and
+  the median and quartiles of the change/parent ratio of each pair, which
+  cancel host load shared by the pair's two runs, as figures. ``resolved``
+  is the one resolution rule: given ``--claim``, METRIC of WORKLOAD (trace
+  off) is met where its median is at least DROP lower than the parent's,
+  lower in 90 % of the pairs or more, and ``resolved``.
 
 Up to commit 8893fc5 this tool was ``tools/bench_dampedwave.py``, the
 ``harness`` its older report entries name. The ``in_process``, ``cli``
@@ -296,12 +295,11 @@ def _summary(parent, change):
     parent's interquartile range: where it is not, the samples cannot tell
     the two trees apart (``resolved`` false).
 
-    The same for the change/parent ratio of each pair, whose two runs share
-    the host's load, so a drift that moves both runs cancels in it:
-    ``paired_resolved`` is true where 1 lies outside the ratios'
-    interquartile range. A pair of zeros has ratio 1; a pair whose parent
-    alone is zero has none, and with fewer than two ratios the paired
-    fields are null."""
+    Also the median and quartiles of the change/parent ratio of each pair,
+    whose two runs share the host's load, so a drift that moves both runs
+    cancels in it; they are figures, not a second rule. A pair of zeros
+    has ratio 1; a pair whose parent alone is zero has none, and with
+    fewer than two ratios the ratio fields are null."""
     def quartiles(values):
         q = statistics.quantiles(values, n=4)
         return [q[0], q[2]]
@@ -317,7 +315,6 @@ def _summary(parent, change):
             "resolved": abs(gap) > high - low,
             "ratio_median": statistics.median(ratios) if paired else None,
             "ratio_quartiles": paired,
-            "paired_resolved": paired and not paired[0] <= 1.0 <= paired[1],
             "parent": parent, "change": change}
 
 
@@ -334,7 +331,7 @@ def _bench_summary(doc):
 
 def _claim(bench_runs, workload, metric, min_drop):
     """Whether METRIC of WORKLOAD (trace off) meets the claimed gain in each
-    run of it."""
+    run of it: the drop, the pair wins, and a ``resolved`` gap below zero."""
     text = (f"{workload} {metric} at least {min_drop:.0%} lower than the parent, "
             f"change lower in at least {CLAIM_WINS:.0%} of the pairs, median gap "
             "larger than the parent IQR")
@@ -344,10 +341,9 @@ def _claim(bench_runs, workload, metric, min_drop):
         if key.startswith(f"{workload} trace 0"):
             s = run["metrics"][metric]
             lower, pairs = map(int, s["change_lower"].split("/"))
-            low, high = s["parent_quartiles"]
             drop = 1.0 - s["change_median"] / s["parent_median"]
-            met = (drop >= min_drop and lower >= CLAIM_WINS * pairs
-                   and s["parent_median"] - s["change_median"] > high - low)
+            met = (drop >= min_drop and lower >= CLAIM_WINS * pairs and s["resolved"]
+                   and s["change_median"] < s["parent_median"])
             claim["runs"][key] = {"drop": drop, "met": met}
     claim["met"] = (all(r["met"] for r in claim["runs"].values())
                     if claim["runs"] else None)
