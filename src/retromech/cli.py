@@ -41,6 +41,7 @@ import os
 import re
 import sys
 import tempfile
+from enum import Enum
 
 from . import __version__
 from .enums import Record, Scheme
@@ -63,15 +64,30 @@ class RunConfig(Record):
 # deterministic formatting and output
 
 
+def _json_value(value):
+    """The JSON form of a value ``json`` cannot write: a record's fields under
+    its ``json_keys`` names, a potential's ``kind`` first; an enum's value; a
+    complex as ``[real, imag]``; an array's or numpy scalar's ``tolist()``; a
+    ``Fraction``'s float (``float`` raises ``TypeError`` on anything else)."""
+    if isinstance(value, Record):
+        doc = {"kind": value.kind} if hasattr(value, "kind") else {}
+        doc.update((value.json_keys.get(name, name), getattr(value, name))
+                   for name in value._fields)
+        return doc
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value.tolist() if hasattr(value, "tolist") else float(value)
+
+
 def _encode(result):
     """The byte chunks of a handler's result: a dict is a JSON document,
-    each array in it written as its list and each record as its fields; a
+    each value ``json`` cannot write converted by :func:`_json_value`; a
     ``(header, columns)`` pair is a CSV table; ``()`` is nothing."""
     if isinstance(result, dict):
         import json
-        text = json.dumps(result, indent=2, sort_keys=True, default=lambda value: (
-            {name: getattr(value, name) for name in value._fields}
-            if isinstance(value, Record) else value.tolist()))
+        text = json.dumps(result, indent=2, sort_keys=True, default=_json_value)
         return ((text + "\n").encode(),)
     if result:
         from .csvtext import chunks
@@ -395,17 +411,13 @@ def _cmd_derive_eom(opts):
     causal = _wrap(lagrangian.derive_causal_eom, spec)
     retro = _wrap(lagrangian.derive_retrocausal_eom, spec)
     lines = [lagrangian.render_eom(causal), lagrangian.render_eom(retro)]
-    doc = {
-        "causal": lagrangian.eom_to_json_dict(causal),
-        "retrocausal": lagrangian.eom_to_json_dict(retro),
-    }
+    doc = {"causal": causal, "retrocausal": retro}
     ode_c = _wrap(lagrangian.reduce_integer_orders, causal)
     if ode_c is not None:
         ode_r = _wrap(lagrangian.reduce_integer_orders, retro)
         lines.append("reduced causal:      " + lagrangian.render_eom(ode_c))
         lines.append("reduced retrocausal: " + lagrangian.render_eom(ode_r))
-        doc["reduced"] = {"causal": lagrangian.eom_to_json_dict(ode_c),
-                          "retrocausal": lagrangian.eom_to_json_dict(ode_r)}
+        doc["reduced"] = {"causal": ode_c, "retrocausal": ode_r}
     print("\n".join(lines))
     # the human-readable form already went to stdout; JSON only goes to a file
     return doc if opts.get("output") else ()
@@ -449,7 +461,7 @@ def _cmd_eigensolve(opts):
         header = ["x"] + [f"psi_{n}" for n in range(sol.count)]
         return header, [_wrap(grid.points)] + [psi.samples for psi in sol.eigenfunctions]
     return {
-        "potential": potential.to_json_dict(),
+        "potential": potential,
         "energies": sol.energies,
         "units": units,
         "grid": grid,
@@ -485,8 +497,8 @@ def _cmd_dampedwave(opts):
     return {
         "xi": params.xi,
         "k": params.k_wave,
-        "regime": sol.regime.value,
-        "roots": [[r.real, r.imag] for r in characteristic_roots(*params.coeffs)],
+        "regime": sol.regime,
+        "roots": characteristic_roots(*params.coeffs),
         "max_discrepancy": sol.max_discrepancy,
     }
 

@@ -227,11 +227,15 @@ def solve_spectrum(hamiltonian: DiscreteHamiltonian, count: int) -> EigenSolutio
     functions = []
     for j in range(count):
         v = vectors[:, j]
-        r = hamiltonian.matvec(v) - energies[j] * v
         # pairwise sums, not np.linalg.norm: its BLAS ddot runs threaded
         # for long vectors and stalls against LAPACK's still-spinning pool
+        norm = math.sqrt(np.add.reduce(v * v))
+        if not math.isfinite(norm):  # dstein's info is 0 even so
+            raise SpectrumError(f"LAPACK dstein inverse iteration returned a non-finite "
+                                f"eigenvector {j} at matrix scale ||H||_G = {rows.max():.3e}")
+        r = hamiltonian.matvec(v) - energies[j] * v
         residual = math.sqrt(np.add.reduce(r * r))
-        bound = tolerance * math.sqrt(np.add.reduce(v * v))
+        bound = tolerance * norm
         if not residual <= bound:
             raise SpectrumError(
                 f"eigenpair {j} residual {residual:.3e} exceeds bound {bound:.3e}")

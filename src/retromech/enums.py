@@ -51,6 +51,7 @@ class Record:
     """
 
     _fields: tuple = ()
+    json_keys = {}  # field -> JSON key where they differ; unannotated, so no field
 
     def __init_subclass__(cls, eq=True, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -52,7 +52,6 @@ __all__ = [
     "reduce_integer_orders",
     "render_eom",
     "render_lagrangian",
-    "eom_to_json_dict",
 ]
 
 
@@ -67,7 +66,6 @@ class Potential(Record):
     """Base class for potential descriptors; see the concrete kinds."""
 
     kind = "abstract"
-    json_keys = {}  # the JSON key of each field whose key is not its name
 
     def evaluate(self, x):
         """V at the positions ``x`` as a float64 array; zero unless overridden."""
@@ -81,15 +79,6 @@ class Potential(Record):
             value = getattr(self, name)
             pieces += map(_fmt_float, value if isinstance(value, tuple) else (value,))
         return ", ".join(pieces)
-
-    def to_json_dict(self) -> dict:
-        """The kind, then each field's value under its JSON key."""
-        doc = {"kind": self.kind}
-        for name in self._fields:
-            value = getattr(self, name)
-            doc[self.json_keys.get(name, name)] = (list(value) if isinstance(value, tuple)
-                                                   else value)
-        return doc
 
     def gradient(self) -> tuple:
         """dV/dq as nonzero (coeff, power) pairs: sum coeff * q**power.
@@ -186,34 +175,36 @@ def _order(value) -> Fraction:
     other number as it is. An order whose exact 2*order rounds to no
     finite float, or to 0.0 for a nonzero order, is rejected; a text is
     judged by its float, so its fraction (a million digits for 1e3000000)
-    is built only where it is accepted or within a factor 2 of 2**-1075."""
+    is built only where it is accepted or within a factor 2 of 2**-1075,
+    and a text with no nonzero digit before its exponent is order 0 (an
+    exponent past 10**18 is one ``Decimal`` cannot hold)."""
     exact = not isinstance(value, (str, float))
     text = str(value)
-    order = None
+    order, zero = None, False
     if exact:
         try:
             order = Fraction(value)
             doubled = float(2 * order)
         except (OverflowError, ValueError):  # beyond the float range, or a NaN
             doubled = math.inf
+        zero = order == 0
     else:
         doubled = 2.0 * float(text)
         if doubled == 0.0:  # |order| <= 2**-1075; 2*order rounds to 5e-324
+            mantissa, _, exponent = text.lower().partition("e")
+            zero = not any(c.isdecimal() and int(c) for c in mantissa)
             # above 2**-1076, which is 1.2e6 shifted 330 decades up (a float
             # exponent, since an int one has a digit limit)
-            mantissa, _, exponent = text.lower().partition("e")
             shift = float(exponent or 0) + 330
             if abs(shift) < 1e15 and abs(float(f"{mantissa}e{shift:.0f}")) > 1e6:
                 order = Fraction(*Decimal(text).as_integer_ratio())
                 doubled = float(2 * order)
     if not math.isfinite(doubled):
         raise ValueError(f"order {text!r} doubles to a non-finite number")
-    # a nonzero digit before the exponent makes the order nonzero
-    if doubled == 0.0 and (value != 0 if exact else any(
-            c.isdecimal() and int(c) for c in text.lower().partition("e")[0])):
+    if doubled == 0.0 and not zero:
         raise ValueError(f"nonzero order {text!r} doubles to zero")
     if order is None:
-        order = Fraction(*Decimal(text).as_integer_ratio())
+        order = Fraction(0) if zero else Fraction(*Decimal(text).as_integer_ratio())
     if order.numerator < 0:
         raise ValueError(f"negative order {order}")
     return order
@@ -256,6 +247,7 @@ class EomTerm(Record):
 
     coeff: float
     total_order: Fraction
+    json_keys = {"total_order": "order"}
 
 
 class EquationOfMotion(Record):
@@ -277,6 +269,8 @@ class ClassicalOde(Record):
     mass_coeff: float
     damping_coeff: float
     stiffness_coeff: float
+    json_keys = {"mass_coeff": "mass", "damping_coeff": "damping",
+                 "stiffness_coeff": "stiffness"}
 
 
 # --------------------------------------------------------------------------
@@ -483,7 +477,7 @@ def reduce_integer_orders(eom: EquationOfMotion) -> ClassicalOde | None:
 
 
 # --------------------------------------------------------------------------
-# rendering and export
+# rendering
 
 
 def _fmt_float(x: float) -> str:
@@ -553,16 +547,3 @@ def render_lagrangian(spec: LagrangianSpec) -> str:
     if isinstance(spec.potential, FreePotential):
         return body
     return f"{body} - V({spec.potential.render_dsl()})"
-
-
-def eom_to_json_dict(eom) -> dict:
-    """The JSON document of an equation of motion or of a reduced
-    classical ODE."""
-    if isinstance(eom, ClassicalOde):
-        return {"mass": eom.mass_coeff, "damping": eom.damping_coeff,
-                "stiffness": eom.stiffness_coeff}
-    return {
-        "direction": eom.direction.value,
-        "terms": [{"coeff": t.coeff, "order": float(t.total_order)} for t in eom.terms],
-        "potential": eom.potential.to_json_dict(),
-    }

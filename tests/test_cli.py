@@ -330,13 +330,41 @@ class TestDeriveEomCommand:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: lagrangian.parse_lagrangian: ")
 
-    def test_json_export(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, terms, potential, reduced", [
+        ("1*q[1] + 0.3*q[0.5] + 4*q[0] - V(harmonic, 2)",
+         [{"coeff": 1.0, "order": 2.0}, {"coeff": 0.3, "order": 1.0},
+          {"coeff": 4.0, "order": 0.0}],
+         {"kind": "harmonic", "k": 2.0},
+         {"causal": {"mass": 1.0, "damping": 0.3, "stiffness": 6.0},
+          "retrocausal": {"mass": 1.0, "damping": -0.3, "stiffness": 6.0}}),
+        ("2*q[0.75] - V(poly, 1, 0, 3)", [{"coeff": 2.0, "order": 1.5}],
+         {"kind": "poly", "coeffs": [1.0, 0.0, 3.0]}, None),
+    ], ids=["reduced", "fractional"])
+    def test_json_export(self, tmp_path, capsys, text, terms, potential, reduced):
         out = tmp_path / "eom.json"
-        assert main(["derive-eom", "--lagrangian", "1*q[1] - V(harmonic, 4)",
-                     "--output", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["causal"]["potential"] == {"kind": "harmonic", "k": 4.0}
-        assert doc["reduced"]["retrocausal"]["stiffness"] == 4.0
+        assert main(["derive-eom", "--lagrangian", text, "--output", str(out)]) == 0
+        expected = {direction: {"direction": direction, "terms": terms,
+                                "potential": potential}
+                    for direction in ("causal", "retrocausal")}
+        if reduced:
+            expected["reduced"] = reduced
+        assert json.loads(out.read_text()) == expected
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (["derive-eom", "--lagrangian", "1*q[1] + 1*q[0e99999999999999999999999]"],
+         "1*q[1] + 1*q[0]"),
+        (["derive-eom", "--lagrangian", "1*q[1] + 0*q[0e99999999999999999999999]"],
+         "1*q[1] + 0*q[0]"),
+    ], ids=["kept", "dropped"])
+    def test_zero_order_with_any_exponent_prints_as_order_zero(self, capsys, argv,
+                                                                same_as):
+        # Decimal holds no exponent past 999999999999999999: both exited 1
+        # with "error: lagrangian.parse_lagrangian: [<class
+        # 'decimal.InvalidOperation'>]"
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert main(["derive-eom", "--lagrangian", same_as]) == 0
+        assert capsys.readouterr() == out
 
     @pytest.mark.parametrize("token", ["0.50", "1e-400", "1.0000000000000001", "1_0"])
     def test_alpha_is_substituted_as_written(self, capsys, token):
@@ -575,6 +603,22 @@ class TestEigensolveCommand:
         doc = json.loads(out.read_text())
         assert abs(doc["energies"][0] - math.pi**2 / 2.0) <= 0.01
 
+    @pytest.mark.parametrize("potential, flags, expected, grid", [
+        ("free", ["--a", "-3", "--b", "3"], {"kind": "free"}, [-3.0, 3.0]),
+        ("harmonic, 2", [], {"kind": "harmonic", "k": 2.0}, [-12.0, 12.0]),
+        ("poly, 0, 0, 1", ["--a", "-3", "--b", "3"],
+         {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}, [-3.0, 3.0]),
+        ("well, 2", [], {"kind": "well", "L": 2.0}, [0.0, 2.0]),
+    ], ids=["free", "harmonic", "poly", "well"])
+    def test_document_names_the_potential(self, capsys, potential, flags, expected, grid):
+        assert main(["eigensolve", "--potential", potential, *flags, "--n", "64",
+                     "--count", "2", "--mass", "0.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc.pop("energies")) == 2
+        assert doc == {"potential": expected,
+                       "units": {"hbar": 1.0, "mass": 0.5, "c_light": 1.0},
+                       "grid": {"a": grid[0], "b": grid[1], "n": 64}}
+
     def test_double_well_doublets_are_kept(self, capsys):
         # the tunnelling doublets are equal in float64, and a strictly
         # ascending check on the energies exited 1 here
@@ -604,17 +648,19 @@ class TestDampedwaveCommand:
         data = np.loadtxt(lines[1:], delimiter=",")
         assert np.max(np.abs(data[:, 1] - np.cos(data[:, 0]))) <= 1e-9
 
-    def test_regime_report_json(self, tmp_path):
-        out = tmp_path / "regime.json"
-        assert main(["dampedwave", "--xi", "2", "--energy", "0.5",
-                     "--n", "501", "--b", "5", "--format", "json",
-                     "--output", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["regime"] == "overdamped"
-        assert doc["k"] == pytest.approx(1.0)
-        roots = [r[0] for r in doc["roots"]]
-        assert roots == pytest.approx([-2 + math.sqrt(3), -2 - math.sqrt(3)])
-        assert doc["max_discrepancy"] <= 1e-6
+    @pytest.mark.parametrize("xi, regime, roots", [
+        ("0", "undamped", [[0.0, 1.0], [-0.0, -1.0]]),
+        ("0.3", "underdamped", [[-0.3, 0.9539392014169457], [-0.3, -0.9539392014169457]]),
+        ("1", "critical", [[-1.0, 0.0], [-1.0, 0.0]]),
+        ("2", "overdamped", [[-0.2679491924311227, 0.0], [-3.732050807568877, 0.0]]),
+    ], ids=["undamped", "underdamped", "critical", "overdamped"])
+    def test_regime_report_json(self, capsys, xi, regime, roots):
+        # the regime as its name and each complex root as [real, imag]
+        assert main(["dampedwave", "--xi", xi, "--energy", "0.5", "--n", "501",
+                     "--b", "5", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("max_discrepancy") <= 1e-9
+        assert doc == {"xi": float(xi), "k": 1.0, "regime": regime, "roots": roots}
 
     def test_small_overdamped_root_does_not_cancel(self, capsys):
         # -xi + sqrt(xi^2 - k^2) cancelled to 0.0; the root is -k^2 / (2 xi)
@@ -682,6 +728,39 @@ def test_json_output_is_the_sorted_two_space_layout(tmp_path, capsys, argv):
     capsys.readouterr()
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_encode_writes_every_library_value():
+    # the one conversion of what json cannot write: records under their
+    # json_keys names, a potential's kind, enums, complex, Fraction, arrays
+    from fractions import Fraction
+
+    from retromech.cli import _encode, _json_value
+    from retromech.core import Regime
+    from retromech.enums import Direction
+    well = lagrangian.InfiniteWellPotential(2.0)
+    (chunk,) = _encode({
+        "ode": lagrangian.ClassicalOde(1.0, -0.3, 4.0),
+        "term": lagrangian.EomTerm(0.5, Fraction(3, 2)),
+        "well": well, "free": lagrangian.FreePotential(), "grid": Grid(0.0, 1.0, 3),
+        "regime": Regime.CRITICAL, "direction": Direction.RETROCAUSAL,
+        "root": complex(-1.0, 0.5), "roots": (complex(0.0, 1.0), np.complex128(2.0)),
+        "order": Fraction(1, 4), "samples": np.array([0.5, 1.0]), "count": np.int64(3),
+    })
+    assert json.loads(chunk) == {
+        "ode": {"mass": 1.0, "damping": -0.3, "stiffness": 4.0},
+        "term": {"coeff": 0.5, "order": 1.5},
+        "well": {"kind": "well", "L": 2.0}, "free": {"kind": "free"},
+        "grid": {"a": 0.0, "b": 1.0, "n": 3},
+        "regime": "critical", "direction": "retrocausal",
+        "root": [-1.0, 0.5], "roots": [[0.0, 1.0], [2.0, 0.0]],
+        "order": 0.25, "samples": [0.5, 1.0], "count": 3,
+    }
+    assert list(_json_value(well)) == ["kind", "L"]
+    # json_keys is no field
+    assert lagrangian.EomTerm._fields == ("coeff", "total_order")
+    with pytest.raises(TypeError):
+        _encode({"handle": object()})
 
 
 def per_value_csv(header, columns):
@@ -1351,7 +1430,12 @@ def test_seeded_draws_leave_numpy_random_unloaded(code):
      "eigensolver.build_hamiltonian", "diagonal overflows"),
     (["--potential", "well,1e-152", "--n", "100"],
      "eigensolver.solve_spectrum", "dstebz"),
-], ids=["kinetic-inf", "diagonal-overflow", "bisection-failure"])
+    # a diagonal of 7.0e153: dstein returns every entry NaN with info = 0,
+    # which read "eigenpair 0 residual nan exceeds bound nan"
+    (["--potential", "harmonic, 1e300", "--count", "2"], "eigensolver.solve_spectrum",
+     "LAPACK dstein inverse iteration returned a non-finite eigenvector 0 at matrix "
+     "scale ||H||_G = 1.395e+154\n"),
+], ids=["kinetic-inf", "diagonal-overflow", "bisection-failure", "inverse-iteration-nan"])
 def test_unsolvable_hamiltonians_exit_1(capsys, argv, origin, detail):
     # nothing checks the LAPACK inputs, so build_hamiltonian rejects what
     # scipy's finiteness check used to, and a LAPACK failure is reported
